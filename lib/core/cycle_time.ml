@@ -122,7 +122,6 @@ let analyze ?deadline ?periods ?(jobs = 1) g =
     Tsg_engine.Metrics.time "analyze/unfold" @@ fun () ->
     let u = Unfolding.make ~deadline g ~periods:(periods + 1) in
     Tsg_engine.Deadline.check deadline;
-    Unfolding.warm_caches u;
     u
   in
   let traces =

@@ -39,7 +39,6 @@ let estimate ?(seed = 42) ?(runs = 30) ?(periods = 60) ?(jobs = 1) g ~sampler =
     | [] -> raise (Cycle_time.Not_analyzable "the graph has no border events")
   in
   let u = Unfolding.make g ~periods in
-  Unfolding.warm_caches u;
   let half = periods / 2 in
   let one_run r =
     let rng = Random.State.make [| seed; r |] in

@@ -26,19 +26,25 @@ let analyze g =
   in
   (* backward pass: the latest time each event may finish without
      moving the makespan *)
-  let dag = Unfolding.dag u in
+  let starts, dsts, aids = Unfolding.out_adjacency u in
+  let delays = Unfolding.delays u in
   let latest = Array.make n makespan in
-  let order = Array.of_list (Tsg_graph.Topo.sort_exn dag) in
+  let order = Unfolding.topological_order u in
   for k = Array.length order - 1 downto 0 do
     let v = order.(k) in
-    Tsg_graph.Digraph.iter_out dag v (fun w aid ->
-        let slack_bound = latest.(w) -. (Signal_graph.arc g aid).Signal_graph.delay in
-        if slack_bound < latest.(v) then latest.(v) <- slack_bound)
+    for j = starts.(v) to starts.(v + 1) - 1 do
+      let slack_bound = latest.(dsts.(j)) -. delays.(aids.(j)) in
+      if slack_bound < latest.(v) then latest.(v) <- slack_bound
+    done
   done;
   let arc_floats = Array.make (Signal_graph.arc_count g) infinity in
-  Tsg_graph.Digraph.iter_arcs dag (fun src dst aid ->
-      let f = latest.(dst) -. finish_times.(src) -. (Signal_graph.arc g aid).Signal_graph.delay in
-      if f < arc_floats.(aid) then arc_floats.(aid) <- Float.max 0. f);
+  for src = 0 to n - 1 do
+    for j = starts.(src) to starts.(src + 1) - 1 do
+      let aid = aids.(j) in
+      let f = latest.(dsts.(j)) -. finish_times.(src) -. delays.(aid) in
+      if f < arc_floats.(aid) then arc_floats.(aid) <- Float.max 0. f
+    done
+  done;
   { finish_times; makespan; critical_path; arc_floats }
 
 let pp g ppf r =

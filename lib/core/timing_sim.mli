@@ -73,7 +73,7 @@ val view_reached : view -> int -> bool
 
 val simulate : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> result
 (** The timing simulation [t] of the whole unfolding.  The topological
-    order and compact adjacency are cached inside the unfolding, so
+    order and compact adjacency are built with the unfolding, so
     repeated simulations of the same unfolding (as the cycle-time
     algorithm performs, once per border event) pay the set-up cost
     once.
@@ -130,8 +130,7 @@ val simulate_many :
     top of every kernel window), which amortises cancellation to
     nothing while keeping latency one simulation at most.  [f] must
     not retain its [view] (the arena is recycled for the next root)
-    and must be safe to run concurrently when [jobs > 1].  Call
-    {!Unfolding.warm_caches} first if [jobs > 1]. *)
+    and must be safe to run concurrently when [jobs > 1]. *)
 
 val occurrence_times : Unfolding.t -> result -> event:int -> float array
 (** [occurrence_times u r ~event] is the array of [t(e_i)] for

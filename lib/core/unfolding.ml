@@ -1,40 +1,41 @@
 type csr = { starts : int array; neighbors : int array; arc_ids : int array }
 
-type t = {
+(* the instance space: everything an instance id depends on *)
+type layout = {
   sg : Signal_graph.t;
   k : int; (* number of periods *)
   n_events : int;
   n_instances : int;
   rep_index : int array; (* event id -> dense repetitive index, or -1 *)
   rep_ids : int array; (* dense repetitive index -> event id *)
-  (* the digraph view is lazy: [make] builds it eagerly, but [patch]
-     synthesises the CSR views directly from the edited arc table and
-     leaves the digraph unbuilt — rebuilding 10^4-10^5 cons cells per
-     what-if scenario was the dominant cost of a structural repair *)
-  mutable dag_cache : int Tsg_graph.Digraph.t option;
-  (* compact adjacency and topological order for the hot loops of the
-     timing simulation: the digraph view allocates on every traversal,
-     which dominates the O(b^2 m) algorithm's constant factor *)
-  mutable in_csr : csr option;
-  mutable out_csr : csr option;
-  mutable topo : int array option;
-  mutable topo_pos_cache : int array option;
-  mutable delay_cache : float array option;
 }
 
-let instance_id t ~event ~period =
-  if period = 0 then event
-  else t.n_events + ((period - 1) * Array.length t.rep_ids) + t.rep_index.(event)
+(* every view is built once, by [make] or [patch], and never mutated,
+   so an unfolding can be shared across domains as it is.  The compact
+   adjacency and the topological order feed the hot loops of the
+   timing simulation. *)
+type t = {
+  l : layout;
+  in_csr : csr;
+  out_csr : csr;
+  topo : int array;
+  topo_pos : int array;
+  delays : float array;
+}
 
-(* enumerate the (src instance, dst instance) pairs an arc [aid]
-   induces in the unfolding — shared by [make] (which adds them to the
-   dag) and [patch] (which also uses it to diff instance sets).  The
-   pairs depend only on the arc's endpoints, marking and
+let instance_id l ~event ~period =
+  if period = 0 then event
+  else l.n_events + ((period - 1) * Array.length l.rep_ids) + l.rep_index.(event)
+
+(* enumerate the (src instance, dst instance) pairs an arc induces in
+   the unfolding, period ascending — the construction enumerates them
+   arc id ascending, and [patch] also uses it to diff instance sets.
+   The pairs depend only on the arc's endpoints, marking and
    disengageability plus the event classes, never on the rest of the
    arc table. *)
-let iter_arc_instances t (a : Signal_graph.arc) f =
-  let sg = t.sg in
-  let periods = t.k in
+let iter_arc_instances l (a : Signal_graph.arc) f =
+  let sg = l.sg in
+  let periods = l.k in
   let once = a.disengageable || not (Signal_graph.is_repetitive sg a.arc_src) in
   let m = if a.marked then 1 else 0 in
   if once then begin
@@ -43,40 +44,93 @@ let iter_arc_instances t (a : Signal_graph.arc) f =
       m = 0 || (m < periods && Signal_graph.is_repetitive sg a.arc_dst)
     in
     if dst_exists then
-      f (instance_id t ~event:a.arc_src ~period:0) (instance_id t ~event:a.arc_dst ~period:m)
+      f (instance_id l ~event:a.arc_src ~period:0) (instance_id l ~event:a.arc_dst ~period:m)
   end
   else begin
     let dst_periods = if Signal_graph.is_repetitive sg a.arc_dst then periods else 1 in
     for i = m to dst_periods - 1 do
-      f (instance_id t ~event:a.arc_src ~period:(i - m)) (instance_id t ~event:a.arc_dst ~period:i)
+      f (instance_id l ~event:a.arc_src ~period:(i - m)) (instance_id l ~event:a.arc_dst ~period:i)
     done
   end
 
-(* construction is O(periods * arcs): amortised cancellation checks
-   keep a pathological (huge-period) unfolding within its budget *)
-let add_all_arcs ~deadline t dag =
-  let added = ref 0 in
+(* The one construction, shared by [make] and [patch].  The slice
+   order is fixed by definition: arc instances in generation order
+   (arc id ascending, then period ascending), stably counting-sorted
+   by source for the out-CSR, and that sequence stably counting-sorted
+   by destination for the in-CSR.  Backtracking breaks longest-path
+   ties by adjacency order, so this order is what makes a patched
+   unfolding's reports serialise byte for byte like a fresh one's.
+   [O(periods * arcs)], with amortised deadline checks in every pass
+   so a pathological (huge-period) unfolding stays within its
+   budget. *)
+let synthesize_csrs ~deadline l =
+  let check i = if i land 8191 = 0 then Tsg_engine.Deadline.check deadline in
+  let n = l.n_instances in
+  let arcs = Signal_graph.arcs l.sg in
+  (* pass 1: per-instance out- and in-degrees *)
+  let out_starts = Array.make (n + 1) 0 and in_starts = Array.make (n + 1) 0 in
+  let m = ref 0 in
+  Array.iter
+    (fun a ->
+      iter_arc_instances l a (fun src dst ->
+          check !m;
+          incr m;
+          out_starts.(src + 1) <- out_starts.(src + 1) + 1;
+          in_starts.(dst + 1) <- in_starts.(dst + 1) + 1))
+    arcs;
+  for v = 1 to n do
+    out_starts.(v) <- out_starts.(v) + out_starts.(v - 1);
+    in_starts.(v) <- in_starts.(v) + in_starts.(v - 1)
+  done;
+  let m = !m in
+  (* pass 2, the sort by source: regenerate in generation order and
+     drop each instance into its source's next free slot *)
+  let dsts = Array.make (max m 1) 0 and out_aids = Array.make (max m 1) 0 in
+  let fill = Array.copy out_starts in
+  let k = ref 0 in
   Array.iteri
     (fun aid a ->
-      iter_arc_instances t a (fun src dst ->
-          incr added;
-          if !added land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-          Tsg_graph.Digraph.add_arc dag ~src ~dst aid))
-    (Signal_graph.arcs t.sg)
+      iter_arc_instances l a (fun src dst ->
+          check !k;
+          incr k;
+          let p = fill.(src) in
+          fill.(src) <- p + 1;
+          dsts.(p) <- dst;
+          out_aids.(p) <- aid))
+    arcs;
+  (* the sort of that sequence by destination *)
+  let srcs = Array.make (max m 1) 0 and in_aids = Array.make (max m 1) 0 in
+  let fill = Array.copy in_starts in
+  for v = 0 to n - 1 do
+    check v;
+    for p = out_starts.(v) to out_starts.(v + 1) - 1 do
+      let q = fill.(dsts.(p)) in
+      fill.(dsts.(p)) <- q + 1;
+      srcs.(q) <- v;
+      in_aids.(q) <- out_aids.(p)
+    done
+  done;
+  ( { starts = in_starts; neighbors = srcs; arc_ids = in_aids },
+    { starts = out_starts; neighbors = dsts; arc_ids = out_aids } )
 
-(* force the digraph view: a patched unfolding synthesised its CSRs
-   without one, so the (rare) callers that want the digraph itself pay
-   for the rebuild here — same construction loop as [make], hence the
-   same graph *)
-let force_dag t =
-  match t.dag_cache with
-  | Some dag -> dag
-  | None ->
-    let dag = Tsg_graph.Digraph.create ~capacity:(max t.n_instances 1) () in
-    Tsg_graph.Digraph.add_vertices dag t.n_instances;
-    add_all_arcs ~deadline:Tsg_engine.Deadline.none t dag;
-    t.dag_cache <- Some dag;
-    dag
+let inverse order =
+  let pos = Array.make (Array.length order) 0 in
+  Array.iteri (fun k v -> pos.(v) <- k) order;
+  pos
+
+(* the canonical order of {!Tsg_graph.Topo.sort} (smallest id first) *)
+let sort_topo ~deadline out_csr =
+  match
+    Tsg_graph.Topo.sort_csr
+      ~check:(fun () -> Tsg_engine.Deadline.check deadline)
+      ~starts:out_csr.starts ~targets:out_csr.neighbors
+  with
+  | Some order -> order
+  | None -> invalid_arg "Unfolding: the unfolding has a cycle"
+
+let views l (in_csr, out_csr) topo topo_pos =
+  let delays = Array.map (fun (a : Signal_graph.arc) -> a.delay) (Signal_graph.arcs l.sg) in
+  { l; in_csr; out_csr; topo; topo_pos; delays }
 
 let make ?(deadline = Tsg_engine.Deadline.none) sg ~periods =
   if periods < 1 then invalid_arg "Unfolding.make: periods must be >= 1";
@@ -94,37 +148,22 @@ let make ?(deadline = Tsg_engine.Deadline.none) sg ~periods =
     rep_list;
   let rep_ids = Array.sub rep_ids 0 r in
   let total = n_events + ((periods - 1) * r) in
-  let dag = Tsg_graph.Digraph.create ~capacity:(max total 1) () in
-  Tsg_graph.Digraph.add_vertices dag total;
-  let t =
-    {
-      sg;
-      k = periods;
-      n_events;
-      n_instances = total;
-      rep_index;
-      rep_ids;
-      dag_cache = Some dag;
-      in_csr = None;
-      out_csr = None;
-      topo = None;
-      topo_pos_cache = None;
-      delay_cache = None;
-    }
-  in
-  add_all_arcs ~deadline t dag;
+  let l = { sg; k = periods; n_events; n_instances = total; rep_index; rep_ids } in
+  let ((_, out_csr) as csrs) = synthesize_csrs ~deadline l in
+  let topo = sort_topo ~deadline out_csr in
   Tsg_engine.Metrics.incr "unfolding/built";
   Tsg_engine.Metrics.incr ~by:total "unfolding/instances";
-  t
+  views l csrs topo (inverse topo)
 
-let signal_graph t = t.sg
-let periods t = t.k
-let instance_count t = t.n_instances
+let signal_graph t = t.l.sg
+let periods t = t.l.k
+let instance_count t = t.l.n_instances
 
 let instance_opt t ~event ~period =
-  if event < 0 || event >= t.n_events || period < 0 || period >= t.k then None
-  else if period > 0 && t.rep_index.(event) < 0 then None
-  else Some (instance_id t ~event ~period)
+  let l = t.l in
+  if event < 0 || event >= l.n_events || period < 0 || period >= l.k then None
+  else if period > 0 && l.rep_index.(event) < 0 then None
+  else Some (instance_id l ~event ~period)
 
 let instance t ~event ~period =
   match instance_opt t ~event ~period with
@@ -135,102 +174,33 @@ let instance t ~event ~period =
          period)
 
 let event_of_instance t i =
-  if i < t.n_events then (i, 0)
+  let l = t.l in
+  if i < l.n_events then (i, 0)
   else begin
-    let r = Array.length t.rep_ids in
-    let off = i - t.n_events in
-    (t.rep_ids.(off mod r), 1 + (off / r))
+    let r = Array.length l.rep_ids in
+    let off = i - l.n_events in
+    (l.rep_ids.(off mod r), 1 + (off / r))
   end
-
-let dag t = force_dag t
-let delay_of_label t aid = (Signal_graph.arc t.sg aid).Signal_graph.delay
 
 (* ------------------------------------------------------------------ *)
 (* Compact views                                                       *)
 
-let build_csr t ~incoming =
-  let dag = force_dag t in
-  let n = instance_count t in
-  let m = Tsg_graph.Digraph.arc_count dag in
-  let starts = Array.make (n + 1) 0 in
-  Tsg_graph.Digraph.iter_arcs dag (fun src dst _ ->
-      let v = if incoming then dst else src in
-      starts.(v + 1) <- starts.(v + 1) + 1);
-  for v = 1 to n do
-    starts.(v) <- starts.(v) + starts.(v - 1)
-  done;
-  let fill = Array.copy starts in
-  let neighbors = Array.make (max m 1) 0 in
-  let arc_ids = Array.make (max m 1) 0 in
-  Tsg_graph.Digraph.iter_arcs dag (fun src dst aid ->
-      let v, w = if incoming then (dst, src) else (src, dst) in
-      neighbors.(fill.(v)) <- w;
-      arc_ids.(fill.(v)) <- aid;
-      fill.(v) <- fill.(v) + 1);
-  { starts; neighbors; arc_ids }
-
-let in_adjacency t =
-  match t.in_csr with
-  | Some csr -> (csr.starts, csr.neighbors, csr.arc_ids)
-  | None ->
-    let csr = build_csr t ~incoming:true in
-    t.in_csr <- Some csr;
-    (csr.starts, csr.neighbors, csr.arc_ids)
-
-let out_adjacency t =
-  match t.out_csr with
-  | Some csr -> (csr.starts, csr.neighbors, csr.arc_ids)
-  | None ->
-    let csr = build_csr t ~incoming:false in
-    t.out_csr <- Some csr;
-    (csr.starts, csr.neighbors, csr.arc_ids)
+let in_adjacency t = (t.in_csr.starts, t.in_csr.neighbors, t.in_csr.arc_ids)
+let out_adjacency t = (t.out_csr.starts, t.out_csr.neighbors, t.out_csr.arc_ids)
 
 let initial_instances t =
-  (* an instance is initial iff it has no in-arc, i.e. its slice of
-     the in-CSR is empty — one pass over the cached [starts] array
-     instead of a digraph in-degree query per vertex *)
-  let starts, _, _ = in_adjacency t in
+  (* an instance is initial iff its slice of the in-CSR is empty *)
+  let starts = t.in_csr.starts in
   let result = ref [] in
   for i = instance_count t - 1 downto 0 do
     if starts.(i + 1) = starts.(i) then result := i :: !result
   done;
   !result
 
-let topological_order t =
-  match t.topo with
-  | Some order -> order
-  | None ->
-    let order = Array.of_list (Tsg_graph.Topo.sort_exn (force_dag t)) in
-    t.topo <- Some order;
-    order
-
-let topo_position t =
-  match t.topo_pos_cache with
-  | Some pos -> pos
-  | None ->
-    let order = topological_order t in
-    let pos = Array.make (instance_count t) 0 in
-    Array.iteri (fun k v -> pos.(v) <- k) order;
-    t.topo_pos_cache <- Some pos;
-    pos
-
-let delays t =
-  match t.delay_cache with
-  | Some d -> d
-  | None ->
-    let d =
-      Array.map (fun (a : Signal_graph.arc) -> a.Signal_graph.delay) (Signal_graph.arcs t.sg)
-    in
-    t.delay_cache <- Some d;
-    d
-
-let warm_caches t =
-  Tsg_obs.Trace.with_span "unfolding/warm" @@ fun () ->
-  ignore (in_adjacency t);
-  ignore (out_adjacency t);
-  ignore (topological_order t);
-  ignore (topo_position t);
-  ignore (delays t)
+let topological_order t = t.topo
+let topo_position t = t.topo_pos
+let delays t = t.delays
+let warm_caches (_ : t) = ()
 
 (* ------------------------------------------------------------------ *)
 (* Structural patching                                                 *)
@@ -240,122 +210,106 @@ type patch_delta = {
   pd_dropped : (int * int) array;
 }
 
+(* Bounded position-shift repair of [t]'s topological order for the
+   patched CSRs: let W be the contiguous position window [lo, hi]
+   spanning every spliced arc that runs backwards (lo = min position
+   of a violating dst, hi = max position of a violating src).  Any
+   new-dag arc with at most one endpoint in W is already satisfied by
+   the base positions (a kept or forward spliced arc crossing the
+   window boundary cannot invert inside it), so re-ranking the members
+   of W among themselves — a local Kahn scan over the new dag
+   restricted to W, emitting into positions lo..hi — yields a valid
+   order for the whole dag without touching the other [n - |W|]
+   positions.  [None] when the window holds a cycle. *)
+let shift_window ~deadline t (in_csr, out_csr) spliced =
+  let base_topo = t.topo and base_pos = t.topo_pos in
+  let lo = ref max_int and hi = ref (-1) in
+  Array.iter
+    (fun (s, d) ->
+      if base_pos.(s) > base_pos.(d) then begin
+        if base_pos.(d) < !lo then lo := base_pos.(d);
+        if base_pos.(s) > !hi then hi := base_pos.(s)
+      end)
+    spliced;
+  let lo = !lo and hi = !hi in
+  let topo = Array.copy base_topo in
+  let pos = Array.copy base_pos in
+  let in_window v =
+    let p = base_pos.(v) in
+    p >= lo && p <= hi
+  in
+  let in_starts = in_csr.starts and in_srcs = in_csr.neighbors in
+  let out_starts = out_csr.starts and out_dsts = out_csr.neighbors in
+  let indeg = Array.make (instance_count t) 0 in
+  for p = lo to hi do
+    let v = base_topo.(p) in
+    let cnt = ref 0 in
+    for j = in_starts.(v) to in_starts.(v + 1) - 1 do
+      if in_window in_srcs.(j) then incr cnt
+    done;
+    indeg.(v) <- !cnt
+  done;
+  let q = Queue.create () in
+  for p = lo to hi do
+    let v = base_topo.(p) in
+    if indeg.(v) = 0 then Queue.add v q
+  done;
+  let next = ref lo in
+  while not (Queue.is_empty q) do
+    if !next land 8191 = 0 then Tsg_engine.Deadline.check deadline;
+    let v = Queue.pop q in
+    topo.(!next) <- v;
+    pos.(v) <- !next;
+    incr next;
+    for j = out_starts.(v) to out_starts.(v + 1) - 1 do
+      let w = out_dsts.(j) in
+      if in_window w then begin
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then Queue.add w q
+      end
+    done
+  done;
+  if !next = hi + 1 then begin
+    Tsg_engine.Metrics.incr "unfolding/topo_shifted";
+    Tsg_engine.Metrics.incr ~by:(hi - lo + 1) "unfolding/topo_window";
+    Some (topo, pos)
+  end
+  else None
+
 (* The load-bearing simplification: [instance_id] depends only on the
    event set, the event classes and the period count — never on the
    arc table.  An arc-level edit (add/remove/marking flip) therefore
-   keeps every instance id stable; only the DAG's arcs change.
-
-   The CSR views of the patched dag are synthesised {e directly} from
-   the edited arc table, without building a digraph: a cold build's
-   CSR slice order is fixed — [Digraph.iter_arcs] walks sources in
-   ascending vertex order and, within a source, in insertion order,
-   which is the generation order of [add_all_arcs] (arc id ascending,
-   period ascending) — so two stable counting sorts of the generated
-   (src, dst, arc) triples reproduce, byte for byte, the arrays a cold
-   unfolding of the edited graph would cache.  This matters beyond
-   speed: backtracking breaks longest-path ties by adjacency order, so
-   identical CSR bytes are what make warm reports serialise
-   identically to cold ones.  Only the topological order may differ,
-   and any valid order is equivalent for the simulation (occurrence
-   times are order-independent maxima). *)
-let synthesize_csrs ~deadline t' =
-  let total = t'.n_instances in
-  let arcs = Signal_graph.arcs t'.sg in
-  (* pass 1: count the arc instances *)
-  let m = ref 0 in
-  Array.iter (fun a -> iter_arc_instances t' a (fun _ _ -> incr m)) arcs;
-  let m = !m in
-  (* pass 2: materialise them in generation order *)
-  let gs = Array.make (max m 1) 0 in
-  let gd = Array.make (max m 1) 0 in
-  let ga = Array.make (max m 1) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun aid a ->
-      iter_arc_instances t' a (fun src dst ->
-          if !k land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-          gs.(!k) <- src;
-          gd.(!k) <- dst;
-          ga.(!k) <- aid;
-          incr k))
-    arcs;
-  (* stable counting sort by src: the out-CSR, whose slices are the
-     per-source runs in generation order *)
-  let out_starts = Array.make (total + 1) 0 in
-  for i = 0 to m - 1 do
-    out_starts.(gs.(i) + 1) <- out_starts.(gs.(i) + 1) + 1
-  done;
-  for v = 1 to total do
-    out_starts.(v) <- out_starts.(v) + out_starts.(v - 1)
-  done;
-  let fill = Array.copy out_starts in
-  let s_src = Array.make (max m 1) 0 in
-  let s_dst = Array.make (max m 1) 0 in
-  let s_aid = Array.make (max m 1) 0 in
-  for i = 0 to m - 1 do
-    let p = fill.(gs.(i)) in
-    fill.(gs.(i)) <- p + 1;
-    s_src.(p) <- gs.(i);
-    s_dst.(p) <- gd.(i);
-    s_aid.(p) <- ga.(i)
-  done;
-  t'.out_csr <- Some { starts = out_starts; neighbors = s_dst; arc_ids = s_aid };
-  (* stable counting sort of that sequence by dst: the in-CSR *)
-  let in_starts = Array.make (total + 1) 0 in
-  for p = 0 to m - 1 do
-    in_starts.(s_dst.(p) + 1) <- in_starts.(s_dst.(p) + 1) + 1
-  done;
-  for v = 1 to total do
-    in_starts.(v) <- in_starts.(v) + in_starts.(v - 1)
-  done;
-  let fill = Array.copy in_starts in
-  let in_srcs = Array.make (max m 1) 0 in
-  let in_aids = Array.make (max m 1) 0 in
-  for p = 0 to m - 1 do
-    let q = fill.(s_dst.(p)) in
-    fill.(s_dst.(p)) <- q + 1;
-    in_srcs.(q) <- s_src.(p);
-    in_aids.(q) <- s_aid.(p)
-  done;
-  t'.in_csr <- Some { starts = in_starts; neighbors = in_srcs; arc_ids = in_aids }
-
+   keeps every instance id stable; only the DAG's arcs change, and
+   the same [synthesize_csrs] as [make] rebuilds them.  Only the
+   topological order may differ from a fresh build's, and any valid
+   order is equivalent for the simulation (occurrence times are
+   order-independent maxima). *)
 let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
-  if Signal_graph.event_count g' <> t.n_events then
+  if Signal_graph.event_count g' <> t.l.n_events then
     invalid_arg "Unfolding.patch: the edited graph has a different event set";
-  for e = 0 to t.n_events - 1 do
-    if Signal_graph.class_of g' e <> Signal_graph.class_of t.sg e then
+  for e = 0 to t.l.n_events - 1 do
+    if Signal_graph.class_of g' e <> Signal_graph.class_of t.l.sg e then
       invalid_arg "Unfolding.patch: the edited graph changes an event class"
   done;
-  let arcs_old = Signal_graph.arcs t.sg in
+  let arcs_old = Signal_graph.arcs t.l.sg in
   let arcs_new = Signal_graph.arcs g' in
   if Array.length arc_map <> Array.length arcs_old then
     invalid_arg "Unfolding.patch: arc_map length differs from the base arc count";
   Tsg_obs.Trace.with_span "unfolding/patch" @@ fun () ->
-  let total = instance_count t in
-  let t' =
-    {
-      t with
-      sg = g';
-      dag_cache = None;
-      in_csr = None;
-      out_csr = None;
-      topo = None;
-      topo_pos_cache = None;
-      delay_cache = None;
-    }
-  in
-  synthesize_csrs ~deadline t';
+  let l = t.l in
+  let l' = { l with sg = g' } in
+  let ((_, out_csr') as csrs) = synthesize_csrs ~deadline l' in
   (* diff the instance sets through [arc_map]: a surviving arc with
      unchanged marking/disengageability instantiates identically; a
      flipped one regenerates (old instances dropped, new spliced); an
      unmapped base arc drops its cone seeds; a new arc with no
      preimage splices fresh instances *)
   let dropped = ref [] and spliced = ref [] in
-  let note acc t0 a = iter_arc_instances t0 a (fun s d -> acc := (s, d) :: !acc) in
+  let note acc l0 a = iter_arc_instances l0 a (fun s d -> acc := (s, d) :: !acc) in
   let mapped = Array.make (max (Array.length arcs_new) 1) false in
   Array.iteri
     (fun a a' ->
-      if a' < 0 then note dropped t arcs_old.(a)
+      if a' < 0 then note dropped l arcs_old.(a)
       else begin
         let old_a = arcs_old.(a) and new_a = arcs_new.(a') in
         if old_a.Signal_graph.arc_src <> new_a.Signal_graph.arc_src
@@ -365,100 +319,34 @@ let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
         if old_a.Signal_graph.marked <> new_a.Signal_graph.marked
            || old_a.Signal_graph.disengageable <> new_a.Signal_graph.disengageable
         then begin
-          note dropped t old_a;
-          note spliced t' new_a
+          note dropped l old_a;
+          note spliced l' new_a
         end
       end)
     arc_map;
-  Array.iteri (fun a' arc -> if not mapped.(a') then note spliced t' arc) arcs_new;
+  Array.iteri (fun a' arc -> if not mapped.(a') then note spliced l' arc) arcs_new;
   let spliced = Array.of_list !spliced and dropped = Array.of_list !dropped in
   (* topological-order repair.  Removing arcs can never invalidate a
      valid order; only a spliced arc that runs {e backwards} against
      the base positions can.  When none does, the base order (and its
      position array) is reused as-is. *)
-  let base_topo = topological_order t in
-  let base_pos = topo_position t in
-  let violates (s, d) = base_pos.(s) > base_pos.(d) in
-  if not (Array.exists violates spliced) then begin
-    t'.topo <- Some base_topo;
-    t'.topo_pos_cache <- Some base_pos;
-    Tsg_engine.Metrics.incr "unfolding/topo_reused"
-  end
-  else begin
-    (* bounded position-shift repair: let W be the contiguous position
-       window [lo, hi] spanning every violating arc (lo = min position
-       of a violating dst, hi = max position of a violating src).  Any
-       new-dag arc with at most one endpoint in W is already satisfied
-       by the base positions (a kept or forward spliced arc crossing
-       the window boundary cannot invert inside it), so re-ranking the
-       members of W among themselves — a local Kahn scan over the new
-       dag restricted to W, emitting into positions lo..hi — yields a
-       valid order for the whole dag without touching the other
-       [n - |W|] positions. *)
-    let lo = ref max_int and hi = ref (-1) in
-    Array.iter
-      (fun (s, d) ->
-        if violates (s, d) then begin
-          if base_pos.(d) < !lo then lo := base_pos.(d);
-          if base_pos.(s) > !hi then hi := base_pos.(s)
-        end)
-      spliced;
-    let lo = !lo and hi = !hi in
-    let topo = Array.copy base_topo in
-    let pos = Array.copy base_pos in
-    let in_window v =
-      let p = base_pos.(v) in
-      p >= lo && p <= hi
-    in
-    let in_starts, in_srcs, _ = in_adjacency t' in
-    let out_starts, out_dsts, _ = out_adjacency t' in
-    let indeg = Array.make total 0 in
-    for p = lo to hi do
-      let v = base_topo.(p) in
-      let cnt = ref 0 in
-      for j = in_starts.(v) to in_starts.(v + 1) - 1 do
-        if in_window in_srcs.(j) then incr cnt
-      done;
-      indeg.(v) <- !cnt
-    done;
-    let q = Queue.create () in
-    for p = lo to hi do
-      let v = base_topo.(p) in
-      if indeg.(v) = 0 then Queue.add v q
-    done;
-    let next = ref lo in
-    while not (Queue.is_empty q) do
-      if !next land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-      let v = Queue.pop q in
-      topo.(!next) <- v;
-      pos.(v) <- !next;
-      incr next;
-      for j = out_starts.(v) to out_starts.(v + 1) - 1 do
-        let w = out_dsts.(j) in
-        if in_window w then begin
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then Queue.add w q
-        end
-      done
-    done;
-    if !next = hi + 1 then begin
-      t'.topo <- Some topo;
-      t'.topo_pos_cache <- Some pos;
-      Tsg_engine.Metrics.incr "unfolding/topo_shifted";
-      Tsg_engine.Metrics.incr ~by:(hi - lo + 1) "unfolding/topo_window"
+  let topo, topo_pos =
+    if not (Array.exists (fun (s, d) -> t.topo_pos.(s) > t.topo_pos.(d)) spliced) then begin
+      Tsg_engine.Metrics.incr "unfolding/topo_reused";
+      (t.topo, t.topo_pos)
     end
-    else begin
-      (* a cycle inside the window — impossible for a validated TSG,
-         but a full re-sort is always a sound answer *)
-      t'.topo <- None;
-      t'.topo_pos_cache <- None;
-      ignore (topological_order t');
-      ignore (topo_position t')
-    end
-  end;
+    else
+      match shift_window ~deadline t csrs spliced with
+      | Some order_and_pos -> order_and_pos
+      | None ->
+        (* a cycle inside the window — impossible for a validated TSG,
+           but a full re-sort is always a sound answer *)
+        let topo = sort_topo ~deadline out_csr' in
+        (topo, inverse topo)
+  in
   Tsg_engine.Metrics.incr "unfolding/patched";
-  (t', { pd_spliced = spliced; pd_dropped = dropped })
+  (views l' csrs topo topo_pos, { pd_spliced = spliced; pd_dropped = dropped })
 
 let pp_instance t ppf i =
   let e, p = event_of_instance t i in
-  Fmt.pf ppf "%a@@%d" Event.pp (Signal_graph.event t.sg e) p
+  Fmt.pf ppf "%a@@%d" Event.pp (Signal_graph.event t.l.sg e) p

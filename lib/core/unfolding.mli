@@ -14,14 +14,19 @@
     Instances are addressed by dense integer ids.  The set [I_u] of
     initial events of the unfolding (the events from [I] plus the
     events whose in-arcs are all initially active) coincides with the
-    set of instances that have no in-arc. *)
+    set of instances that have no in-arc.
+
+    One construction builds every view at once — both CSR adjacency
+    arrays, the topological order, its inverse and the delay table —
+    and nothing is computed later, so an unfolding is immutable once
+    built and safe to read from several domains at once. *)
 
 type t
 
 val make : ?deadline:Tsg_engine.Deadline.t -> Signal_graph.t -> periods:int -> t
-(** [make g ~periods:k] materialises periods [0 .. k-1].
-    [deadline] is checked at amortised intervals during arc
-    construction (which is [O(k * arcs)]).
+(** [make g ~periods:k] materialises periods [0 .. k-1] with all the
+    views below, in [O(k * arcs)] plus a heap-ordered topological
+    sort.  [deadline] is checked at amortised intervals throughout.
     @raise Invalid_argument if [k < 1].
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
 
@@ -41,36 +46,32 @@ val instance_opt : t -> event:int -> period:int -> int option
 val event_of_instance : t -> int -> int * int
 (** [(event id, period)] of an instance. *)
 
-val dag : t -> int Tsg_graph.Digraph.t
-(** The unfolding as a digraph over instance ids; each arc is labelled
-    with the id of the Signal-Graph arc it instantiates.  Lazy: a
-    {!patch}ed unfolding synthesises its CSR views without building a
-    digraph, so the first [dag] call on one pays for the rebuild. *)
-
-val delay_of_label : t -> int -> float
-(** The delay of the Signal-Graph arc with the given id (convenience
-    for weighting {!dag} arcs). *)
-
 val initial_instances : t -> int list
-(** The instances of [I_u]: those with no in-arcs, ascending.
-    Derived from the cached in-adjacency ({!in_adjacency}), which is
-    forced on first use. *)
+(** The instances of [I_u]: those with no in-arcs, ascending. *)
 
-(** {1 Compact views}
+(** {1 Views}
 
-    The digraph accessors allocate per call; the arrays below are
-    computed once per unfolding and shared (do not mutate them).  They
-    are what keeps the O(b^2 m) algorithm's constant factor small. *)
+    Arrays built once per unfolding and shared (do not mutate them).
+    They are what keeps the O(b^2 m) algorithm's constant factor
+    small. *)
 
 val in_adjacency : t -> int array * int array * int array
 (** [(starts, srcs, arc_ids)] in CSR form: the in-arcs of instance [v]
-    are the entries [starts.(v) .. starts.(v+1) - 1]. *)
+    are the entries [starts.(v) .. starts.(v+1) - 1]; each carries the
+    id of the Signal-Graph arc it instantiates.  Slice order is fixed:
+    enumerate the arc instances arc id ascending, then period
+    ascending, and sort them stably by source; the in-slices list that
+    sequence's entries stably by destination.  Longest-path ties are
+    broken in this order, so it is part of every report's bytes. *)
 
 val out_adjacency : t -> int array * int array * int array
-(** Same, for out-arcs: [(starts, dsts, arc_ids)]. *)
+(** Same, for out-arcs: [(starts, dsts, arc_ids)]; a source's slice
+    lists its arcs in the enumeration order above. *)
 
 val topological_order : t -> int array
-(** A topological order of the instances, computed once. *)
+(** A topological order of the instances.  For {!make} it is the
+    canonical order of {!Tsg_graph.Topo.sort} (smallest available id
+    first); a {!patch}ed unfolding may carry another valid order. *)
 
 val topo_position : t -> int array
 (** The inverse permutation of {!topological_order}:
@@ -81,13 +82,12 @@ val topo_position : t -> int array
     {!Timing_sim}). *)
 
 val delays : t -> float array
-(** Delay per Signal-Graph arc id (computed once and shared; do not
-    mutate). *)
+(** Delay per Signal-Graph arc id. *)
 
 val warm_caches : t -> unit
-(** Forces every lazy view above.  Call before sharing the unfolding
-    across domains: the views are then plain read-only arrays and the
-    unfolding is safe to read concurrently. *)
+(** Does nothing: every view is built by {!make} and {!patch}.  Kept
+    for source compatibility with callers written when the views were
+    lazy. *)
 
 (** {1 Structural patching}
 
@@ -95,10 +95,10 @@ val warm_caches : t -> unit
     the period count — never on the arc table.  An arc-level edit
     (add, remove, marking or disengageability flip) therefore keeps
     every instance id stable, and the unfolding can be {e patched} in
-    place of a full re-unfold: synthesise the CSR adjacency views
-    directly from the edited arc table (two stable counting sorts — no
-    digraph is built), and repair the topological order only inside
-    the position window disturbed by the spliced arcs. *)
+    place of a full re-unfold: rebuild the CSR adjacency views from
+    the edited arc table with {!make}'s own construction, and repair
+    the topological order only inside the position window disturbed
+    by the spliced arcs. *)
 
 type patch_delta = {
   pd_spliced : (int * int) array;
@@ -122,8 +122,7 @@ val patch :
     and disengageability may change), surviving ids must be assigned
     in increasing order, and [g']'s remaining arcs are treated as
     additions.  The patched CSR views are bit-identical to those of a
-    cold [make g'] (the synthesis reproduces the cold build's
-    generation and iteration order exactly, which also pins
+    cold [make g'] (one construction builds both, which also pins
     longest-path tie-breaking); the topological order is the base
     order when no spliced arc runs backwards against it, repaired by a
     bounded local re-rank otherwise, and in either case a valid order

@@ -68,7 +68,6 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
   let periods = match periods with Some p -> max 1 p | None -> b in
   let u = Unfolding.make ~deadline g ~periods:(periods + 1) in
   Tsg_engine.Deadline.check deadline;
-  Unfolding.warm_caches u;
   let n = Unfolding.instance_count u in
   let border_arr = Array.of_list border in
   let roots =
@@ -582,7 +581,6 @@ let warm_delay ~deadline sc t ~delays ~changed g' =
 
 let warm_structural ~deadline sc t ~arc_map ~changed_delays g' =
   let u', delta = Unfolding.patch ~deadline t.u g' ~arc_map in
-  Unfolding.warm_caches u';
   let sp = delta.Unfolding.pd_spliced and dr = delta.Unfolding.pd_dropped in
   Tsg_engine.Metrics.incr ~by:(Array.length sp) "whatif/instances_spliced";
   Tsg_engine.Metrics.incr ~by:(Array.length dr) "whatif/instances_dropped";

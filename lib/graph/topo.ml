@@ -48,24 +48,45 @@ module Int_heap = struct
   let is_empty h = h.size = 0
 end
 
-let sort g =
-  let n = Digraph.vertex_count g in
+(* the one Kahn loop behind both entry points, over the vertices
+   [0 .. n-1] and their successors [iter_succ v f]: the order, or
+   [None] when a cycle leaves some vertex unemitted *)
+let kahn ~check n iter_succ =
   let in_deg = Array.make n 0 in
-  Digraph.iter_arcs g (fun _ dst _ -> in_deg.(dst) <- in_deg.(dst) + 1);
+  let count w = in_deg.(w) <- in_deg.(w) + 1 in
+  for v = 0 to n - 1 do
+    iter_succ v count
+  done;
   let heap = Int_heap.create n in
-  Digraph.iter_vertices g (fun v -> if in_deg.(v) = 0 then Int_heap.push heap v);
-  let order = ref [] in
+  for v = 0 to n - 1 do
+    if in_deg.(v) = 0 then Int_heap.push heap v
+  done;
+  let relax w =
+    in_deg.(w) <- in_deg.(w) - 1;
+    if in_deg.(w) = 0 then Int_heap.push heap w
+  in
+  let order = Array.make n 0 in
   let emitted = ref 0 in
   while not (Int_heap.is_empty heap) do
+    if !emitted land 8191 = 0 then check ();
     let v = Int_heap.pop heap in
-    order := v :: !order;
+    order.(!emitted) <- v;
     incr emitted;
-    Digraph.iter_out g v (fun w _ ->
-        in_deg.(w) <- in_deg.(w) - 1;
-        if in_deg.(w) = 0 then Int_heap.push heap w)
+    iter_succ v relax
   done;
-  if !emitted = n then Ok (List.rev !order)
-  else begin
+  if !emitted = n then Some order else None
+
+let sort_csr ~check ~starts ~targets =
+  kahn ~check (Array.length starts - 1) (fun v f ->
+      for j = starts.(v) to starts.(v + 1) - 1 do
+        f targets.(j)
+      done)
+
+let sort g =
+  let n = Digraph.vertex_count g in
+  match kahn ~check:ignore n (fun v f -> Digraph.iter_out g v (fun w _ -> f w)) with
+  | Some order -> Ok (Array.to_list order)
+  | None ->
     (* every vertex never emitted has residual in-degree > 0: it lies on
        or downstream of a cycle; report only vertices on actual cycles
        by intersecting with vertices of non-singleton SCCs / self-loops *)
@@ -80,7 +101,6 @@ let sort g =
       if on_cycle v then bad := v :: !bad
     done;
     Error !bad
-  end
 
 let is_dag g = match sort g with Ok _ -> true | Error _ -> false
 

@@ -7,6 +7,16 @@ val sort : 'a Digraph.t -> (int list, int list) result
     on cycles (in increasing id order) otherwise.  Kahn's algorithm;
     ties are broken by smallest vertex id, so the order is canonical. *)
 
+val sort_csr : check:(unit -> unit) -> starts:int array -> targets:int array -> int array option
+(** {!sort} over a graph in compressed sparse row form: the out-arcs
+    of vertex [v] go to [targets.(starts.(v)) .. targets.(starts.(v+1) - 1)],
+    over the vertices [0 .. Array.length starts - 2].  [Some order]
+    is the same canonical order {!sort} yields for the same arcs (the
+    order does not depend on how a vertex's arcs are ordered), [None]
+    when the graph has a cycle.  [check] is called once per 8192
+    emitted vertices, so a caller can abort a long sort by raising
+    from it (a deadline check, say; [ignore] otherwise). *)
+
 val is_dag : 'a Digraph.t -> bool
 (** [true] iff the graph has no directed cycle. *)
 

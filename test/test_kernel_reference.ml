@@ -189,7 +189,6 @@ let lambda_matches_baselines g =
 let simulate_many_matches_initiated g =
   let b = max 1 (List.length (Cut_set.border g)) in
   let u = Unfolding.make g ~periods:(b + 1) in
-  Unfolding.warm_caches u;
   let roots =
     Array.of_list
       (List.map (fun g0 -> Unfolding.instance u ~event:g0 ~period:0) (Cut_set.border g))

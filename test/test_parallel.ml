@@ -101,7 +101,6 @@ let test_deadline_cancel_mid_batch () =
   let g = Tsg_circuit.Circuit_library.async_stack_tsg () in
   let border = Cut_set.border g in
   let u = Unfolding.make g ~periods:(List.length border + 1) in
-  Unfolding.warm_caches u;
   let roots =
     Array.of_list (List.map (fun e -> Unfolding.instance u ~event:e ~period:0) border)
   in

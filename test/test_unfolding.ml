@@ -2,6 +2,23 @@ open Tsg
 
 let fig1 () = Tsg_circuit.Circuit_library.fig1_tsg ()
 
+(* [f src dst arc] over every unfolding arc, read off the out-CSR *)
+let iter_arcs u f =
+  let starts, dsts, aids = Unfolding.out_adjacency u in
+  for v = 0 to Unfolding.instance_count u - 1 do
+    for j = starts.(v) to starts.(v + 1) - 1 do
+      f v dsts.(j) aids.(j)
+    done
+  done
+
+let arc_count u =
+  let starts, _, _ = Unfolding.out_adjacency u in
+  starts.(Unfolding.instance_count u)
+
+let check_arcs_go_forward msg u =
+  let pos = Unfolding.topo_position u in
+  iter_arcs u (fun src dst _ -> Alcotest.(check bool) msg true (pos.(src) < pos.(dst)))
+
 let test_instance_layout () =
   let g = fig1 () in
   let u = Unfolding.make g ~periods:3 in
@@ -43,17 +60,14 @@ let test_instance_exn () =
 
 let test_acyclic () =
   let g = fig1 () in
-  let u = Unfolding.make g ~periods:5 in
-  Alcotest.(check bool) "unfolding is a dag" true (Tsg_graph.Topo.is_dag (Unfolding.dag u));
+  check_arcs_go_forward "unfolding is a dag" (Unfolding.make g ~periods:5);
   let ring = Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:7 () in
-  let ur = Unfolding.make ring ~periods:9 in
-  Alcotest.(check bool) "ring unfolding is a dag" true
-    (Tsg_graph.Topo.is_dag (Unfolding.dag ur))
+  check_arcs_go_forward "ring unfolding is a dag" (Unfolding.make ring ~periods:9)
 
 let test_marked_arcs_cross_periods () =
   let g = fig1 () in
   let u = Unfolding.make g ~periods:4 in
-  Tsg_graph.Digraph.iter_arcs (Unfolding.dag u) (fun src dst aid ->
+  iter_arcs u (fun src dst aid ->
       let _, p_src = Unfolding.event_of_instance u src in
       let _, p_dst = Unfolding.event_of_instance u dst in
       let a = Signal_graph.arc (Unfolding.signal_graph u) aid in
@@ -68,8 +82,12 @@ let test_disengageable_once () =
   let e0 = Unfolding.instance u ~event:e ~period:0 in
   let count_arcs_to period =
     let target = Unfolding.instance u ~event:a ~period in
-    List.length
-      (List.filter (fun (src, _) -> src = e0) (Tsg_graph.Digraph.in_arcs (Unfolding.dag u) target))
+    let starts, srcs, _ = Unfolding.in_adjacency u in
+    let n = ref 0 in
+    for j = starts.(target) to starts.(target + 1) - 1 do
+      if srcs.(j) = e0 then incr n
+    done;
+    !n
   in
   Alcotest.(check int) "constrains a+ period 0" 1 (count_arcs_to 0);
   Alcotest.(check int) "does not constrain a+ period 1" 0 (count_arcs_to 1);
@@ -112,34 +130,69 @@ let test_arc_count_growth () =
   let u3 = Unfolding.make ring ~periods:3 in
   (* each extra period adds at most one instance per TSG arc *)
   Alcotest.(check bool) "arcs grow linearly" true
-    (Tsg_graph.Digraph.arc_count (Unfolding.dag u3)
-     - Tsg_graph.Digraph.arc_count (Unfolding.dag u1)
-    = 2 * Signal_graph.arc_count ring)
+    (arc_count u3 - arc_count u1 = 2 * Signal_graph.arc_count ring)
+
+(* the unfolding straight from its definition (unfolding.mli): arc
+   [u -> v] with marking [m] induces [u_(i-m) -> v_i] for every [i]
+   where both instances exist, or only [u_0 -> v_m] when the arc is
+   disengageable or [u] is non-repetitive — added arc id ascending,
+   then period ascending *)
+let reference_dag u =
+  let g = Unfolding.signal_graph u in
+  let dag = Tsg_graph.Digraph.create () in
+  Tsg_graph.Digraph.add_vertices dag (Unfolding.instance_count u);
+  let add aid ~src ~dst =
+    match (src, dst) with
+    | Some src, Some dst -> Tsg_graph.Digraph.add_arc dag ~src ~dst aid
+    | _ -> ()
+  in
+  Array.iteri
+    (fun aid (a : Signal_graph.arc) ->
+      let m = if a.marked then 1 else 0 in
+      let inst event period = Unfolding.instance_opt u ~event ~period in
+      if a.disengageable || not (Signal_graph.is_repetitive g a.arc_src) then
+        add aid ~src:(inst a.arc_src 0) ~dst:(inst a.arc_dst m)
+      else
+        for i = m to Unfolding.periods u - 1 do
+          add aid ~src:(inst a.arc_src (i - m)) ~dst:(inst a.arc_dst i)
+        done)
+    (Signal_graph.arcs g);
+  dag
+
+let slice (starts, nbrs, aids) v =
+  List.init (starts.(v + 1) - starts.(v)) (fun k ->
+      (nbrs.(starts.(v) + k), aids.(starts.(v) + k)))
+
+let check_csr_matches_reference name g ~periods =
+  let u = Unfolding.make g ~periods in
+  let dag = reference_dag u in
+  let arcs = ref [] in
+  Tsg_graph.Digraph.iter_arcs dag (fun src dst aid -> arcs := (src, dst, aid) :: !arcs);
+  let arcs = List.rev !arcs in
+  for v = 0 to Unfolding.instance_count u - 1 do
+    (* out-slices: a source's arcs in enumeration order *)
+    Alcotest.(check (list (pair int int)))
+      (name ^ ": out-slice") (Tsg_graph.Digraph.out_arcs dag v)
+      (slice (Unfolding.out_adjacency u) v);
+    (* in-slices: the source-sorted sequence, stably by destination *)
+    Alcotest.(check (list (pair int int)))
+      (name ^ ": in-slice")
+      (List.filter_map (fun (s, d, a) -> if d = v then Some (s, a) else None) arcs)
+      (slice (Unfolding.in_adjacency u) v)
+  done;
+  Alcotest.(check (list int))
+    (name ^ ": canonical topological order")
+    (Tsg_graph.Topo.sort_exn dag)
+    (Array.to_list (Unfolding.topological_order u))
 
 let test_csr_matches_digraph () =
-  let g = Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:4 () in
-  let u = Unfolding.make g ~periods:5 in
-  let dag = Unfolding.dag u in
-  let starts_in, srcs, in_aids = Unfolding.in_adjacency u in
-  let starts_out, dsts, out_aids = Unfolding.out_adjacency u in
-  for v = 0 to Unfolding.instance_count u - 1 do
-    let csr_in =
-      List.init (starts_in.(v + 1) - starts_in.(v)) (fun k ->
-          (srcs.(starts_in.(v) + k), in_aids.(starts_in.(v) + k)))
-    in
-    Alcotest.(check (list (pair int int)))
-      "in-adjacency agrees"
-      (List.sort compare (Tsg_graph.Digraph.in_arcs dag v))
-      (List.sort compare csr_in);
-    let csr_out =
-      List.init (starts_out.(v + 1) - starts_out.(v)) (fun k ->
-          (dsts.(starts_out.(v) + k), out_aids.(starts_out.(v) + k)))
-    in
-    Alcotest.(check (list (pair int int)))
-      "out-adjacency agrees"
-      (List.sort compare (Tsg_graph.Digraph.out_arcs dag v))
-      (List.sort compare csr_out)
-  done
+  check_csr_matches_reference "muller ring" ~periods:5
+    (Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:4 ());
+  (* initial event, non-repetitive event, disengageable arc *)
+  check_csr_matches_reference "fig1" ~periods:4 (fig1 ());
+  check_csr_matches_reference "segmented" ~periods:4
+    (Tsg_circuit.Generators.segmented_live_tsg ~seed:2 ~events:60 ~tokens:3 ~extra_arcs:90
+       ())
 
 let test_topological_order_cached () =
   let g = Tsg_circuit.Circuit_library.fig1_tsg () in
@@ -150,7 +203,7 @@ let test_topological_order_cached () =
   (* it really is topological *)
   let pos = Array.make (Unfolding.instance_count u) 0 in
   Array.iteri (fun i v -> pos.(v) <- i) o1;
-  Tsg_graph.Digraph.iter_arcs (Unfolding.dag u) (fun src dst _ ->
+  iter_arcs u (fun src dst _ ->
       Alcotest.(check bool) "arc goes forward" true (pos.(src) < pos.(dst)))
 
 let test_topo_position_inverse () =
@@ -164,8 +217,7 @@ let test_topo_position_inverse () =
     order;
   (* the windowing property: nothing before an instance's position is
      reachable from it *)
-  Tsg_graph.Digraph.iter_arcs (Unfolding.dag u) (fun src dst _ ->
-      Alcotest.(check bool) "arcs go to larger positions" true (pos.(src) < pos.(dst)))
+  check_arcs_go_forward "arcs go to larger positions" u
 
 let test_rejects_zero_periods () =
   let g = fig1 () in
