@@ -4,7 +4,9 @@
    hit splices its node to the head, every insertion beyond capacity
    drops the tail.  All operations take the cache mutex; the only
    user-supplied code that runs under it is nothing — [find_or_add]
-   computes outside the lock. *)
+   computes outside the lock, and a key being computed is parked in
+   [inflight] so concurrent callers wait for it instead of repeating
+   it. *)
 
 type 'v node = {
   key : string;
@@ -12,6 +14,11 @@ type 'v node = {
   mutable prev : 'v node option;  (* towards the head (more recent) *)
   mutable next : 'v node option;  (* towards the tail (less recent) *)
 }
+
+(* one [find_or_add] computation in progress; its waiters sleep on the
+   cache's [landed] condition until the computing caller settles it *)
+type 'v flight_state = Computing | Landed of 'v | Failed
+type 'v flight = { mutable state : 'v flight_state }
 
 type 'v t = {
   cap : int;
@@ -22,7 +29,9 @@ type 'v t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
+  inflight : (string, 'v flight) Hashtbl.t;
   mutex : Mutex.t;
+  landed : Condition.t;
 }
 
 type stats = {
@@ -44,7 +53,9 @@ let create ?(metrics_prefix = "cache") ~capacity () =
     hits = 0;
     misses = 0;
     evictions = 0;
+    inflight = Hashtbl.create 8;
     mutex = Mutex.create ();
+    landed = Condition.create ();
   }
 
 let capacity t = t.cap
@@ -91,25 +102,38 @@ let evict_tail t =
     t.evictions <- t.evictions + 1;
     Metrics.incr (t.prefix ^ "/evictions")
 
-let find t key =
-  Tsg_obs.Failpoint.hit "cache/lookup";
-  locked t @@ fun () ->
+(* hit/miss accounting; caller holds the mutex *)
+
+let count_hit (t : _ t) key =
+  t.hits <- t.hits + 1;
+  Metrics.incr (t.prefix ^ "/hits");
+  Tsg_obs.Trace.instant (t.prefix ^ "/hit") ~args:[ ("key", key) ]
+
+let count_miss (t : _ t) key =
+  t.misses <- t.misses + 1;
+  Metrics.incr (t.prefix ^ "/misses");
+  Tsg_obs.Trace.instant (t.prefix ^ "/miss") ~args:[ ("key", key) ]
+
+let find_locked t key =
   match Hashtbl.find_opt t.tbl key with
   | Some n ->
     touch t n;
-    t.hits <- t.hits + 1;
-    Metrics.incr (t.prefix ^ "/hits");
-    Tsg_obs.Trace.instant (t.prefix ^ "/hit") ~args:[ ("key", key) ];
+    count_hit t key;
     Some n.value
+  | None -> None
+
+let find t key =
+  Tsg_obs.Failpoint.hit "cache/lookup";
+  locked t @@ fun () ->
+  match find_locked t key with
+  | Some _ as hit -> hit
   | None ->
-    t.misses <- t.misses + 1;
-    Metrics.incr (t.prefix ^ "/misses");
-    Tsg_obs.Trace.instant (t.prefix ^ "/miss") ~args:[ ("key", key) ];
+    count_miss t key;
     None
 
-let add t key v =
+(* caller holds the mutex *)
+let insert t key v =
   if t.cap > 0 then
-    locked t @@ fun () ->
     match Hashtbl.find_opt t.tbl key with
     | Some n ->
       n.value <- v;
@@ -120,13 +144,52 @@ let add t key v =
       Hashtbl.replace t.tbl key n;
       push_front t n
 
+let add t key v = locked t (fun () -> insert t key v)
+
 let find_or_add t key compute =
-  match find t key with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    add t key v;
-    v
+  Tsg_obs.Failpoint.hit "cache/lookup";
+  (* under the mutex: a stored value, a value another caller computed
+     while we waited (both hits), or the job of computing it (a miss) *)
+  let rec claim () =
+    match find_locked t key with
+    | Some v -> `Served v
+    | None -> (
+      match Hashtbl.find_opt t.inflight key with
+      | Some f -> wait f
+      | None ->
+        count_miss t key;
+        let f = { state = Computing } in
+        Hashtbl.replace t.inflight key f;
+        `Compute f)
+  and wait f =
+    match f.state with
+    | Computing ->
+      Condition.wait t.landed t.mutex;
+      wait f
+    | Landed v ->
+      count_hit t key;
+      `Served v
+    (* its computation raised: start over, perhaps computing it *)
+    | Failed -> claim ()
+  in
+  match locked t claim with
+  | `Served v -> v
+  | `Compute f ->
+    let settle state =
+      locked t @@ fun () ->
+      Hashtbl.remove t.inflight key;
+      (match state with Landed v -> insert t key v | Computing | Failed -> ());
+      f.state <- state;
+      Condition.broadcast t.landed
+    in
+    (match compute () with
+    | v ->
+      settle (Landed v);
+      v
+    | exception exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      settle Failed;
+      Printexc.raise_with_backtrace exn bt)
 
 let remove t key =
   locked t @@ fun () ->

@@ -41,10 +41,12 @@ val add : 'v t -> string -> 'v -> unit
 val find_or_add : 'v t -> string -> (unit -> 'v) -> 'v
 (** [find_or_add t key compute] is [find t key], computing and
     inserting the value on a miss.  [compute] runs outside the cache
-    lock, so concurrent callers of the same missing key may compute it
-    more than once (last insert wins) but never block one another;
-    exceptions from [compute] propagate and leave the cache
-    unchanged. *)
+    lock, and a key is computed at most once at a time: a concurrent
+    caller of a key that is being computed waits for that computation
+    and is served its value, counted as a hit (even with a [capacity]
+    of [0]).  Exceptions from [compute] propagate and leave the cache
+    unchanged; its waiters then start over, so one of them computes
+    the key itself.  [compute] must not look up its own key. *)
 
 val remove : 'v t -> string -> unit
 (** Drop one entry (a no-op if absent).  Not counted as an eviction. *)

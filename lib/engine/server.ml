@@ -407,15 +407,17 @@ let call ?(retries = 0) ?(backoff_ms = 50.) ?timeout_s ~endpoint requests =
        (try Unix.close fd with Unix.Unix_error _ -> ());
        raise exn);
     let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
         List.map
           (fun request ->
-            output_string oc request;
-            output_char oc '\n';
-            flush oc;
+            (* a daemon at its connection limit writes its refusal and
+               hangs up without reading, so the write can fail with
+               EPIPE; the refusal (if any) is still there to read, and
+               a missing one surfaces as [Failure] below *)
+            (try write_all fd (request ^ "\n")
+             with Write_timeout | Unix.Unix_error _ -> ());
             match input_line ic with
             | line -> line
             | exception End_of_file ->

@@ -123,7 +123,9 @@ val call :
 (** [call ~endpoint requests] connects to a serving daemon, sends each
     request line in turn — writing one line, then reading its response
     line — and returns the responses in order.  Raises [Failure] if
-    the server closes the connection before answering everything.
+    the server closes the connection before answering everything; a
+    reply written before the close (e.g. an [overloaded] refusal) is
+    returned even when the request itself could not be written.
     This is the client used by [tsa client] and the tests.
 
     [retries] (default 0) re-attempts a {e failed connection}

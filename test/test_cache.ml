@@ -96,6 +96,54 @@ let test_find_or_add_computes_once () =
   Alcotest.(check int) "served on hit" 100 (Cache.find_or_add c "k" compute);
   Alcotest.(check int) "one computation" 1 !computed
 
+(* a second caller arriving while the first computes is served the
+   first's value (usually by waiting for it, else from the stored
+   entry) — never a second computation; if the first computation
+   raises, the second caller computes the key itself *)
+let test_find_or_add_shares_inflight () =
+  let c = Cache.create ~metrics_prefix:"test-foa-flight" ~capacity:4 () in
+  let computed = Atomic.make 0 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let gated outcome () =
+    Atomic.incr computed;
+    Atomic.set started true;
+    while not (Atomic.get release) do
+      Unix.sleepf 0.001
+    done;
+    outcome ()
+  in
+  let race key first second =
+    Atomic.set started false;
+    Atomic.set release false;
+    let r1 = ref None in
+    let t1 =
+      Thread.create
+        (fun () -> r1 := Some (try Ok (Cache.find_or_add c key first) with e -> Error e))
+        ()
+    in
+    while not (Atomic.get started) do
+      Unix.sleepf 0.001
+    done;
+    let r2 = ref None in
+    let t2 = Thread.create (fun () -> r2 := Some (Cache.find_or_add c key second)) () in
+    Unix.sleepf 0.05;
+    Atomic.set release true;
+    Thread.join t1;
+    Thread.join t2;
+    (Option.get !r1, Option.get !r2)
+  in
+  (match race "k" (gated (fun () -> 1)) (gated (fun () -> 2)) with
+  | Ok 1, 1 -> ()
+  | _ -> Alcotest.fail "both callers get the first caller's value");
+  Alcotest.(check int) "computed once" 1 (Atomic.get computed);
+  let s = Cache.stats c in
+  Alcotest.(check int) "one miss" 1 s.Cache.misses;
+  Alcotest.(check int) "one hit" 1 s.Cache.hits;
+  (match race "e" (gated (fun () -> failwith "boom")) (fun () -> 7) with
+  | Error (Failure _), 7 -> ()
+  | _ -> Alcotest.fail "the first caller's exception stays its own");
+  Alcotest.(check (option int)) "the survivor's value is stored" (Some 7) (Cache.find c "e")
+
 let test_zero_capacity_disables () =
   let c = Cache.create ~metrics_prefix:"test-zero" ~capacity:0 () in
   Cache.add c "k" 1;
@@ -183,6 +231,8 @@ let suite =
     Alcotest.test_case "replacing a key does not evict" `Quick test_lru_replace_does_not_evict;
     Alcotest.test_case "hit/miss counters (cache + metrics)" `Quick test_hit_miss_counters;
     Alcotest.test_case "find_or_add computes once" `Quick test_find_or_add_computes_once;
+    Alcotest.test_case "find_or_add shares an in-flight computation" `Quick
+      test_find_or_add_shares_inflight;
     Alcotest.test_case "zero capacity disables storage" `Quick test_zero_capacity_disables;
     Alcotest.test_case "clear resets entries and counters" `Quick test_clear;
     Alcotest.test_case "Batch ?cache dedups a sweep" `Quick test_batch_cache_dedups_sweep;
