@@ -10,6 +10,9 @@ type path = Short_circuit | Warm | Cold
 
 type stats = { reused : int; resimulated : int; path : path }
 
+(* roots whose warm repairs share one scan (see the warm kernel) *)
+let lanes = 16
+
 type t = {
   g : Signal_graph.t;
   digest : string;
@@ -21,8 +24,10 @@ type t = {
   base : Cycle_time.report;
   base_traces : Cycle_time.border_trace array;
   base_delays : float array;  (* per Signal-Graph arc id *)
-  base_times : float array array;  (* per border index: time per instance *)
-  base_reached : Bytes.t array;  (* per border index: '\001' = reached *)
+  (* the base run's occurrence times, roots in blocks of [lanes]: block
+     k of width w holds root (k * lanes + r)'s time of instance v at
+     [v * w + r], [neg_infinity] where the root never reached v *)
+  base_blocks : float array array;
   (* unfolding instantiations of each Signal-Graph arc, grouped by arc
      id as parallel (src instance, dst instance) arrays — the seed set
      of the dirty propagation *)
@@ -38,9 +43,8 @@ let digest t = t.digest
 
 (* ------------------------------------------------------------------ *)
 (* Preparation: one cold analysis that retains, per border event, the
-   full occurrence-time and reachability arrays of its event-initiated
-   simulation.  Reachability depends only on topology, so it stays
-   exact under delay edits; the retained times are the warm-start
+   occurrence time of every instance in its event-initiated simulation
+   ([neg_infinity] where it never reached one) — the warm-start
    baseline the dirty propagation below patches. *)
 
 let prepare ?deadline ?periods ?(jobs = 1) g =
@@ -73,24 +77,24 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
   let roots =
     Array.map (fun g0 -> Unfolding.instance u ~event:g0 ~period:0) border_arr
   in
-  let captures =
+  let blocks = (b + lanes - 1) / lanes in
+  let width k = min lanes (b - (k * lanes)) in
+  let base_blocks = Array.init blocks (fun k -> Array.make (n * width k) neg_infinity) in
+  let base_traces =
     Timing_sim.simulate_many ~deadline ~jobs u ~roots ~f:(fun at view ->
-        let g0, _ = Unfolding.event_of_instance u at in
-        let times = Array.init n (fun i -> Timing_sim.view_time view i) in
-        let reached = Bytes.make n '\000' in
+        (* each root writes only its own lane *)
+        let rec index i = if roots.(i) = at then i else index (i + 1) in
+        let idx = index 0 in
+        let w = width (idx / lanes) and block = base_blocks.(idx / lanes) in
         for i = 0 to n - 1 do
-          if Timing_sim.view_reached view i then Bytes.unsafe_set reached i '\001'
+          if Timing_sim.view_reached view i then
+            block.((i * w) + (idx mod lanes)) <- Timing_sim.view_time view i
         done;
-        let trace =
-          Cycle_time.Internal.trace_of_times
-            (fun i -> Timing_sim.view_time view i)
-            u periods g0
-        in
-        (times, reached, trace))
+        let g0, _ = Unfolding.event_of_instance u at in
+        Cycle_time.Internal.trace_of_times
+          (fun i -> Timing_sim.view_time view i)
+          u periods g0)
   in
-  let base_times = Array.map (fun (times, _, _) -> times) captures in
-  let base_reached = Array.map (fun (_, reached, _) -> reached) captures in
-  let base_traces = Array.map (fun (_, _, trace) -> trace) captures in
   let base =
     Cycle_time.Internal.finish ~deadline g u ~border ~periods
       ~traces:(Array.to_list base_traces)
@@ -123,8 +127,7 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
     base;
     base_traces;
     base_delays = Array.copy (Unfolding.delays u);
-    base_times;
-    base_reached;
+    base_blocks;
     arc_inst_srcs;
     arc_inst_dsts;
   }
@@ -298,99 +301,92 @@ let edited_graph_changes t changes =
   | Ap_structural (g', _, _) -> g'
 
 (* ------------------------------------------------------------------ *)
-(* The warm kernel: incremental longest-path repair.
+(* The warm kernel: incremental longest-path repair, one block of
+   roots at a time.
 
-   For an affected root r, the base run left t_r(v) for every instance
-   v.  A delay edit can only move the times of instances downstream of
-   an edited arc instance whose source is reachable from r, so the
-   repair marks exactly those destinations dirty and relaxes in
-   topological-position order:
+   For root r, the base run left t_r(v) for every instance v
+   ([neg_infinity] when r never reached v).  An edit — new delays,
+   spliced or dropped arc instances — can only move the times of
+   instances downstream of a seed: the destination of an edited,
+   spliced or dropped arc instance.  The repair marks the seeds dirty
+   and relaxes in topological-position order over the edited dag:
 
-     t'_r(v) = max { t'_r(s) + d'(a) | s -a-> v, s reached from r }
+     t'_r(v) = max { t'_r(s) + d'(a) | s -a-> v }     (t'_r(root) = 0)
 
-   Relaxing a position only ever dirties {e larger} positions (the
-   unfolding is a DAG ordered by [topological_order]), so a single
-   monotone scan from the smallest dirty position visits every dirty
-   node exactly once, after all its predecessors — no priority queue,
-   no log factor, and the clean gaps between dirty nodes cost one
-   epoch-stamp comparison each.  The scan stops as soon as no marks
-   remain ahead, so an edit with slack touches a handful of instances,
-   not the window; and even a global change costs one kernel-like
-   sweep over the window.  Reached sets never change (topology-only),
-   and the recomputed max ranges over the same operand multiset as a
-   cold kernel run with the edited delays, so the repaired times are
-   bit-for-bit equal to a cold re-simulation. *)
+   Unreached sources carry [neg_infinity], which no sum can lift, so
+   the same max decides reachability and time together — it flips
+   correctly in both directions under a structural edit.  Relaxing a
+   position only ever dirties {e larger} positions, so one monotone
+   scan from the smallest dirty position visits every dirty node
+   exactly once, after all its predecessors — no priority queue — and
+   stops as soon as no marks remain ahead.
+
+   The roots of a block are relaxed side by side: their base times sit
+   interleaved ([v * width + lane]), so one scan, one adjacency read
+   per arc and one dirty mark serve up to [lanes] roots.  A node is
+   dirty when it may have moved for {e any} root of the block;
+   recomputing it for the others reproduces their base value, since
+   the max ranges over exactly the operands a cold simulation of the
+   edited graph would use.  That is also why the repaired times are
+   bit-for-bit those of a cold re-simulation. *)
+
+let block_width t k = min lanes (Array.length t.border_arr - (k * lanes))
 
 type scratch = {
-  s_new : float array;  (* repaired times, valid where stamped *)
-  s_stamp : int array;
   mutable s_epoch : int;
-  s_dirty : int array;  (* dirty-this-epoch marker, per topo position *)
-  s_reached : Bytes.t;  (* repaired reachability, valid where stamped *)
+  s_stamp : int array;  (* instance -> epoch its repaired row belongs to *)
+  s_row : int array;  (* instance -> row in [s_rows], valid where stamped *)
+  s_dirty : int array;  (* topo position -> epoch it was marked dirty *)
+  mutable s_rows : float array;  (* repaired rows, [row * width + lane] *)
 }
 
 let scratch t =
   let n = Unfolding.instance_count t.u in
   {
-    s_new = Array.make n 0.;
-    s_stamp = Array.make n 0;
     s_epoch = 0;
+    s_stamp = Array.make n 0;
+    s_row = Array.make n 0;
     s_dirty = Array.make n 0;
-    s_reached = Bytes.make n '\000';
+    s_rows = Array.make (64 * lanes) 0.;
   }
 
-(* is any instance of a changed arc live in root [idx]'s simulation?
-   (its destinations are then exactly the dirty seeds) *)
-let affected t ~idx changed =
-  let reached = t.base_reached.(idx) in
-  List.exists
-    (fun a ->
-      let ss = t.arc_inst_srcs.(a) in
-      let len = Array.length ss in
-      let rec live k =
-        k < len && (Bytes.unsafe_get reached ss.(k) = '\001' || live (k + 1))
-      in
-      live 0)
-    changed
+(* dst.(o + r) <- max dst.(o + r) (src.(so + r) + d) for every lane r;
+   a function of its own so the lane loop keeps its operands in
+   registers *)
+let relax (dst : float array) o (src : float array) so d w =
+  for r = 0 to w - 1 do
+    let c = Array.unsafe_get src (so + r) +. d in
+    if c > Array.unsafe_get dst (o + r) then Array.unsafe_set dst (o + r) c
+  done
 
-let resim ~deadline t sc ~idx ~delays changed =
-  let u = t.u in
+(* repair block [blk] over the dag [u] with per-arc [delays];
+   afterwards {!repaired_times} reads the block's times *)
+let repair ~deadline t sc ~u ~delays ~seeds blk =
+  let w = block_width t blk in
+  let base = t.base_blocks.(blk) in
   let topo = Unfolding.topological_order u in
   let pos = Unfolding.topo_position u in
   let in_starts, in_srcs, in_arcs = Unfolding.in_adjacency u in
   let out_starts, out_dsts, _ = Unfolding.out_adjacency u in
-  let bt = t.base_times.(idx) in
-  let reached = t.base_reached.(idx) in
   sc.s_epoch <- sc.s_epoch + 1;
   let epoch = sc.s_epoch in
-  let stamp = sc.s_stamp in
-  let nw = sc.s_new in
-  let dirty = sc.s_dirty in
+  let stamp = sc.s_stamp and row = sc.s_row and dirty = sc.s_dirty in
+  let n_events = Signal_graph.event_count t.g in
+  let rows_used = ref 0 in
   let pending = ref 0 in
   let lo = ref max_int in
-  (* every dirty seed lies strictly after the root in the topological
-     order (its source is reached, so its own position is larger
-     still), hence the root's time-0 anchor is never recomputed *)
-  List.iter
-    (fun a ->
-      let ss = t.arc_inst_srcs.(a) in
-      let ds = t.arc_inst_dsts.(a) in
-      for k = 0 to Array.length ss - 1 do
-        if Bytes.unsafe_get reached (Array.unsafe_get ss k) = '\001' then begin
-          let p = Array.unsafe_get pos (Array.unsafe_get ds k) in
-          if Array.unsafe_get dirty p <> epoch then begin
-            Array.unsafe_set dirty p epoch;
-            incr pending;
-            if p < !lo then lo := p
-          end
-        end
-      done)
-    changed;
-  (* relaxing position k can only mark positions > k, and the scan has
-     already consumed every mark <= k, so each dirty node is visited
-     once, after all its predecessors settled.  The indices below are
-     structurally in-bounds (CSR arrays and permutations built by
-     Unfolding over [0, n)), so the hot loop reads unchecked. *)
+  Array.iter
+    (fun (_, d) ->
+      let p = pos.(d) in
+      if dirty.(p) <> epoch then begin
+        dirty.(p) <- epoch;
+        incr pending;
+        if p < !lo then lo := p
+      end)
+    seeds;
+  (* The indices below are structurally in-bounds (CSR arrays and
+     permutations built by Unfolding over [0, n), rows of width [w]),
+     so the hot loop reads unchecked. *)
   let steps = ref 0 in
   let k = ref !lo in
   while !pending > 0 do
@@ -399,22 +395,39 @@ let resim ~deadline t sc ~idx ~delays changed =
        decr pending;
        incr steps;
        let v = Array.unsafe_get topo !k in
-       let nt = ref neg_infinity in
-       let j1 = Array.unsafe_get in_starts (v + 1) - 1 in
-       for j = Array.unsafe_get in_starts v to j1 do
-         let s = Array.unsafe_get in_srcs j in
-         if Bytes.unsafe_get reached s = '\001' then begin
-           let ts =
-             if Array.unsafe_get stamp s = epoch then Array.unsafe_get nw s
-             else Array.unsafe_get bt s
-           in
-           let d = ts +. Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
-           if d > !nt then nt := d
-         end
+       (* recompute v straight into the next free row, which is kept
+          only if it differs from the base row *)
+       if (!rows_used + 1) * w > Array.length sc.s_rows then begin
+         let grown = Array.make (2 * Array.length sc.s_rows) 0. in
+         Array.blit sc.s_rows 0 grown 0 (!rows_used * w);
+         sc.s_rows <- grown
+       end;
+       let rows = sc.s_rows and o = !rows_used * w in
+       for r = 0 to w - 1 do
+         Array.unsafe_set rows (o + r) neg_infinity
        done;
-       if !nt <> Array.unsafe_get bt v then begin
+       for j = Array.unsafe_get in_starts v to Array.unsafe_get in_starts (v + 1) - 1 do
+         let s = Array.unsafe_get in_srcs j in
+         let d = Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
+         if Array.unsafe_get stamp s = epoch then
+           relax rows o rows (Array.unsafe_get row s * w) d w
+         else relax rows o base (s * w) d w
+       done;
+       (* a root (a period-0 instance, id < event count) is anchored
+          at time 0 in its own lane *)
+       if v < n_events then
+         for r = 0 to w - 1 do
+           if t.roots.((blk * lanes) + r) = v then Array.unsafe_set rows (o + r) 0.
+         done;
+       let changed = ref false in
+       for r = 0 to w - 1 do
+         if Array.unsafe_get rows (o + r) <> Array.unsafe_get base ((v * w) + r) then
+           changed := true
+       done;
+       if !changed then begin
          Array.unsafe_set stamp v epoch;
-         Array.unsafe_set nw v !nt;
+         Array.unsafe_set row v !rows_used;
+         incr rows_used;
          let j1 = Array.unsafe_get out_starts (v + 1) - 1 in
          for j = Array.unsafe_get out_starts v to j1 do
            let p = Array.unsafe_get pos (Array.unsafe_get out_dsts j) in
@@ -429,110 +442,18 @@ let resim ~deadline t sc ~idx ~delays changed =
   done;
   Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired"
 
-(* ------------------------------------------------------------------ *)
-(* The structural warm kernel.
-
-   A structural edit changes the unfolding's arcs but not its instance
-   ids ({!Unfolding.patch}), so the base run's per-root times and
-   reachability remain a valid {e starting point}: only instances
-   downstream of a spliced, dropped or delay-edited arc instance can
-   move.  The repair is the same monotone position scan as the delay
-   kernel, over the {e patched} dag's CSR views and topological order,
-   with one extension: reachability can now flip in both directions,
-   so the scan recomputes (reached, time) jointly.  A recomputed
-   instance stores [0.] when unreached — exactly the value a cold
-   simulation's view reports for unreached instances — so the repaired
-   tables serialise identically to a cold run of the edited graph. *)
-
-(* does root [idx]'s base simulation reach the source of any seed arc
-   instance?  If not, nothing in its table can move and the base trace
-   is reused verbatim.  (A dropped arc whose source was unreached
-   contributed nothing before and nothing after; a spliced arc whose
-   source is unreached stays dormant — its source's own reachability
-   is root-independent of the arcs leaving it.) *)
-let structural_affected t ~idx seeds =
-  let reached = t.base_reached.(idx) in
-  Array.exists (fun (s, _) -> Bytes.unsafe_get reached s = '\001') seeds
-
-let resim_structural ~deadline t sc ~idx u' ~seeds =
-  let topo = Unfolding.topological_order u' in
-  let pos = Unfolding.topo_position u' in
-  let in_starts, in_srcs, in_arcs = Unfolding.in_adjacency u' in
-  let out_starts, out_dsts, _ = Unfolding.out_adjacency u' in
-  let delays = Unfolding.delays u' in
-  let bt = t.base_times.(idx) in
-  let breached = t.base_reached.(idx) in
-  let root = t.roots.(idx) in
-  sc.s_epoch <- sc.s_epoch + 1;
-  let epoch = sc.s_epoch in
-  let stamp = sc.s_stamp in
-  let nw = sc.s_new in
-  let dirty = sc.s_dirty in
-  let sreach = sc.s_reached in
-  let pending = ref 0 in
-  let lo = ref max_int in
-  (* seeds: destinations of every spliced, dropped or delay-edited arc
-     instance whose source the base run reached.  The root's time-0
-     anchor is never recomputed (a root is reached by fiat, and its
-     in-arcs never matter), so a seed landing on it is skipped. *)
-  Array.iter
-    (fun (s, d) ->
-      if d <> root && Bytes.unsafe_get breached s = '\001' then begin
-        let p = Array.unsafe_get pos d in
-        if Array.unsafe_get dirty p <> epoch then begin
-          Array.unsafe_set dirty p epoch;
-          incr pending;
-          if p < !lo then lo := p
-        end
-      end)
-    seeds;
-  let steps = ref 0 in
-  let k = ref !lo in
-  while !pending > 0 do
-    if !k land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-    (if Array.unsafe_get dirty !k = epoch then begin
-       decr pending;
-       incr steps;
-       let v = Array.unsafe_get topo !k in
-       if v <> root then begin
-         let nt = ref neg_infinity in
-         let rc = ref false in
-         let j1 = Array.unsafe_get in_starts (v + 1) - 1 in
-         for j = Array.unsafe_get in_starts v to j1 do
-           let s = Array.unsafe_get in_srcs j in
-           let stamped = Array.unsafe_get stamp s = epoch in
-           let s_reached =
-             if stamped then Bytes.unsafe_get sreach s = '\001'
-             else Bytes.unsafe_get breached s = '\001'
-           in
-           if s_reached then begin
-             let ts = if stamped then Array.unsafe_get nw s else Array.unsafe_get bt s in
-             let d = ts +. Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
-             rc := true;
-             if d > !nt then nt := d
-           end
-         done;
-         let reached' = !rc in
-         let t' = if reached' then !nt else 0. in
-         let base_r = Bytes.unsafe_get breached v = '\001' in
-         if reached' <> base_r || (reached' && t' <> Array.unsafe_get bt v) then begin
-           Array.unsafe_set stamp v epoch;
-           Bytes.unsafe_set sreach v (if reached' then '\001' else '\000');
-           Array.unsafe_set nw v t';
-           let j1 = Array.unsafe_get out_starts (v + 1) - 1 in
-           for j = Array.unsafe_get out_starts v to j1 do
-             let p = Array.unsafe_get pos (Array.unsafe_get out_dsts j) in
-             if Array.unsafe_get dirty p <> epoch then begin
-               Array.unsafe_set dirty p epoch;
-               incr pending
-             end
-           done
-         end
-       end
-     end);
-    incr k
-  done;
-  Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired"
+(* root [idx]'s times after its block's {!repair}, read as a cold
+   simulation's view would: [0.] when unreached *)
+let repaired_times t sc idx =
+  let k = idx / lanes in
+  let w = block_width t k and lane = idx mod lanes in
+  let base = t.base_blocks.(k) and epoch = sc.s_epoch in
+  fun v ->
+    let x =
+      if sc.s_stamp.(v) = epoch then sc.s_rows.((sc.s_row.(v) * w) + lane)
+      else base.((v * w) + lane)
+    in
+    if x = neg_infinity then 0. else x
 
 (* ------------------------------------------------------------------ *)
 (* Re-analysis                                                         *)
@@ -544,85 +465,89 @@ let short_circuit t =
   (t.base, { reused = b; resimulated = 0; path = Short_circuit })
 
 (* a full cold analysis of the edited graph: the fallback whenever the
-   warm kernels cannot (or are told not to) answer *)
+   warm kernel cannot (or is told not to) answer *)
 let cold ~deadline t g' =
   let report = Cycle_time.analyze ~deadline ~periods:t.periods g' in
   (report, { reused = 0; resimulated = Array.length t.border_arr; path = Cold })
 
-let warm_delay ~deadline sc t ~delays ~changed g' =
-  let reused = ref 0 in
-  let resimulated = ref 0 in
-  let traces_arr =
-    Array.mapi
-      (fun i g0 ->
-        Tsg_engine.Deadline.check deadline;
-        if not (affected t ~idx:i changed) then begin
-          incr reused;
-          t.base_traces.(i)
+(* The warm re-analysis shared by delay and structural edits.  A root
+   whose base run reached the source of no seed cannot observe the
+   edit (a dropped or spliced arc instance with an unreached source
+   contributes nothing before or after), so its trace is reused
+   verbatim; a block with no affected root is never scanned. *)
+let warm ~deadline sc t ~u ~delays ~seeds finish =
+  let b = Array.length t.border_arr in
+  let affected = Array.make b false in
+  Array.iteri
+    (fun k base ->
+      let w = block_width t k in
+      Array.iter
+        (fun (s, _) ->
+          for r = 0 to w - 1 do
+            if base.((s * w) + r) > neg_infinity then affected.((k * lanes) + r) <- true
+          done)
+        seeds)
+    t.base_blocks;
+  let traces = Array.copy t.base_traces in
+  for k = 0 to Array.length t.base_blocks - 1 do
+    let first = k * lanes in
+    let last = first + block_width t k - 1 in
+    let any = ref false in
+    for idx = first to last do
+      if affected.(idx) then any := true
+    done;
+    if !any then begin
+      Tsg_engine.Deadline.check deadline;
+      repair ~deadline t sc ~u ~delays ~seeds k;
+      for idx = first to last do
+        if affected.(idx) then begin
+          (* a root whose sampled times all held keeps its base trace
+             (equal by value, and nothing to allocate) *)
+          let time_of = repaired_times t sc idx and g0 = t.border_arr.(idx) in
+          let moved (sm : Cycle_time.sample) =
+            time_of (Unfolding.instance u ~event:g0 ~period:sm.period) <> sm.time
+          in
+          if List.exists moved t.base_traces.(idx).samples then
+            traces.(idx) <- Cycle_time.Internal.trace_of_times time_of u t.periods g0
         end
-        else begin
-          incr resimulated;
-          resim ~deadline t sc ~idx:i ~delays changed;
-          let epoch = sc.s_epoch in
-          let bt = t.base_times.(i) in
-          let time_of v = if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v) in
-          Cycle_time.Internal.trace_of_times time_of t.u t.periods g0
-        end)
-      t.border_arr
-  in
-  Tsg_engine.Metrics.incr ~by:!reused "whatif/reused";
-  Tsg_engine.Metrics.incr ~by:!resimulated "whatif/resimulated";
-  let report =
-    Cycle_time.Internal.finish ~deadline ~delays g' t.u ~border:t.border
-      ~periods:t.periods
-      ~traces:(Array.to_list traces_arr)
-  in
-  (report, { reused = !reused; resimulated = !resimulated; path = Warm })
+      done
+    end
+  done;
+  let resimulated = Array.fold_left (fun n a -> if a then n + 1 else n) 0 affected in
+  let reused = b - resimulated in
+  Tsg_engine.Metrics.incr ~by:reused "whatif/reused";
+  Tsg_engine.Metrics.incr ~by:resimulated "whatif/resimulated";
+  (finish (Array.to_list traces), { reused; resimulated; path = Warm })
 
+(* the (src, dst) instance pairs of base arcs [arcs] *)
+let arc_instances t arcs =
+  Array.concat
+    (List.map
+       (fun a -> Array.map2 (fun s d -> (s, d)) t.arc_inst_srcs.(a) t.arc_inst_dsts.(a))
+       arcs)
+
+let warm_delay ~deadline sc t ~delays ~changed g' =
+  warm ~deadline sc t ~u:t.u ~delays ~seeds:(arc_instances t changed) (fun traces ->
+      Cycle_time.Internal.finish ~deadline ~delays g' t.u ~border:t.border
+        ~periods:t.periods ~traces)
+
+(* A structural edit changes the unfolding's arcs but not its instance
+   ids ({!Unfolding.patch}), so the base tables remain a valid starting
+   point; the seeds are the spliced and dropped arc instances plus the
+   instances of surviving arcs whose delay changed (read from the base
+   grouping — instance ids are stable), and the repair runs over the
+   patched dag. *)
 let warm_structural ~deadline sc t ~arc_map ~changed_delays g' =
   let u', delta = Unfolding.patch ~deadline t.u g' ~arc_map in
   let sp = delta.Unfolding.pd_spliced and dr = delta.Unfolding.pd_dropped in
   Tsg_engine.Metrics.incr ~by:(Array.length sp) "whatif/instances_spliced";
   Tsg_engine.Metrics.incr ~by:(Array.length dr) "whatif/instances_dropped";
-  (* delay edits on surviving arcs join the seed set: their instance
-     pairs are read from the base grouping (instance ids are stable) *)
-  let delay_seeds =
-    List.concat_map
-      (fun a ->
-        let ss = t.arc_inst_srcs.(a) and ds = t.arc_inst_dsts.(a) in
-        Array.to_list (Array.map2 (fun s d -> (s, d)) ss ds))
-      changed_delays
-  in
-  let seeds = Array.concat [ sp; dr; Array.of_list delay_seeds ] in
-  let reused = ref 0 in
-  let resimulated = ref 0 in
-  let traces_arr =
-    Array.mapi
-      (fun i g0 ->
-        Tsg_engine.Deadline.check deadline;
-        if not (structural_affected t ~idx:i seeds) then begin
-          incr reused;
-          t.base_traces.(i)
-        end
-        else begin
-          incr resimulated;
-          resim_structural ~deadline t sc ~idx:i u' ~seeds;
-          let epoch = sc.s_epoch in
-          let bt = t.base_times.(i) in
-          let time_of v = if sc.s_stamp.(v) = epoch then sc.s_new.(v) else bt.(v) in
-          Cycle_time.Internal.trace_of_times time_of u' t.periods g0
-        end)
-      t.border_arr
-  in
-  Tsg_engine.Metrics.incr ~by:!reused "whatif/reused";
-  Tsg_engine.Metrics.incr ~by:!resimulated "whatif/resimulated";
   Tsg_engine.Metrics.incr "whatif/structural_warm";
-  (* no [~delays] override: [u'] carries the edited graph natively *)
-  let report =
-    Cycle_time.Internal.finish ~deadline g' u' ~border:t.border ~periods:t.periods
-      ~traces:(Array.to_list traces_arr)
-  in
-  (report, { reused = !reused; resimulated = !resimulated; path = Warm })
+  let seeds = Array.concat [ sp; dr; arc_instances t changed_delays ] in
+  (* no [~delays] override in [finish]: [u'] carries the edited graph *)
+  warm ~deadline sc t ~u:u' ~delays:(Unfolding.delays u') ~seeds (fun traces ->
+      Cycle_time.Internal.finish ~deadline g' u' ~border:t.border ~periods:t.periods
+        ~traces)
 
 let reanalyze_changes ?deadline ?scratch:sc t changes =
   let deadline =

@@ -15,8 +15,11 @@
     - an affected root is {e repaired}, not re-simulated: a dirty
       propagation seeded at the edited arc's instances relaxes, in
       topological order, only the instances whose occurrence time
-      actually changes ([whatif/resimulated] roots,
-      [whatif/instances_repaired] instances);
+      may have changed ([whatif/resimulated] roots,
+      [whatif/instances_repaired] instances).  Roots are repaired in
+      blocks of up to 16 that share one scan, their times interleaved
+      per instance, so each relaxation reads the adjacency once for
+      the whole block;
     - an edit that folds back onto the base graph (zero net delta, or
       a {!Signal_graph.digest} match) short-circuits to the base
       report ([whatif/short_circuits]).
@@ -27,9 +30,10 @@
     ({!Unfolding.patch}) — the instance DAG is rebuilt by the same
     construction loop (bit-identical CSR views), the topological order
     is repaired only inside the window disturbed by spliced arcs, and
-    the same monotone position scan repairs each affected root's
-    times {e and reachability} jointly, seeded at the spliced, dropped
-    and delay-edited arc instances (the structural change cone).  The
+    the same repair covers times {e and reachability} at once (an
+    unreached instance carries [neg_infinity], which no sum lifts),
+    seeded at the spliced, dropped and delay-edited arc instances
+    (the structural change cone).  The
     one fallback: an edit that moves the {e border set} itself
     (changing which events carry initial activity) invalidates the
     prepared roots and is answered by a cold analysis
@@ -76,9 +80,9 @@ type stats = {
 
 type t
 (** A prepared base: graph, unfolding, base report, and the per-root
-    occurrence-time and reachability tables retained from the base
-    simulations (b arrays of n floats — for very large unfoldings,
-    budget roughly [8 * b * instance_count] bytes). *)
+    occurrence times retained from the base simulations ([b * n]
+    floats, reachability folded in — for very large unfoldings, budget
+    roughly [8 * b * instance_count] bytes). *)
 
 val prepare :
   ?deadline:Tsg_engine.Deadline.t -> ?periods:int -> ?jobs:int -> Signal_graph.t -> t
@@ -115,7 +119,9 @@ val edited_graph_changes : t -> change list -> Signal_graph.t
 
 type scratch
 (** Reusable per-participant working memory for the dirty propagation
-    (never shared between concurrent re-analyses). *)
+    (never shared between concurrent re-analyses): three [int] arrays
+    over the instances, plus repaired times that grow with the change
+    cone, to at most [16 * instance_count] floats. *)
 
 val scratch : t -> scratch
 
@@ -148,9 +154,9 @@ val reanalyze_changes :
 (** {!reanalyze} generalised to structural scenarios: byte-identical
     (serialised) to
     [Cycle_time.analyze ~periods:(periods t) (edited_graph_changes t cs)].
-    Delay-only scenarios take the delay kernel unchanged; structural
-    ones patch the unfolding and repair times and reachability in the
-    change cone ([whatif/structural_warm],
+    Delay-only scenarios repair over the base unfolding; structural
+    ones patch it first and repair over the patched one
+    ([whatif/structural_warm],
     [whatif/instances_spliced|dropped]), falling back to a cold
     analysis only when the border set itself moves
     ([whatif/structural_cold]) or the ["whatif/warm"] failpoint is

@@ -224,6 +224,77 @@ let test_rejects_zero_periods () =
   Alcotest.check_raises "periods >= 1" (Invalid_argument "Unfolding.make: periods must be >= 1")
     (fun () -> ignore (Unfolding.make g ~periods:0))
 
+(* a patched unfolding's CSR views must be exactly what a fresh
+   [make] of the edited graph builds, slice order included (it decides
+   longest-path ties), whatever order its topological repair chose *)
+let test_patch_equals_make () =
+  let check_edit g ~periods ~removed ~flipped ~added =
+    let arcs = Signal_graph.arcs g in
+    let next = ref 0 in
+    let arc_map =
+      Array.mapi
+        (fun a _ ->
+          if List.mem a removed then -1
+          else begin
+            incr next;
+            !next - 1
+          end)
+        arcs
+    in
+    let surviving =
+      List.filter_map
+        (fun a ->
+          if List.mem a removed then None
+          else
+            let arc = arcs.(a) in
+            Some
+              (if List.mem a flipped then
+                 { arc with Signal_graph.marked = not arc.Signal_graph.marked }
+               else arc))
+        (List.init (Array.length arcs) Fun.id)
+    in
+    let table =
+      Array.of_list
+        (surviving
+        @ List.map (fun (src, dst) -> Signal_graph.make_arc g ~delay:1.5 src dst) added)
+    in
+    match Signal_graph.with_arcs g table with
+    | Error _ -> ()
+    | Ok g' ->
+      let u = Unfolding.make g ~periods in
+      let patched, delta = Unfolding.patch u g' ~arc_map in
+      let fresh = Unfolding.make g' ~periods in
+      let csr u =
+        let a, b, c = Unfolding.in_adjacency u and d, e, f = Unfolding.out_adjacency u in
+        [ a; b; c; d; e; f ]
+      in
+      Alcotest.(check (list (array int))) "patched CSRs = fresh CSRs" (csr fresh)
+        (csr patched);
+      Alcotest.(check (array (float 0.))) "delays" (Unfolding.delays fresh)
+        (Unfolding.delays patched);
+      check_arcs_go_forward "patched order is topological" patched;
+      Alcotest.(check int) "instance diff balances the arc count"
+        (arc_count fresh - arc_count u)
+        (Array.length delta.Unfolding.pd_spliced
+        - Array.length delta.Unfolding.pd_dropped)
+  in
+  List.iter
+    (fun seed ->
+      let g = Tsg_circuit.Generators.random_live_tsg ~seed ~events:24 ~extra_arcs:40 () in
+      let m = Signal_graph.arc_count g and n = Signal_graph.event_count g in
+      let periods = 6 in
+      check_edit g ~periods ~removed:[ m - 1 ] ~flipped:[] ~added:[];
+      check_edit g ~periods ~removed:[ n + 3 ] ~flipped:[] ~added:[ (0, n - 1) ];
+      check_edit g ~periods ~removed:[] ~flipped:[ n + 5 ] ~added:[];
+      check_edit g ~periods ~removed:[ 1 ] ~flipped:[ n + 2; n + 7 ]
+        ~added:[ (2, n / 2); (n - 2, 1) ];
+      (* two spliced arcs into one destination: in-slice order *)
+      check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (5, n / 2); (2, n / 2) ];
+      check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (1, n - 1); (3, n - 1) ])
+    [ 1; 2; 3; 4; 5 ];
+  let g = fig1 () in
+  check_edit g ~periods:4 ~removed:[ 2 ] ~flipped:[] ~added:[ (0, 3) ]
+
 let suite =
   [
     Alcotest.test_case "instance layout" `Quick test_instance_layout;
@@ -244,4 +315,5 @@ let suite =
     Alcotest.test_case "topo_position inverts the order" `Quick
       test_topo_position_inverse;
     Alcotest.test_case "rejects zero periods" `Quick test_rejects_zero_periods;
+    Alcotest.test_case "patch builds the CSRs make builds" `Quick test_patch_equals_make;
   ]
