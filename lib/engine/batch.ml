@@ -46,48 +46,16 @@ let run ?pool ?jobs ?deadline_ms ?cache ~label ~f items =
       count_entry e;
       e
     in
-    let map_pool work items =
-      if jobs = 1 || Array.length items = 1 then Array.map work items
+    (* duplicate labels need no special casing: [Cache.find_or_add]
+       computes a key once and serves every other caller of it, even
+       one that arrives while the computation is in flight *)
+    let results =
+      Metrics.time "batch/run" @@ fun () ->
+      if jobs = 1 || n = 1 then Array.map work items
       else
         let pool = match pool with Some p -> p | None -> Pool.default () in
         (* the caller is the jobs-th participant *)
         Pool.map ~slots:(jobs - 1) pool work items
-    in
-    let results =
-      Metrics.time "batch/run" @@ fun () ->
-      match cache with
-      | None -> map_pool work items
-      | Some _ ->
-        (* analyze each distinct label once: duplicates wait for their
-           representative (the first occurrence) instead of racing it
-           to the cache, then share its outcome *)
-        let first_index = Hashtbl.create n in
-        Array.iteri
-          (fun i item ->
-            let key = label item in
-            if not (Hashtbl.mem first_index key) then Hashtbl.add first_index key i)
-          items;
-        let representatives =
-          Array.of_seq
-            (Seq.filter
-               (fun i -> Hashtbl.find first_index (label items.(i)) = i)
-               (Seq.init n Fun.id))
-        in
-        let computed = map_pool (fun i -> work items.(i)) representatives in
-        let by_key = Hashtbl.create (Array.length computed) in
-        Array.iter (fun (e : _ entry) -> Hashtbl.replace by_key e.label e) computed;
-        Array.mapi
-          (fun i item ->
-            let key = label item in
-            let rep : _ entry = Hashtbl.find by_key key in
-            if Hashtbl.find first_index key = i then rep
-            else begin
-              (* a within-batch duplicate: served from the cache *)
-              let e = { rep with elapsed_ms = 0. } in
-              count_entry e;
-              e
-            end)
-          items
     in
     Array.to_list results
   end

@@ -40,10 +40,11 @@ val run :
     outcome is never stored in [cache].
 
     When [cache] is given, outcomes are remembered under the item's
-    [label]: a sweep containing the same file several times analyzes
-    it once (duplicates report the shared outcome with an
-    [elapsed_ms] of [0.]), and a later sweep given the same cache
-    serves unchanged labels without re-running [f].  Labels are used
+    [label] through {!Cache.find_or_add}: a sweep containing the same
+    file several times analyzes it once (a duplicate is served the
+    shared outcome, waiting for it if it is still being computed),
+    and a later sweep given the same cache serves unchanged labels
+    without re-running [f].  Labels are used
     verbatim as cache keys, so a label must determine the result — to
     key by {e content} instead (surviving file edits and renames),
     perform the lookup inside [f] with a [Tsg.Signal_graph.digest]

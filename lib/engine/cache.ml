@@ -164,7 +164,18 @@ let find_or_add t key compute =
   and wait f =
     match f.state with
     | Computing ->
-      Condition.wait t.landed t.mutex;
+      (* the wait is bounded by the waiter's own ambient deadline, not
+         the computing caller's; [Condition] has no timed wait, so a
+         waiter with a deadline polls every millisecond instead *)
+      let deadline = Deadline.current () in
+      if deadline == Deadline.none then Condition.wait t.landed t.mutex
+      else begin
+        Deadline.check deadline;
+        Mutex.unlock t.mutex;
+        Unix.sleepf 0.001;
+        Mutex.lock t.mutex;
+        Deadline.check deadline
+      end;
       wait f
     | Landed v ->
       count_hit t key;

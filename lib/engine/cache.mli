@@ -44,7 +44,10 @@ val find_or_add : 'v t -> string -> (unit -> 'v) -> 'v
     lock, and a key is computed at most once at a time: a concurrent
     caller of a key that is being computed waits for that computation
     and is served its value, counted as a hit (even with a [capacity]
-    of [0]).  Exceptions from [compute] propagate and leave the cache
+    of [0]).  The wait is bounded by the waiter's own ambient
+    {!Deadline.current}: once that expires the waiter raises
+    {!Deadline.Deadline_exceeded}, while the computation carries on
+    for its caller.  Exceptions from [compute] propagate and leave the cache
     unchanged; its waiters then start over, so one of them computes
     the key itself.  [compute] must not look up its own key. *)
 

@@ -414,10 +414,14 @@ let call ?(retries = 0) ?(backoff_ms = 50.) ?timeout_s ~endpoint requests =
           (fun request ->
             (* a daemon at its connection limit writes its refusal and
                hangs up without reading, so the write can fail with
-               EPIPE; the refusal (if any) is still there to read, and
-               a missing one surfaces as [Failure] below *)
-            (try write_all fd (request ^ "\n")
-             with Write_timeout | Unix.Unix_error _ -> ());
+               EPIPE or ECONNRESET; the refusal (if any) is still there
+               to read, and a missing one surfaces as [Failure] below.
+               A peer that is still there but not reading is a wedged
+               server: fail now rather than wait [timeout_s] again for
+               a reply that cannot come. *)
+            (try write_all fd (request ^ "\n") with
+            | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+            | Write_timeout -> failwith "Server.call: write timed out");
             match input_line ic with
             | line -> line
             | exception End_of_file ->

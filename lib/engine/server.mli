@@ -138,7 +138,7 @@ val call :
 
     [timeout_s] (off by default) bounds each socket read and write
     ([SO_RCVTIMEO]/[SO_SNDTIMEO]): a server that accepts but never
-    answers raises [Failure] after [timeout_s] seconds instead of
+    reads or never answers raises [Failure] after [timeout_s] seconds instead of
     blocking forever.  The proxy tier sets this on upstream calls so a
     wedged shard trips its circuit breaker rather than absorbing a
     client thread.

@@ -144,6 +144,55 @@ let test_find_or_add_shares_inflight () =
   | _ -> Alcotest.fail "the first caller's exception stays its own");
   Alcotest.(check (option int)) "the survivor's value is stored" (Some 7) (Cache.find c "e")
 
+(* a waiter's deadline bounds its wait, even when the computation it
+   waits for has none *)
+let test_find_or_add_wait_obeys_deadline () =
+  let c = Cache.create ~metrics_prefix:"test-foa-deadline" ~capacity:4 () in
+  let started = Atomic.make false and release = Atomic.make false in
+  let leader =
+    Thread.create
+      (fun () ->
+        Cache.find_or_add c "k" (fun () ->
+            Atomic.set started true;
+            while not (Atomic.get release) do
+              Unix.sleepf 0.001
+            done;
+            1))
+      ()
+  in
+  while not (Atomic.get started) do
+    Unix.sleepf 0.001
+  done;
+  let t0 = Unix.gettimeofday () in
+  (* lets the leader finish after a second even if the waiter hangs
+     on, so a waiter that ignores its deadline fails instead of
+     blocking the suite *)
+  let backstop =
+    Thread.create
+      (fun () ->
+        while (not (Atomic.get release)) && Unix.gettimeofday () -. t0 < 1. do
+          Unix.sleepf 0.001
+        done;
+        Atomic.set release true)
+      ()
+  in
+  let outcome =
+    try
+      Ok
+        (Deadline.with_deadline (Deadline.make ~budget_ms:20. ()) (fun () ->
+             Cache.find_or_add c "k" (fun () -> 2)))
+    with Deadline.Deadline_exceeded -> Error ()
+  in
+  let waited_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  Atomic.set release true;
+  Thread.join backstop;
+  Thread.join leader;
+  Alcotest.(check bool) "the waiter times out" true (outcome = Error ());
+  Alcotest.(check bool)
+    (Printf.sprintf "promptly (waited %.0f ms for a 20 ms budget)" waited_ms)
+    true (waited_ms < 500.);
+  Alcotest.(check (option int)) "the leader's value is stored" (Some 1) (Cache.find c "k")
+
 let test_zero_capacity_disables () =
   let c = Cache.create ~metrics_prefix:"test-zero" ~capacity:0 () in
   Cache.add c "k" 1;
@@ -233,6 +282,8 @@ let suite =
     Alcotest.test_case "find_or_add computes once" `Quick test_find_or_add_computes_once;
     Alcotest.test_case "find_or_add shares an in-flight computation" `Quick
       test_find_or_add_shares_inflight;
+    Alcotest.test_case "find_or_add waits within the waiter's deadline" `Quick
+      test_find_or_add_wait_obeys_deadline;
     Alcotest.test_case "zero capacity disables storage" `Quick test_zero_capacity_disables;
     Alcotest.test_case "clear resets entries and counters" `Quick test_clear;
     Alcotest.test_case "Batch ?cache dedups a sweep" `Quick test_batch_cache_dedups_sweep;

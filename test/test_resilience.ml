@@ -640,6 +640,29 @@ let test_call_retries_until_daemon_appears () =
       | [ reply ] -> expect_ok "retried through ENOENT/ECONNREFUSED" reply
       | other -> Alcotest.failf "expected one reply, got %d" (List.length other))
 
+(* a peer that accepts connections but never reads is a wedged
+   server: the write times out after [timeout_s] and the call fails at
+   once, instead of waiting another [timeout_s] for a reply *)
+let test_call_fails_fast_on_a_peer_that_never_reads () =
+  let socket = fresh_socket () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 4;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (* far larger than any socket buffer, so the write must block *)
+  let request = String.make (4 * 1024 * 1024) 'x' in
+  match
+    Server.call ~timeout_s:0.2 ~endpoint:(Server.Unix_socket socket) [ request ]
+  with
+  | _ -> Alcotest.fail "a peer that never reads cannot answer"
+  | exception Failure msg ->
+    Alcotest.(check string) "the write timeout is the failure"
+      "Server.call: write timed out" msg
+
 let suite =
   [
     Alcotest.test_case "deadline: none never trips" `Quick test_deadline_none_never_trips;
@@ -680,4 +703,6 @@ let suite =
     Alcotest.test_case "server: external stop drains" `Quick test_external_stop_drains;
     Alcotest.test_case "client: call retries with backoff" `Quick
       test_call_retries_until_daemon_appears;
+    Alcotest.test_case "client: call fails fast on a peer that never reads" `Quick
+      test_call_fails_fast_on_a_peer_that_never_reads;
   ]
