@@ -110,28 +110,45 @@ let test_expired_deadline_aborts_analysis () =
 
 (* calibrate against this machine: a budget of a tenth, or a half, of
    the real cost must abort the analysis within a small slack of the
-   budget, wherever in the pipeline the budget runs out *)
+   budget, wherever in the pipeline the budget runs out.  The real
+   cost is the fastest of three runs.  A busy host can still make the
+   calibration slow and the budgeted run fast enough to finish inside
+   its budget; that attempt proves nothing either way, so it is
+   recalibrated and retried (at most three attempts).  An analysis
+   that finishes past its budget is a failure at once. *)
 let check_expiry_is_prompt name g =
-  let t0 = Unix.gettimeofday () in
-  ignore (Cycle_time.analyze g);
-  let full_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  List.iter
-    (fun fraction ->
-      let budget_ms = Float.max 1. (full_ms *. fraction) in
-      let d = Deadline.make ~budget_ms () in
-      let t0 = Unix.gettimeofday () in
-      (match Cycle_time.analyze ~deadline:d g with
-      | _ -> Alcotest.fail (name ^ ": analysis beat a fraction of its own budget")
-      | exception Deadline.Deadline_exceeded -> ());
-      let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let calibrate () =
+    List.fold_left Float.min infinity
+      (List.init 3 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           ignore (Cycle_time.analyze g);
+           (Unix.gettimeofday () -. t0) *. 1000.))
+  in
+  let rec attempt fraction tries =
+    let full_ms = calibrate () in
+    let budget_ms = Float.max 1. (full_ms *. fraction) in
+    let d = Deadline.make ~budget_ms () in
+    let t0 = Unix.gettimeofday () in
+    let outcome =
+      try Ok (Cycle_time.analyze ~deadline:d g) with Deadline.Deadline_exceeded -> Error ()
+    in
+    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    match outcome with
+    | Ok _ when elapsed_ms >= budget_ms ->
+      Alcotest.failf "%s: analysis finished %.1f ms into a %.1f ms budget" name elapsed_ms
+        budget_ms
+    | Ok _ when tries > 1 -> attempt fraction (tries - 1)
+    | Ok _ -> Alcotest.fail (name ^ ": analysis beat a fraction of its own budget")
+    | Error () ->
       let slack_ms = Float.max 25. (full_ms /. 4.) in
       Alcotest.(check bool)
         (Printf.sprintf
            "%s: cancelled within ~T (budget %.1f ms, full %.1f ms, aborted after %.1f ms)"
            name budget_ms full_ms elapsed_ms)
         true
-        (elapsed_ms <= budget_ms +. slack_ms))
-    [ 0.1; 0.5 ]
+        (elapsed_ms <= budget_ms +. slack_ms)
+  in
+  List.iter (fun fraction -> attempt fraction 3) [ 0.1; 0.5 ]
 
 let test_deadline_expiry_is_prompt () =
   (* simulation-dominated *)
