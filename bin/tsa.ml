@@ -844,19 +844,11 @@ let client_cmd =
     let doc =
       "Comma-separated replica endpoints (HOST:PORT and/or socket paths).  \
        Requests are consistent-hash routed on each model's content digest \
-       across the fleet, with passive health checks and failover; \
+       across the fleet, with per-shard circuit breakers and failover; \
        $(b,--stats)/$(b,--shutdown) broadcast to every replica.  A per-shard \
        routing summary is printed on stderr."
     in
     Arg.(value & opt (some string) None & info [ "endpoints" ] ~docv:"EP,EP,..." ~doc)
-  in
-  let probe_ms_arg =
-    let doc =
-      "With $(b,--endpoints): actively probe unhealthy replicas every $(docv) \
-       milliseconds with a stats ping, so a recovered replica rejoins the \
-       rotation without waiting for live traffic (default: passive health only)."
-    in
-    Arg.(value & opt (some float) None & info [ "probe-ms" ] ~docv:"T" ~doc)
   in
   let via_arg =
     let doc =
@@ -867,7 +859,7 @@ let client_cmd =
     Arg.(value & opt (some string) None & info [ "via" ] ~docv:"EP" ~doc)
   in
   let run socket endpoints via files batch stats shutdown deltas periods jobs
-      timeout_ms retries probe_ms =
+      timeout_ms retries =
     let open Tsg_engine.Protocol in
     let sweep_requests =
       if deltas = [] then []
@@ -969,8 +961,7 @@ let client_cmd =
         Fmt.epr "tsa: --endpoints names no endpoints@.";
         exit 2
       end;
-      let router = Tsg_engine.Router.create ~retries ?probe_ms eps in
-      Fun.protect ~finally:(fun () -> Tsg_engine.Router.close router) @@ fun () ->
+      let router = Tsg_engine.Router.create ~retries eps in
       (* the routing key is the model's content digest — the exact key
          the replica caches hash on, so each replica's cache
          concentrates on its slice of the keyspace.  An unloadable
@@ -1038,7 +1029,7 @@ let client_cmd =
     Term.(
       const run $ socket_arg $ endpoints_arg $ via_arg $ files_arg $ batch_flag
       $ stats_flag $ shutdown_flag $ delta_args $ periods_arg $ jobs_arg
-      $ timeout_arg $ retries_arg $ probe_ms_arg)
+      $ timeout_arg $ retries_arg)
 
 (* ------------------------------------------------------------------ *)
 (* The proxy tier: the whole fleet behind one address                  *)
@@ -1155,21 +1146,26 @@ let proxy_cmd =
     let stale =
       Option.map (fun dir -> Tsg_engine.Disk_cache.create ~dir ()) cache_dir
     in
-    (* retries:0 — the proxy owns the retry policy (budgeted, breaker-
-       gated); Server.call-level retries underneath it would multiply
-       load invisibly, the exact storm the budget exists to kill *)
-    let router = Tsg_engine.Router.create ~retries:0 eps in
     let hedging =
       match hedge_ms with
       | None -> Tsg_engine.Proxy.Auto
       | Some ms when ms <= 0. -> Tsg_engine.Proxy.Off
       | Some ms -> Tsg_engine.Proxy.Fixed_ms ms
     in
-    let proxy =
+    let router, proxy =
       try
-        Tsg_engine.Proxy.create ~breaker_window ~breaker_failures
-          ~breaker_cooldown_ms ~retry_ratio:retry_budget ~hedging ~queue_depth
-          ~max_concurrent ~upstream_timeout_s:upstream_timeout ?stale router
+        (* retries:0 — the proxy owns the retry policy (budgeted,
+           breaker-gated); Server.call-level retries underneath it
+           would multiply load invisibly, the exact storm the budget
+           exists to kill *)
+        let router =
+          Tsg_engine.Router.create ~retries:0 ~breaker_window ~breaker_failures
+            ~breaker_cooldown_ms eps
+        in
+        ( router,
+          Tsg_engine.Proxy.create ~retry_ratio:retry_budget ~hedging
+            ~queue_depth ~max_concurrent ~upstream_timeout_s:upstream_timeout
+            ?stale router )
       with Invalid_argument msg ->
         Fmt.epr "tsa: %s@." msg;
         exit 2
@@ -1279,7 +1275,6 @@ let proxy_cmd =
     with
     | () ->
       Option.iter Tsg_engine.Disk_cache.close stale;
-      Tsg_engine.Router.close router;
       Fmt.epr "tsa: proxy stopped@."
     | exception Unix.Unix_error (err, fn, arg) ->
       Fmt.epr "tsa: cannot serve on %s: %s (%s %s)@."
@@ -1827,8 +1822,6 @@ let run_proxy_load () =
   let direct_ms, direct_responses, direct_failed =
     with_fleet (fun endpoints ->
         let router = Tsg_engine.Router.create ~retries:3 (List.map parse_ep endpoints) in
-        Fun.protect ~finally:(fun () -> Tsg_engine.Router.close router)
-        @@ fun () ->
         let r = drive (fun key line -> Tsg_engine.Router.route router ~key line) in
         ignore (Tsg_engine.Router.broadcast router {|{"op":"shutdown"}|});
         r)

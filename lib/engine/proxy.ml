@@ -2,125 +2,11 @@
 
    Everything here is written against Router.call_one — one shard,
    one attempt, no internal retries — because every *decision* to try
-   again must pass through the retry budget, and every outcome must
-   reach the right breaker.  The router's own failover (route) is
-   deliberately not used: it retries on its own clock and would
-   launder failures past both. *)
-
-(* ------------------------------------------------------------------ *)
-(* Circuit breaker *)
-
-module Breaker = struct
-  type state = Closed | Open | Half_open
-
-  type t = {
-    window : bool array;  (* ring of outcomes; true = failure *)
-    mutable filled : int;
-    mutable pos : int;
-    failures : int;
-    cooldown_ms : float;
-    mutable st : state;
-    mutable open_until : float;
-    mutable trial : bool;  (* the half-open probe slot is taken *)
-    mx : Mutex.t;
-  }
-
-  let create ?(window = 16) ?(failures = 5) ?(cooldown_ms = 1000.) () =
-    if window <= 0 then invalid_arg "Proxy.Breaker.create: window <= 0";
-    if failures <= 0 || failures > window then
-      invalid_arg "Proxy.Breaker.create: failures must be in 1..window";
-    if cooldown_ms < 0. || not (Float.is_finite cooldown_ms) then
-      invalid_arg "Proxy.Breaker.create: cooldown_ms must be finite and >= 0";
-    {
-      window = Array.make window false;
-      filled = 0;
-      pos = 0;
-      failures;
-      cooldown_ms;
-      st = Closed;
-      open_until = 0.;
-      trial = false;
-      mx = Mutex.create ();
-    }
-
-  (* under [mx]: an open breaker whose cooldown has elapsed becomes
-     half-open the moment anyone looks at it *)
-  let sync t ~now =
-    if t.st = Open && now >= t.open_until then begin
-      t.st <- Half_open;
-      t.trial <- false
-    end
-
-  let state t ~now =
-    Mutex.lock t.mx;
-    sync t ~now;
-    let s = t.st in
-    Mutex.unlock t.mx;
-    s
-
-  let allow t ~now =
-    Mutex.lock t.mx;
-    sync t ~now;
-    let r =
-      match t.st with
-      | Closed -> true
-      | Open -> false
-      | Half_open ->
-        if t.trial then false
-        else begin
-          t.trial <- true;
-          true
-        end
-    in
-    Mutex.unlock t.mx;
-    r
-
-  let reset_window t =
-    t.filled <- 0;
-    t.pos <- 0
-
-  let record t ~now ~ok =
-    Mutex.lock t.mx;
-    sync t ~now;
-    let tripped =
-      match t.st with
-      | Open -> false  (* a late reply from before the trip *)
-      | Half_open ->
-        t.trial <- false;
-        if ok then begin
-          t.st <- Closed;
-          reset_window t;
-          false
-        end
-        else begin
-          t.st <- Open;
-          t.open_until <- now +. (t.cooldown_ms /. 1000.);
-          true
-        end
-      | Closed ->
-        t.window.(t.pos) <- not ok;
-        t.pos <- (t.pos + 1) mod Array.length t.window;
-        if t.filled < Array.length t.window then t.filled <- t.filled + 1;
-        let fails = ref 0 in
-        for k = 0 to t.filled - 1 do
-          if t.window.(k) then incr fails
-        done;
-        if !fails >= t.failures then begin
-          t.st <- Open;
-          t.open_until <- now +. (t.cooldown_ms /. 1000.);
-          reset_window t;
-          true
-        end
-        else false
-    in
-    Mutex.unlock t.mx;
-    tripped
-
-  let abort t =
-    Mutex.lock t.mx;
-    if t.st = Half_open then t.trial <- false;
-    Mutex.unlock t.mx
-end
+   again must pass through the retry budget.  The router's own
+   failover (route) is deliberately not used: it retries on its own
+   clock and would launder failures past the budget.  Shard health
+   (the breakers) lives in the router: call_one records every
+   outcome, next_allowed picks the candidates. *)
 
 (* ------------------------------------------------------------------ *)
 (* Retry budget *)
@@ -207,7 +93,6 @@ type t = {
   router : Router.t;
   stale : Disk_cache.t option;
   budget : Retry_budget.t;
-  breakers : Breaker.t array;
   hedging : hedging;
   upstream_timeout_s : float;
   admission : admission;
@@ -222,11 +107,9 @@ type t = {
   mutable st_degraded_miss : int;
   mutable st_queue_dropped : int;
   mutable st_queue_expired : int;
-  mutable st_breaker_trips : int;
 }
 
-let create ?(metrics_prefix = "proxy") ?breaker_window ?breaker_failures
-    ?breaker_cooldown_ms ?retry_ratio ?retry_burst ?(hedging = Auto)
+let create ?(metrics_prefix = "proxy") ?retry_ratio ?retry_burst ?(hedging = Auto)
     ?(queue_depth = 64) ?(max_concurrent = 32) ?(upstream_timeout_s = 10.)
     ?stale router =
   if queue_depth <= 0 then invalid_arg "Proxy.create: queue_depth <= 0";
@@ -237,15 +120,10 @@ let create ?(metrics_prefix = "proxy") ?breaker_window ?breaker_failures
   | Fixed_ms ms when ms <= 0. || not (Float.is_finite ms) ->
     invalid_arg "Proxy.create: Fixed_ms hedge delay must be finite and positive"
   | _ -> ());
-  let n = Router.shard_count router in
   {
     router;
     stale;
     budget = Retry_budget.create ?ratio:retry_ratio ?burst:retry_burst ();
-    breakers =
-      Array.init n (fun _ ->
-          Breaker.create ?window:breaker_window ?failures:breaker_failures
-            ?cooldown_ms:breaker_cooldown_ms ());
     hedging;
     upstream_timeout_s;
     admission =
@@ -267,7 +145,6 @@ let create ?(metrics_prefix = "proxy") ?breaker_window ?breaker_failures
     st_degraded_miss = 0;
     st_queue_dropped = 0;
     st_queue_expired = 0;
-    st_breaker_trips = 0;
   }
 
 let bump t f =
@@ -338,45 +215,17 @@ let release t =
 (* ------------------------------------------------------------------ *)
 (* Upstream attempts *)
 
-(* one call to one shard, with full breaker bookkeeping.  An
-   application-level error line is a *successful* conversation — the
-   breaker only cares whether the shard answers, not whether it liked
-   the request. *)
+(* one call to one shard; the router records the outcome into the
+   shard's breaker *)
 let shard_call t i request =
   let t0 = Unix.gettimeofday () in
   match Router.call_one ~timeout_s:t.upstream_timeout_s t.router i request with
   | Router.Answered resp ->
-    let now = Unix.gettimeofday () in
-    ignore (Breaker.record t.breakers.(i) ~now ~ok:true);
-    Metrics.observe_ms (t.prefix ^ "/upstream_ms") ((now -. t0) *. 1000.);
+    Metrics.observe_ms (t.prefix ^ "/upstream_ms")
+      ((Unix.gettimeofday () -. t0) *. 1000.);
     Ok resp
-  | Router.Saturated ->
-    (* nothing reached the wire: give back a half-open trial slot
-       rather than charging the shard for our own inflight cap *)
-    Breaker.abort t.breakers.(i);
-    Error "shard saturated"
-  | Router.Call_failed e ->
-    let now = Unix.gettimeofday () in
-    if Breaker.record t.breakers.(i) ~now ~ok:false then begin
-      Mutex.lock t.mx;
-      t.st_breaker_trips <- t.st_breaker_trips + 1;
-      Mutex.unlock t.mx;
-      Metrics.incr (t.prefix ^ "/breaker_open")
-    end;
-    Error e
-
-(* the next untried shard, in rendezvous preference order, whose
-   breaker admits a call right now.  allow is only invoked on the
-   candidate actually returned, so a consumed half-open trial slot is
-   always used. *)
-let next_allowed t order tried ~now =
-  let rec go = function
-    | [] -> None
-    | i :: rest ->
-      if (not tried.(i)) && Breaker.allow t.breakers.(i) ~now then Some i
-      else go rest
-  in
-  go order
+  | Router.Saturated -> Error "shard saturated"
+  | Router.Call_failed e -> Error e
 
 let hedge_delay_ms t =
   match t.hedging with
@@ -434,7 +283,7 @@ let hedged_attempt t ~order ~tried ~idempotent ~deadline_at i request =
             Some (Error "deadline_exceeded: upstream attempt overran the deadline")
         else begin
           if !hedge = `Not_yet && (now -. started) *. 1000. >= delay_ms then
-            match next_allowed t order tried ~now with
+            match Router.next_allowed t.router order ~tried with
             | Some j when Retry_budget.try_withdraw t.budget ->
               tried.(j) <- true;
               hedge := `Running;
@@ -445,7 +294,7 @@ let hedged_attempt t ~order ~tried ~idempotent ~deadline_at i request =
               ignore (Thread.create (fun () -> run j cell_h) ())
             | Some j ->
               (* no budget: give back the consumed half-open slot *)
-              Breaker.abort t.breakers.(j);
+              Router.abort t.router j;
               hedge := `Abandoned
             | None -> hedge := `Abandoned
         end);
@@ -489,11 +338,7 @@ type outcome =
 (* every live candidate is open or has failed: the last resort is a
    stale answer from the shared disk cache *)
 let finish_unavailable t ~cache_key last_err =
-  let msg =
-    match last_err with
-    | Some e -> e
-    | None -> "no shard available (all circuit breakers open)"
-  in
+  let msg = Option.value last_err ~default:Router.all_open_error in
   match (t.stale, cache_key) with
   | Some dc, Some ck -> (
     match Disk_cache.read_stale dc ck with
@@ -545,13 +390,13 @@ let forward t ?key ?cache_key ?deadline_at ~idempotent request =
           ("deadline_exceeded", "deadline_exceeded: proxy ran out of budget")
       end
       else
-        match next_allowed t order tried ~now with
+        match Router.next_allowed t.router order ~tried with
         | None -> finish_unavailable t ~cache_key last_err
         | Some i ->
           if (not first) && not (Retry_budget.try_withdraw t.budget) then begin
             (* budget exhausted: shed instead of retrying — this is
                the retry-storm killswitch *)
-            Breaker.abort t.breakers.(i);
+            Router.abort t.router i;
             bump t (fun t -> t.st_shed <- t.st_shed + 1);
             Metrics.incr (t.prefix ^ "/retry_budget_shed");
             Shed ("overloaded", "retry budget exhausted")
@@ -597,11 +442,7 @@ let state_name = function
   | Breaker.Half_open -> "half_open"
 
 let stats (t : t) =
-  let now = Unix.gettimeofday () in
-  let breakers =
-    Array.to_list
-      (Array.map (fun b -> state_name (Breaker.state b ~now)) t.breakers)
-  in
+  let rs = Router.stats t.router in
   let ad = t.admission in
   Mutex.lock ad.amx;
   let active = ad.active and queued = live_waiters ad in
@@ -618,11 +459,12 @@ let stats (t : t) =
       degraded_miss = t.st_degraded_miss;
       queue_dropped = t.st_queue_dropped;
       queue_expired = t.st_queue_expired;
-      breaker_trips = t.st_breaker_trips;
+      breaker_trips = rs.Router.breaker_trips;
       budget_balance = Retry_budget.balance t.budget;
       active;
       queued;
-      breakers;
+      breakers =
+        List.map (fun sh -> state_name sh.Router.breaker) rs.Router.shards;
     }
   in
   Mutex.unlock t.mx;

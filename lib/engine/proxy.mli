@@ -7,14 +7,11 @@
     provide:
 
     {ul
-    {- {b Circuit breakers}, one per shard ({!Breaker}): a sliding
-       window of call outcomes trips the breaker open after
-       [breaker_failures] failures; while open the shard is skipped
-       outright (no connection attempt, unlike the router's passive
-       cooldown which still risks a half-open probe with live
-       traffic); after [breaker_cooldown_ms] one trial request is
-       admitted (half-open) and its outcome closes or re-opens the
-       breaker.}
+    {- {b Circuit breakers}, one per shard: the router's own
+       {!Breaker}s (configured by {!Router.create}), which every
+       {!Router.call_one} feeds.  A breaker-open shard is skipped
+       without a connection attempt; the proxy and any other caller
+       of the same router see the same state.}
     {- {b A retry budget} ({!Retry_budget}): a token bucket deposited
        by primary traffic ([retry_ratio] tokens per request, ~10%)
        and withdrawn by every retry and hedge.  When the fleet is
@@ -49,50 +46,10 @@
     raw line to {!forward}.
 
     Counters under [<prefix>] (default ["proxy"]): [requests],
-    [retries], [retry_budget_shed], [hedges], [hedge_wins],
-    [breaker_open] (trips into the open state), [degraded],
+    [retries], [retry_budget_shed], [hedges], [hedge_wins], [degraded],
     [degraded_miss], [queue_dropped], [queue_expired], [overloaded],
     plus the [upstream_ms] latency histogram (which also feeds the
     adaptive hedge delay). *)
-
-(** A per-shard circuit breaker.  Deterministic: every operation takes
-    [now] explicitly, so the state machine is unit-testable without
-    clocks.  Thread-safe. *)
-module Breaker : sig
-  type t
-
-  type state = Closed | Open | Half_open
-
-  val create : ?window:int -> ?failures:int -> ?cooldown_ms:float -> unit -> t
-  (** [window] (default 16) outcomes are remembered; [failures]
-      (default 5) failures among them trip the breaker; an open
-      breaker admits a half-open trial after [cooldown_ms] (default
-      1000).
-      @raise Invalid_argument if [window <= 0], [failures <= 0],
-      [failures > window] or [cooldown_ms < 0]. *)
-
-  val state : t -> now:float -> state
-  (** The state at time [now] (an open breaker whose cooldown has
-      passed reads — and becomes — [Half_open]). *)
-
-  val allow : t -> now:float -> bool
-  (** May a call be attempted now?  [Closed]: always.  [Open]: never.
-      [Half_open]: exactly one caller gets [true] (the trial) until
-      its outcome is {!record}ed or {!abort}ed. *)
-
-  val record : t -> now:float -> ok:bool -> bool
-  (** Record an attempt's outcome.  Returns [true] when this record
-      {e tripped} the breaker into [Open] (from [Closed] via the
-      window, or a failed half-open trial) — callers count trips off
-      this.  A success in [Half_open] closes the breaker and clears
-      the window; outcomes arriving while [Open] (late replies from
-      before the trip) are ignored. *)
-
-  val abort : t -> unit
-  (** Give back an un-attempted half-open trial slot (the shard was
-      locally saturated; nothing reached the wire).  No-op in other
-      states. *)
-end
 
 (** The global retry token bucket.  Primary requests {!deposit}
     [ratio] tokens (capped at [burst]); every retry or hedge must
@@ -127,9 +84,6 @@ type hedging =
 
 val create :
   ?metrics_prefix:string ->
-  ?breaker_window:int ->
-  ?breaker_failures:int ->
-  ?breaker_cooldown_ms:float ->
   ?retry_ratio:float ->
   ?retry_burst:float ->
   ?hedging:hedging ->
@@ -139,15 +93,16 @@ val create :
   ?stale:Disk_cache.t ->
   Router.t ->
   t
-(** [create router] builds the policy layer over an existing router
-    (whose lifetime the caller keeps owning — close it after the
-    proxy stops).  Defaults: [hedging = Auto], [queue_depth] 64,
+(** [create router] builds the policy layer over an existing router,
+    whose breakers it shares (set them with {!Router.create}, and
+    create the router with [~retries:0] so every retry passes the
+    budget).  Defaults: [hedging = Auto], [queue_depth] 64,
     [max_concurrent] 32, [upstream_timeout_s] 10 (passed to
     {!Router.call_one} so a wedged shard trips its breaker instead of
-    absorbing a connection thread), breaker and budget defaults as in
-    {!Breaker.create} / {!Retry_budget.create}.  [stale] is the
-    shared disk cache read (never written) by the degraded path; omit
-    it and degraded serving is off.
+    absorbing a connection thread), budget defaults as in
+    {!Retry_budget.create}.  [stale] is the shared disk cache read
+    (never written) by the degraded path; omit it and degraded
+    serving is off.
     @raise Invalid_argument on non-positive [queue_depth],
     [max_concurrent] or [upstream_timeout_s], or a non-positive
     [Fixed_ms] hedge delay. *)
@@ -205,7 +160,7 @@ type stats = {
   degraded_miss : int;  (** degraded path taken but cache had nothing *)
   queue_dropped : int;  (** eldest waiters dropped past high-water *)
   queue_expired : int;  (** waiters whose deadline passed queueing *)
-  breaker_trips : int;  (** transitions into [Open] *)
+  breaker_trips : int;  (** the router's breaker transitions into [Open] *)
   budget_balance : float;
   active : int;  (** requests currently talking upstream *)
   queued : int;  (** requests currently waiting for admission *)

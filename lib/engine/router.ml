@@ -6,8 +6,7 @@
 type shard = {
   sh_endpoint : Server.endpoint;
   sh_name : string;  (* endpoint_to_string, also the hash salt *)
-  mutable sh_healthy : bool;
-  mutable sh_down_until : float;  (* half-open retry time when unhealthy *)
+  sh_breaker : Breaker.t;
   mutable sh_inflight : int;
   mutable sh_served : int;
   mutable sh_failed : int;
@@ -19,13 +18,11 @@ type t = {
   retries : int;
   backoff_ms : float;
   max_inflight : int;
-  cooldown_s : float;
   mutex : Mutex.t;
   mutable rt_requests : int;
   mutable rt_rerouted : int;
   mutable rt_failovers : int;
-  probe_stop : bool Atomic.t;
-  mutable probe_thread : Thread.t option;
+  mutable rt_breaker_trips : int;
 }
 
 (* FNV-1a, 64-bit.  Not cryptographic — the keys are already MD5
@@ -44,102 +41,38 @@ let fnv1a64 (s : string) : int64 =
 let score key shard_name =
   fnv1a64 (key ^ "\x00" ^ shard_name)
 
-(* the active health probe: a plain "stats" ping, no retries — one
-   refused connection is answer enough, and a probe must never block
-   behind the client backoff schedule *)
-let probe_request = {|{"op":"stats"}|}
-
-let probe_unhealthy t =
-  Array.iter
-    (fun s ->
-      let unhealthy =
-        Mutex.lock t.mutex;
-        let u = not s.sh_healthy in
-        Mutex.unlock t.mutex;
-        u
-      in
-      if unhealthy then begin
-        Metrics.incr (t.prefix ^ "/probes");
-        match Server.call ~retries:0 ~endpoint:s.sh_endpoint [ probe_request ] with
-        | [ _ ] ->
-          (* recover-only: a live answer reopens the shard for routing;
-             failures never deepen the penalty (routing owns that) *)
-          Mutex.lock t.mutex;
-          let was_unhealthy = not s.sh_healthy in
-          s.sh_healthy <- true;
-          s.sh_down_until <- 0.;
-          Mutex.unlock t.mutex;
-          if was_unhealthy then Metrics.incr (t.prefix ^ "/probe_recoveries")
-        | _ | (exception Unix.Unix_error _) | (exception Failure _) -> ()
-      end)
-    t.shards
-
 let create ?(metrics_prefix = "router") ?(retries = 2) ?(backoff_ms = 50.)
-    ?(max_inflight = 64) ?(cooldown_s = 1.0) ?probe_ms endpoints =
+    ?(max_inflight = 64) ?breaker_window ?breaker_failures ?breaker_cooldown_ms
+    endpoints =
   if endpoints = [] then invalid_arg "Router.create: no endpoints";
-  (match probe_ms with
-  | Some ms when not (Float.is_finite ms && ms > 0.) ->
-    invalid_arg "Router.create: probe_ms must be finite and positive"
-  | _ -> ());
-  let t =
-    {
-      shards =
-        Array.of_list
-          (List.map
-             (fun ep ->
-               {
-                 sh_endpoint = ep;
-                 sh_name = Server.endpoint_to_string ep;
-                 sh_healthy = true;
-                 sh_down_until = 0.;
-                 sh_inflight = 0;
-                 sh_served = 0;
-                 sh_failed = 0;
-               })
-             endpoints);
-      prefix = metrics_prefix;
-      retries;
-      backoff_ms;
-      max_inflight;
-      cooldown_s;
-      mutex = Mutex.create ();
-      rt_requests = 0;
-      rt_rerouted = 0;
-      rt_failovers = 0;
-      probe_stop = Atomic.make false;
-      probe_thread = None;
-    }
-  in
-  (match probe_ms with
-  | None -> ()
-  | Some ms ->
-    let interval = ms /. 1000. in
-    t.probe_thread <-
-      Some
-        (Thread.create
-           (fun () ->
-             (* sleep in short slices so close is prompt even under a
-                long probe interval *)
-             let rec sleep remaining =
-               if remaining > 0. && not (Atomic.get t.probe_stop) then begin
-                 Thread.delay (Float.min remaining 0.05);
-                 sleep (remaining -. 0.05)
-               end
-             in
-             while not (Atomic.get t.probe_stop) do
-               sleep interval;
-               if not (Atomic.get t.probe_stop) then probe_unhealthy t
-             done)
-           ()));
-  t
+  {
+    shards =
+      Array.of_list
+        (List.map
+           (fun ep ->
+             {
+               sh_endpoint = ep;
+               sh_name = Server.endpoint_to_string ep;
+               sh_breaker =
+                 Breaker.create ?window:breaker_window ?failures:breaker_failures
+                   ?cooldown_ms:breaker_cooldown_ms ();
+               sh_inflight = 0;
+               sh_served = 0;
+               sh_failed = 0;
+             })
+           endpoints);
+    prefix = metrics_prefix;
+    retries;
+    backoff_ms;
+    max_inflight;
+    mutex = Mutex.create ();
+    rt_requests = 0;
+    rt_rerouted = 0;
+    rt_failovers = 0;
+    rt_breaker_trips = 0;
+  }
 
-let close t =
-  Atomic.set t.probe_stop true;
-  match t.probe_thread with
-  | None -> ()
-  | Some th ->
-    t.probe_thread <- None;
-    Thread.join th
+let close _ = ()
 
 let endpoints t = Array.to_list (Array.map (fun s -> s.sh_endpoint) t.shards)
 
@@ -153,24 +86,23 @@ let rank t key =
 
 let home t key = List.hd (rank t key)
 
-(* health transitions under the router mutex; the booking is advisory
-   (a stale read costs one extra failed attempt, not correctness) *)
-let mark_failed t i =
-  let s = t.shards.(i) in
+let locked t f =
   Mutex.lock t.mutex;
-  s.sh_failed <- s.sh_failed + 1;
-  let was_healthy = s.sh_healthy in
-  s.sh_healthy <- false;
-  s.sh_down_until <- Unix.gettimeofday () +. t.cooldown_s;
-  Mutex.unlock t.mutex;
-  if was_healthy then Metrics.incr (t.prefix ^ "/unhealthy")
-
-let mark_ok t i =
-  let s = t.shards.(i) in
-  Mutex.lock t.mutex;
-  s.sh_healthy <- true;
-  s.sh_served <- s.sh_served + 1;
+  f ();
   Mutex.unlock t.mutex
+
+(* every conversation's outcome reaches the shard's breaker; an
+   application-level error line is a successful conversation — the
+   breaker only cares whether the shard answers, not whether it liked
+   the request *)
+let record t i ~ok =
+  let s = t.shards.(i) in
+  let tripped = Breaker.record s.sh_breaker ~now:(Unix.gettimeofday ()) ~ok in
+  locked t (fun () ->
+      if ok then s.sh_served <- s.sh_served + 1
+      else s.sh_failed <- s.sh_failed + 1;
+      if tripped then t.rt_breaker_trips <- t.rt_breaker_trips + 1);
+  if tripped then Metrics.incr (t.prefix ^ "/breaker_open")
 
 (* admission: returns false when the shard is at max_inflight *)
 let try_acquire t i =
@@ -183,137 +115,107 @@ let try_acquire t i =
 
 let release t i =
   let s = t.shards.(i) in
-  Mutex.lock t.mutex;
-  s.sh_inflight <- s.sh_inflight - 1;
-  Mutex.unlock t.mutex
+  locked t (fun () -> s.sh_inflight <- s.sh_inflight - 1)
 
-let skip_unhealthy t i ~now =
-  let s = t.shards.(i) in
-  (not s.sh_healthy) && now < s.sh_down_until
+(* allow is only invoked up to the candidate actually returned, so a
+   consumed half-open trial slot is always used or given back *)
+let next_allowed t order ~tried =
+  let now = Unix.gettimeofday () in
+  List.find_opt
+    (fun i -> (not tried.(i)) && Breaker.allow t.shards.(i).sh_breaker ~now)
+    order
 
-let call_shard t i request =
-  let s = t.shards.(i) in
-  match
-    Server.call ~retries:t.retries ~backoff_ms:t.backoff_ms
-      ~endpoint:s.sh_endpoint [ request ]
-  with
-  | [ response ] -> Ok response
-  | _ -> Error "protocol error: response count mismatch"
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | exception Failure msg -> Error msg
+let abort t i = Breaker.abort t.shards.(i).sh_breaker
 
 type call_outcome =
   | Answered of string
   | Saturated
   | Call_failed of string
 
-(* one shard, one attempt: the building block the proxy's breaker /
-   retry-budget / hedging loop is written against.  No internal
-   retries — the caller decides whether another attempt is worth a
-   budget token — but admission and passive health marks still apply,
-   so call_one and route agree about shard state. *)
 let call_one ?timeout_s t i request =
   if i < 0 || i >= Array.length t.shards then
     invalid_arg "Router.call_one: shard index out of range";
-  if not (try_acquire t i) then Saturated
-  else begin
+  if not (try_acquire t i) then begin
+    (* nothing reached the wire: give back a half-open trial slot
+       rather than charging the shard for our own inflight cap *)
+    abort t i;
+    Saturated
+  end
+  else
     let result =
-      Fun.protect ~finally:(fun () -> release t i) @@ fun () ->
       match
-        Server.call ~retries:0 ?timeout_s ~endpoint:t.shards.(i).sh_endpoint
-          [ request ]
+        Fun.protect ~finally:(fun () -> release t i) @@ fun () ->
+        Server.call ~retries:t.retries ~backoff_ms:t.backoff_ms ?timeout_s
+          ~endpoint:t.shards.(i).sh_endpoint [ request ]
       with
       | [ response ] -> Ok response
       | _ -> Error "protocol error: response count mismatch"
       | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
       | exception Failure msg -> Error msg
     in
-    match result with
-    | Ok response ->
-      mark_ok t i;
-      Answered response
-    | Error e ->
-      mark_failed t i;
-      Call_failed e
-  end
+    record t i ~ok:(Result.is_ok result);
+    match result with Ok response -> Answered response | Error e -> Call_failed e
 
 let shard_count t = Array.length t.shards
+
+let all_open_error = "no shard available (all circuit breakers open)"
 
 let route t ~key request =
   let t0 = Unix.gettimeofday () in
   Metrics.incr (t.prefix ^ "/requests");
-  Mutex.lock t.mutex;
-  t.rt_requests <- t.rt_requests + 1;
-  Mutex.unlock t.mutex;
+  locked t (fun () -> t.rt_requests <- t.rt_requests + 1);
   let order = rank t key in
-  let home_shard = List.hd order in
-  (* pass 1 honours health marks; pass 2 (only reached when every
-     shard was skipped or failed) ignores them — half-open *)
-  let rec attempt ~respect_health ~last_error = function
-    | [] ->
-      if respect_health then
-        attempt ~respect_health:false ~last_error order
-      else begin
-        Metrics.incr (t.prefix ^ "/failed");
-        Error
-          (match last_error with
-          | Some e -> e
-          | None -> "no shard available (all saturated or down)")
-      end
-    | i :: rest -> (
-      let deadline = Deadline.current () in
-      if Deadline.expired deadline || Deadline.cancelled deadline then begin
-        Metrics.incr (t.prefix ^ "/failed");
-        Error (Deadline.error_message deadline)
-      end
-      else if respect_health && skip_unhealthy t i ~now:(Unix.gettimeofday ())
-      then attempt ~respect_health ~last_error rest
-      else if not (try_acquire t i) then
-        (* saturated: shed to the next shard, never queue *)
-        attempt ~respect_health ~last_error rest
-      else begin
-        let result =
-          Fun.protect ~finally:(fun () -> release t i) @@ fun () ->
-          call_shard t i request
-        in
-        match result with
-        | Ok response ->
-          mark_ok t i;
-          if i <> home_shard then begin
-            Mutex.lock t.mutex;
-            t.rt_rerouted <- t.rt_rerouted + 1;
-            Mutex.unlock t.mutex;
+  let tried = Array.make (Array.length t.shards) false in
+  let fail e =
+    Metrics.incr (t.prefix ^ "/failed");
+    Error e
+  in
+  let rec attempt last_error =
+    let deadline = Deadline.current () in
+    if Deadline.expired deadline || Deadline.cancelled deadline then
+      fail (Deadline.error_message deadline)
+    else
+      match next_allowed t order ~tried with
+      | None -> fail (Option.value last_error ~default:all_open_error)
+      | Some i -> (
+        tried.(i) <- true;
+        match call_one t i request with
+        | Answered response ->
+          if i <> List.hd order then begin
+            locked t (fun () -> t.rt_rerouted <- t.rt_rerouted + 1);
             Metrics.incr (t.prefix ^ "/rerouted")
           end;
           Metrics.observe_ms (t.prefix ^ "/request_ms")
             ((Unix.gettimeofday () -. t0) *. 1000.);
           Ok response
-        | Error e ->
-          mark_failed t i;
-          Mutex.lock t.mutex;
-          t.rt_failovers <- t.rt_failovers + 1;
-          Mutex.unlock t.mutex;
+        | Saturated ->
+          (* shed to the next shard, never queue *)
+          attempt
+            (Some
+               (Option.value last_error
+                  ~default:"no shard available (saturated or breaker open)"))
+        | Call_failed e ->
+          locked t (fun () -> t.rt_failovers <- t.rt_failovers + 1);
           Metrics.incr (t.prefix ^ "/failovers");
-          attempt ~respect_health ~last_error:(Some e) rest
-      end)
+          attempt (Some e))
   in
-  attempt ~respect_health:true ~last_error:None order
+  attempt None
 
 let broadcast t request =
-  Array.to_list t.shards
-  |> List.mapi (fun i s ->
-         let result =
-           if try_acquire t i then
-             Fun.protect ~finally:(fun () -> release t i) @@ fun () ->
-             call_shard t i request
-           else Error "shard saturated"
-         in
-         (match result with Ok _ -> mark_ok t i | Error _ -> mark_failed t i);
-         (s.sh_endpoint, result))
+  Array.to_list
+    (Array.mapi
+       (fun i s ->
+         ( s.sh_endpoint,
+           match call_one t i request with
+           | Answered response -> Ok response
+           | Saturated -> Error "shard saturated"
+           | Call_failed e -> Error e ))
+       t.shards)
 
 type shard_stats = {
   endpoint : string;
   healthy : bool;
+  breaker : Breaker.state;
   inflight : int;
   served : int;
   failed : int;
@@ -323,18 +225,22 @@ type router_stats = {
   requests : int;
   rerouted : int;
   failovers : int;
+  breaker_trips : int;
   shards : shard_stats list;
 }
 
-let stats t =
+let stats (t : t) =
+  let now = Unix.gettimeofday () in
+  let states = Array.map (fun s -> Breaker.state s.sh_breaker ~now) t.shards in
   Mutex.lock t.mutex;
   let shards =
     Array.to_list
-      (Array.map
-         (fun s ->
+      (Array.mapi
+         (fun i s ->
            {
              endpoint = s.sh_name;
-             healthy = s.sh_healthy;
+             healthy = states.(i) = Breaker.Closed;
+             breaker = states.(i);
              inflight = s.sh_inflight;
              served = s.sh_served;
              failed = s.sh_failed;
@@ -346,6 +252,7 @@ let stats t =
       requests = t.rt_requests;
       rerouted = t.rt_rerouted;
       failovers = t.rt_failovers;
+      breaker_trips = t.rt_breaker_trips;
       shards;
     }
   in

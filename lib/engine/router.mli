@@ -13,18 +13,17 @@
     down or saturated the request {e reroutes} down the preference
     order and the answer is the same bytes, just a colder cache.
 
-    {b Health.}  Tracking is passive by default: a shard whose
-    connection fails (after {!Server.call}'s own jittered retries) is
-    marked unhealthy and skipped for [cooldown_s]; after the cooldown
-    the next request tries it again (half-open) and a success restores
-    it.  When every shard is unhealthy the router ignores health
-    rather than failing outright — replicas that just restarted answer
-    again.  [probe_ms] adds an {e active} probe on top: a background
-    thread pings the currently-unhealthy shards with a [stats] request
-    every [probe_ms] milliseconds (no retries), so a recovered replica
-    rejoins the rotation without waiting for live traffic to risk a
-    half-open attempt on it.  The probe only ever {e restores} health;
-    failed probes never deepen a penalty (routing owns demotion).
+    {b Health.}  Each shard has one {!Breaker}, the only health state
+    the router keeps.  Every call outcome is recorded into it (after
+    {!Server.call}'s own jittered retries): [breaker_failures] failures
+    among the last [breaker_window] outcomes trip it open, and an open
+    shard is skipped without a connection attempt.  After
+    [breaker_cooldown_ms] one trial request is let through
+    (half-open); its outcome closes or re-opens the breaker.  When
+    every candidate's breaker is open, {!route} fails at once with
+    {!all_open_error} rather than dialing a shard known to be down.
+    {!route}, {!broadcast} and {!call_one} all read and feed the same
+    breakers, so every caller sees one state per shard.
 
     {b Admission.}  [max_inflight] bounds this client's concurrent
     requests {e per shard}; a saturated home shard reroutes instead of
@@ -36,9 +35,8 @@
     Counters under [<prefix>] (default ["router"]): [requests],
     [rerouted] (answered by a shard other than the key's home),
     [failovers] (attempts that moved on after a failure), [failed]
-    (requests with no shard left to try), [unhealthy] (health-mark
-    transitions), [probes] (active probes sent) and [probe_recoveries]
-    (shards restored by a probe), plus the [request_ms] latency
+    (requests with no shard left to try) and [breaker_open] (breaker
+    trips into the open state), plus the [request_ms] latency
     histogram. *)
 
 type t
@@ -48,25 +46,24 @@ val create :
   ?retries:int ->
   ?backoff_ms:float ->
   ?max_inflight:int ->
-  ?cooldown_s:float ->
-  ?probe_ms:float ->
+  ?breaker_window:int ->
+  ?breaker_failures:int ->
+  ?breaker_cooldown_ms:float ->
   Server.endpoint list ->
   t
 (** [create endpoints] builds a router over the replica list.
     [retries] (default 2) and [backoff_ms] (default 50) are passed to
     {!Server.call} per attempt; [max_inflight] (default 64) is the
-    per-shard concurrent-request bound; [cooldown_s] (default 1.0) is
-    how long a failed shard is skipped before a half-open retry.
-    [probe_ms] starts the active health-probe thread (off by default);
-    call {!close} to stop it.
-    @raise Invalid_argument on an empty endpoint list or a
-    non-positive or non-finite [probe_ms]. *)
+    per-shard concurrent-request bound; the [breaker_*] settings are
+    each shard's {!Breaker.create} [window], [failures] and
+    [cooldown_ms].
+    @raise Invalid_argument on an empty endpoint list or breaker
+    settings {!Breaker.create} rejects. *)
 
 val close : t -> unit
-(** Stop the active probe thread (if [probe_ms] was given) and join
-    it.  Idempotent; a router without a probe thread closes as a
-    no-op.  The router itself holds no other resources — connections
-    are per-call. *)
+(** Does nothing.  The router holds no resources — connections are
+    per-call and it starts no thread; [close] stays only for source
+    compatibility. *)
 
 val endpoints : t -> Server.endpoint list
 (** The replica list, in the order given to {!create} — shard [i] of
@@ -84,9 +81,26 @@ val rank : t -> string -> int list
 val route : t -> key:string -> string -> (string, string) result
 (** [route t ~key request] sends the request line to the key's home
     shard, failing over down {!rank} on connection failure or
-    saturation, and returns the response line.  [Error] carries a
-    human-readable reason ([deadline_exceeded], all-shards-saturated,
-    or the last connection error). *)
+    saturation and skipping shards whose breaker is open, and returns
+    the response line.  [Error] carries a human-readable reason
+    ([deadline_exceeded], {!all_open_error}, saturation, or the last
+    connection error). *)
+
+val all_open_error : string
+(** ["no shard available (all circuit breakers open)"]: the error
+    {!route} returns, without dialing, when no candidate's breaker
+    allows a call. *)
+
+val next_allowed : t -> int list -> tried:bool array -> int option
+(** [next_allowed t order ~tried] is the first shard of [order] not
+    marked in [tried] whose breaker allows a call now — the candidate
+    picker {!route} and the proxy share.  Picking a half-open shard
+    takes its one trial slot: follow with {!call_one}, or give the
+    slot back with {!abort}. *)
+
+val abort : t -> int -> unit
+(** Give back the half-open trial slot {!next_allowed} took for shard
+    [i] when no call follows ({!Breaker.abort}). *)
 
 type call_outcome =
   | Answered of string  (** the shard replied with this line *)
@@ -95,12 +109,14 @@ type call_outcome =
 
 val call_one : ?timeout_s:float -> t -> int -> string -> call_outcome
 (** [call_one t i request] sends one request to shard [i] and nothing
-    else: no failover, no internal retries ([Server.call] is invoked
-    with [retries:0]).  Admission ([max_inflight]) and passive health
-    marks still apply, so [call_one] and {!route} agree about shard
-    state.  This is the building block for callers that own their own
-    retry policy — the proxy tier's circuit breakers, retry budget and
-    hedging are written against it.  [timeout_s] bounds the socket
+    else: no failover; [Server.call] runs with the router's [retries].
+    Admission ([max_inflight]) applies, and the outcome is recorded
+    into the shard's breaker; [Saturated] gives back a half-open trial
+    slot and is never charged as a failure.  It does not consult the
+    breaker — pick the shard with {!next_allowed}.  This is the
+    building block for callers that own their own retry policy — the
+    proxy tier's retry budget and hedging are written against it, on
+    a router created with [~retries:0].  [timeout_s] bounds the socket
     conversation (see {!Server.call}).
     @raise Invalid_argument if [i] is out of range. *)
 
@@ -108,13 +124,15 @@ val shard_count : t -> int
 (** Number of shards (the length of {!endpoints}). *)
 
 val broadcast : t -> string -> (Server.endpoint * (string, string) result) list
-(** [broadcast t request] sends the request to {e every} shard
-    (health ignored) and pairs each endpoint with its outcome — for
-    [stats] aggregation and fleet-wide [shutdown]. *)
+(** [broadcast t request] sends the request to {e every} shard through
+    {!call_one} (breakers not consulted, outcomes recorded) and pairs
+    each endpoint with its outcome — for [stats] aggregation and
+    fleet-wide [shutdown]. *)
 
 type shard_stats = {
   endpoint : string;  (** {!Server.endpoint_to_string} form *)
-  healthy : bool;
+  healthy : bool;  (** the breaker is [Closed] *)
+  breaker : Breaker.state;
   inflight : int;
   served : int;  (** requests this shard answered *)
   failed : int;  (** attempts this shard failed *)
@@ -124,6 +142,7 @@ type router_stats = {
   requests : int;
   rerouted : int;  (** served by a shard other than the key's home *)
   failovers : int;
+  breaker_trips : int;  (** breaker transitions into [Open] *)
   shards : shard_stats list;
 }
 

@@ -2,8 +2,8 @@
    tests), retry-budget arithmetic, the degraded-marker algebra, and
    [Proxy.forward] over live in-process TCP shards — fresh and hedged
    byte-identity, budget-exhaustion shedding, degraded stale-serving,
-   breaker trip/recovery independent of the router's cooldown, and a
-   failpoint-stretched chaos drill that kills the busiest shard
+   breaker trip/recovery, one breaker state shared with Router.route,
+   and a failpoint-stretched chaos drill that kills the busiest shard
    mid-load and demands zero client-visible failures. *)
 
 open Tsg_engine
@@ -19,73 +19,73 @@ let state_tt =
     (fun ppf s ->
       Fmt.string ppf
         (match s with
-        | Proxy.Breaker.Closed -> "closed"
-        | Proxy.Breaker.Open -> "open"
-        | Proxy.Breaker.Half_open -> "half_open"))
+        | Breaker.Closed -> "closed"
+        | Breaker.Open -> "open"
+        | Breaker.Half_open -> "half_open"))
     ( = )
 
 let test_breaker_closed_to_open_to_closed () =
-  let b = Proxy.Breaker.create ~window:4 ~failures:2 ~cooldown_ms:1000. () in
-  Alcotest.(check state_tt) "starts closed" Proxy.Breaker.Closed
-    (Proxy.Breaker.state b ~now:0.);
-  Alcotest.(check bool) "closed admits" true (Proxy.Breaker.allow b ~now:0.);
+  let b = Breaker.create ~window:4 ~failures:2 ~cooldown_ms:1000. () in
+  Alcotest.(check state_tt) "starts closed" Breaker.Closed
+    (Breaker.state b ~now:0.);
+  Alcotest.(check bool) "closed admits" true (Breaker.allow b ~now:0.);
   Alcotest.(check bool) "one failure does not trip" false
-    (Proxy.Breaker.record b ~now:0. ~ok:false);
-  Alcotest.(check state_tt) "still closed" Proxy.Breaker.Closed
-    (Proxy.Breaker.state b ~now:0.);
+    (Breaker.record b ~now:0. ~ok:false);
+  Alcotest.(check state_tt) "still closed" Breaker.Closed
+    (Breaker.state b ~now:0.);
   Alcotest.(check bool) "second failure trips" true
-    (Proxy.Breaker.record b ~now:0. ~ok:false);
-  Alcotest.(check state_tt) "open" Proxy.Breaker.Open
-    (Proxy.Breaker.state b ~now:0.5);
-  Alcotest.(check bool) "open refuses" false (Proxy.Breaker.allow b ~now:0.5);
+    (Breaker.record b ~now:0. ~ok:false);
+  Alcotest.(check state_tt) "open" Breaker.Open
+    (Breaker.state b ~now:0.5);
+  Alcotest.(check bool) "open refuses" false (Breaker.allow b ~now:0.5);
   (* a late reply from before the trip neither closes nor re-trips *)
   Alcotest.(check bool) "late outcome ignored while open" false
-    (Proxy.Breaker.record b ~now:0.5 ~ok:true);
-  Alcotest.(check state_tt) "still open after a late reply" Proxy.Breaker.Open
-    (Proxy.Breaker.state b ~now:0.5);
+    (Breaker.record b ~now:0.5 ~ok:true);
+  Alcotest.(check state_tt) "still open after a late reply" Breaker.Open
+    (Breaker.state b ~now:0.5);
   (* cooldown elapses: half-open, exactly one trial *)
-  Alcotest.(check state_tt) "half-open after the cooldown" Proxy.Breaker.Half_open
-    (Proxy.Breaker.state b ~now:1.0);
+  Alcotest.(check state_tt) "half-open after the cooldown" Breaker.Half_open
+    (Breaker.state b ~now:1.0);
   Alcotest.(check bool) "the trial is admitted" true
-    (Proxy.Breaker.allow b ~now:1.0);
+    (Breaker.allow b ~now:1.0);
   Alcotest.(check bool) "only one trial at a time" false
-    (Proxy.Breaker.allow b ~now:1.0);
+    (Breaker.allow b ~now:1.0);
   Alcotest.(check bool) "a successful trial is not a trip" false
-    (Proxy.Breaker.record b ~now:1.0 ~ok:true);
-  Alcotest.(check state_tt) "closed again" Proxy.Breaker.Closed
-    (Proxy.Breaker.state b ~now:1.0);
+    (Breaker.record b ~now:1.0 ~ok:true);
+  Alcotest.(check state_tt) "closed again" Breaker.Closed
+    (Breaker.state b ~now:1.0);
   (* closing cleared the window: one failure is one failure again *)
   Alcotest.(check bool) "window was reset on close" false
-    (Proxy.Breaker.record b ~now:1.0 ~ok:false);
+    (Breaker.record b ~now:1.0 ~ok:false);
   Alcotest.(check state_tt) "one post-recovery failure stays closed"
-    Proxy.Breaker.Closed
-    (Proxy.Breaker.state b ~now:1.0)
+    Breaker.Closed
+    (Breaker.state b ~now:1.0)
 
 let test_breaker_failed_trial_reopens () =
-  let b = Proxy.Breaker.create ~window:4 ~failures:2 ~cooldown_ms:1000. () in
-  ignore (Proxy.Breaker.record b ~now:0. ~ok:false);
-  ignore (Proxy.Breaker.record b ~now:0. ~ok:false);
+  let b = Breaker.create ~window:4 ~failures:2 ~cooldown_ms:1000. () in
+  ignore (Breaker.record b ~now:0. ~ok:false);
+  ignore (Breaker.record b ~now:0. ~ok:false);
   Alcotest.(check bool) "trial admitted at t=1" true
-    (Proxy.Breaker.allow b ~now:1.0);
+    (Breaker.allow b ~now:1.0);
   Alcotest.(check bool) "the failed trial counts as a trip" true
-    (Proxy.Breaker.record b ~now:1.0 ~ok:false);
-  Alcotest.(check state_tt) "re-opened" Proxy.Breaker.Open
-    (Proxy.Breaker.state b ~now:1.5);
-  Alcotest.(check state_tt) "a full new cooldown applies" Proxy.Breaker.Half_open
-    (Proxy.Breaker.state b ~now:2.0)
+    (Breaker.record b ~now:1.0 ~ok:false);
+  Alcotest.(check state_tt) "re-opened" Breaker.Open
+    (Breaker.state b ~now:1.5);
+  Alcotest.(check state_tt) "a full new cooldown applies" Breaker.Half_open
+    (Breaker.state b ~now:2.0)
 
 let test_breaker_abort_returns_the_trial_slot () =
-  let b = Proxy.Breaker.create ~window:4 ~failures:1 ~cooldown_ms:100. () in
-  ignore (Proxy.Breaker.record b ~now:0. ~ok:false);
-  Alcotest.(check bool) "trial taken" true (Proxy.Breaker.allow b ~now:0.2);
-  Alcotest.(check bool) "slot busy" false (Proxy.Breaker.allow b ~now:0.2);
+  let b = Breaker.create ~window:4 ~failures:1 ~cooldown_ms:100. () in
+  ignore (Breaker.record b ~now:0. ~ok:false);
+  Alcotest.(check bool) "trial taken" true (Breaker.allow b ~now:0.2);
+  Alcotest.(check bool) "slot busy" false (Breaker.allow b ~now:0.2);
   (* the would-be trial never reached the wire (shard saturated
      locally): the slot goes back, the breaker state is untouched *)
-  Proxy.Breaker.abort b;
-  Alcotest.(check state_tt) "still half-open after abort" Proxy.Breaker.Half_open
-    (Proxy.Breaker.state b ~now:0.2);
+  Breaker.abort b;
+  Alcotest.(check state_tt) "still half-open after abort" Breaker.Half_open
+    (Breaker.state b ~now:0.2);
   Alcotest.(check bool) "slot available again" true
-    (Proxy.Breaker.allow b ~now:0.2)
+    (Breaker.allow b ~now:0.2)
 
 (* ------------------------------------------------------------------ *)
 (* Retry budget                                                        *)
@@ -167,9 +167,7 @@ let with_shards ?delay_s n f =
   let shards = List.init n (fun _ -> start_shard ?delay_s ()) in
   Fun.protect ~finally:(fun () -> List.iter stop_shard shards) (fun () -> f shards)
 
-let with_router eps f =
-  let router = Router.create ~retries:0 eps in
-  Fun.protect ~finally:(fun () -> Router.close router) (fun () -> f router)
+let with_router eps f = f (Router.create ~retries:0 eps)
 
 let fresh_or_fail = function
   | Proxy.Fresh r -> r
@@ -291,16 +289,11 @@ let test_breaker_trips_and_recovers_through_forward () =
     | _ -> Alcotest.fail "expected a TCP endpoint"
   in
   List.iter stop_shard shards;
-  (* cooldown_s 60: within this test the router's own passive health
-     cooldown never re-admits the shard — any recovery below is the
-     breaker's half-open trial, proving the two mechanisms are
-     independent *)
-  let router = Router.create ~retries:0 ~cooldown_s:60. eps in
-  Fun.protect ~finally:(fun () -> Router.close router) @@ fun () ->
-  let p =
-    Proxy.create ~hedging:Proxy.Off ~breaker_window:4 ~breaker_failures:2
-      ~breaker_cooldown_ms:100. router
+  let router =
+    Router.create ~retries:0 ~breaker_window:4 ~breaker_failures:2
+      ~breaker_cooldown_ms:100. eps
   in
+  let p = Proxy.create ~hedging:Proxy.Off router in
   let req = analyze_req (bench "fig1.g") in
   let forward () = Proxy.forward p ~key:"k" ~idempotent:true req in
   (match forward () with Proxy.Failed _ -> () | _ -> Alcotest.fail "dead shard");
@@ -315,8 +308,7 @@ let test_breaker_trips_and_recovers_through_forward () =
       (String.length msg > 0 && String.sub msg 0 8 = "no shard")
   | _ -> Alcotest.fail "an open breaker cannot serve");
   (* the shard comes back on its port; after the cooldown the breaker
-     admits one trial and a success closes it — even though the
-     router still considers the shard unhealthy *)
+     admits one trial and a success closes it *)
   let revived = start_shard ~port () in
   Fun.protect ~finally:(fun () -> stop_shard revived) @@ fun () ->
   Thread.delay 0.15;
@@ -325,6 +317,40 @@ let test_breaker_trips_and_recovers_through_forward () =
   | _ -> Alcotest.fail "the half-open trial should have succeeded");
   Alcotest.(check (list string)) "breaker closed after the trial" [ "closed" ]
     (Proxy.stats p).Proxy.breakers
+
+let test_one_breaker_state_for_forward_and_route () =
+  (* trip the single shard's breaker through the proxy; Router.route
+     on the same router must then refuse without dialing *)
+  with_shards 1 @@ fun shards ->
+  let eps = List.map snd shards in
+  List.iter stop_shard shards;
+  let router =
+    Router.create ~retries:0 ~breaker_window:4 ~breaker_failures:2
+      ~breaker_cooldown_ms:60_000. eps
+  in
+  let p = Proxy.create ~hedging:Proxy.Off router in
+  let req = analyze_req (bench "fig1.g") in
+  for _ = 1 to 2 do
+    match Proxy.forward p ~key:"k" ~idempotent:true req with
+    | Proxy.Failed _ -> ()
+    | _ -> Alcotest.fail "dead shard"
+  done;
+  Alcotest.(check (list string)) "forward tripped the breaker" [ "open" ]
+    (Proxy.stats p).Proxy.breakers;
+  let before = Router.stats router in
+  (match Router.route router ~key:"k" req with
+  | Ok _ -> Alcotest.fail "an open breaker cannot serve"
+  | Error e ->
+    Alcotest.(check string) "route sees the same open breaker"
+      Router.all_open_error e);
+  let after = Router.stats router in
+  Alcotest.(check int) "nothing was dialed" before.Router.failovers
+    after.Router.failovers;
+  Alcotest.(check int) "no failure was recorded"
+    (List.hd before.Router.shards).Router.failed
+    (List.hd after.Router.shards).Router.failed;
+  Alcotest.(check bool) "the shard reads unhealthy" false
+    (List.hd after.Router.shards).Router.healthy
 
 let test_chaos_kill_busiest_shard_under_load () =
   (* the in-test chaos drill: mixed load through the proxy, the
@@ -420,6 +446,8 @@ let suite =
       test_degraded_stale_serving;
     Alcotest.test_case "breaker trips and recovers through forward" `Quick
       test_breaker_trips_and_recovers_through_forward;
+    Alcotest.test_case "forward and route share one breaker state" `Quick
+      test_one_breaker_state_for_forward_and_route;
     Alcotest.test_case "chaos: busiest shard dies under load" `Quick
       test_chaos_kill_busiest_shard_under_load;
   ]

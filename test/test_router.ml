@@ -1,6 +1,8 @@
 (* The client-side shard router: rendezvous determinism, routing over
    a live TCP fleet (reusing test_server's handler), failover when a
-   replica dies mid-run, admission shedding and deadline refusal. *)
+   replica dies mid-run and its breaker tripping, a restarted replica
+   rejoining through the half-open trial, admission shedding that
+   never charges a breaker, and deadline refusal. *)
 
 open Tsg_engine
 
@@ -122,7 +124,11 @@ let test_route_over_live_fleet () =
 let test_failover_when_replica_dies () =
   with_fleet 3 @@ fun servers ->
   let eps = List.map snd servers in
-  let r = Router.create ~retries:1 ~backoff_ms:10. eps in
+  (* default window and threshold; a long cooldown so a slow host
+     cannot reach the half-open trial mid-test *)
+  let r =
+    Router.create ~retries:1 ~backoff_ms:10. ~breaker_cooldown_ms:60_000. eps
+  in
   let req = analyze_req (bench "ring5.g") in
   let key = "ring5-digest" in
   let before = route_ok r ~key req in
@@ -137,14 +143,29 @@ let test_failover_when_replica_dies () =
   Alcotest.(check bool) "the dead replica cost a failover" true (s.Router.failovers >= 1);
   Alcotest.(check bool) "the request was rerouted off its home" true
     (s.Router.rerouted >= 1);
-  let dead = List.nth s.Router.shards home in
-  Alcotest.(check bool) "dead shard marked unhealthy" false dead.Router.healthy;
-  (* with the home marked down, the next request skips it outright:
+  (* keep routing until the dead home's breaker trips (the default is
+     5 failures in a window of 16); every request still answers *)
+  let rec drive n =
+    let s = Router.stats r in
+    if (List.nth s.Router.shards home).Router.breaker = Breaker.Open then s
+    else if n = 0 then Alcotest.fail "the dead shard's breaker never tripped"
+    else begin
+      Alcotest.(check string) "failover keeps answering" before
+        (route_ok r ~key req);
+      drive (n - 1)
+    end
+  in
+  let s = drive 16 in
+  Alcotest.(check int) "five failures tripped the breaker once" 1
+    s.Router.breaker_trips;
+  Alcotest.(check bool) "dead shard reads unhealthy" false
+    (List.nth s.Router.shards home).Router.healthy;
+  (* with the breaker open, the next request skips the home outright:
      no new failover, one more reroute *)
   let failovers_before = s.Router.failovers in
   Alcotest.(check string) "routing keeps working" before (route_ok r ~key req);
   let s = Router.stats r in
-  Alcotest.(check int) "cooldown skips the dead shard without a failover"
+  Alcotest.(check int) "the open breaker skips the dead shard without a failover"
     failovers_before s.Router.failovers
 
 let test_broadcast () =
@@ -166,6 +187,24 @@ let test_broadcast () =
   in
   Alcotest.(check int) "dead replica reported per-shard, not fatally" 1 ok_count
 
+let test_broadcast_saturation_charges_no_breaker () =
+  (* the router's own admission cap refuses every leg before any
+     connection attempt; no shard may be charged for it *)
+  with_fleet 2 @@ fun servers ->
+  let r = Router.create ~max_inflight:0 (List.map snd servers) in
+  List.iter
+    (fun (_, result) ->
+      Alcotest.(check (result string string)) "saturation error"
+        (Error "shard saturated") result)
+    (Router.broadcast r {|{"op":"stats"}|});
+  List.iter
+    (fun sh ->
+      Alcotest.(check bool) "shard still healthy" true sh.Router.healthy;
+      Alcotest.(check bool) "breaker still closed" true
+        (sh.Router.breaker = Breaker.Closed);
+      Alcotest.(check int) "no failure charged" 0 sh.Router.failed)
+    (Router.stats r).Router.shards
+
 let test_saturated_fleet_sheds () =
   with_fleet 1 @@ fun servers ->
   let eps = List.map snd servers in
@@ -181,33 +220,31 @@ let test_saturated_fleet_sheds () =
     Alcotest.(check bool) "the error names the condition" true
       (has_sub "no shard available")
 
-let test_probe_restores_restarted_replica () =
+let test_restarted_replica_rejoins_after_half_open_trial () =
   with_fleet 2 @@ fun servers ->
   let eps = List.map snd servers in
-  (* cooldown of a minute: within this test, only the active probe can
-     restore a shard — routing's half-open retry never gets a chance *)
+  (* one failure trips a breaker; 100 ms later it admits a trial *)
   let r =
-    Router.create ~retries:0 ~backoff_ms:5. ~cooldown_s:60. ~probe_ms:40. eps
+    Router.create ~retries:0 ~backoff_ms:5. ~breaker_window:4
+      ~breaker_failures:1 ~breaker_cooldown_ms:100. eps
   in
-  Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
   let req = analyze_req (bench "fig1.g") in
-  let key = "probe-digest" in
+  let key = "rejoin-digest" in
   ignore (route_ok r ~key req);
   let home = Router.home r key in
   stop_server (List.nth servers home);
-  (* the next request fails over and marks the home shard down *)
+  (* the next request fails over and trips the home's breaker *)
   ignore (route_ok r ~key req);
   let s = Router.stats r in
-  Alcotest.(check bool) "home marked unhealthy" false
+  Alcotest.(check bool) "home reads unhealthy" false
     (List.nth s.Router.shards home).Router.healthy;
-  let requests_before = s.Router.requests in
   (* resurrect a replica on the same port *)
   let port =
     match List.nth eps home with
     | Server.Tcp { port; _ } -> port
     | _ -> Alcotest.fail "expected a TCP endpoint"
   in
-  let cache = Cache.create ~metrics_prefix:"test-router-probe" ~capacity:8 () in
+  let cache = Cache.create ~metrics_prefix:"test-router-rejoin" ~capacity:8 () in
   let bound = ref None in
   let thread =
     Thread.create
@@ -227,29 +264,21 @@ let test_probe_restores_restarted_replica () =
   | Some _ -> ());
   Fun.protect ~finally:(fun () -> stop_server (thread, List.nth eps home))
   @@ fun () ->
-  (* no routing traffic from here on: recovery must come from the
-     probe alone *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec wait () =
-    let s = Router.stats r in
-    if (List.nth s.Router.shards home).Router.healthy then s
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.fail "probe never restored the restarted shard"
-    else begin
-      Thread.delay 0.02;
-      wait ()
-    end
-  in
-  let s = wait () in
-  Alcotest.(check int) "no routed request was needed" requests_before
-    s.Router.requests;
-  (* and routing to the home works again without a failover *)
-  let failovers_before = s.Router.failovers in
+  (* past the cooldown the next request is the half-open trial: it
+     goes to the home, succeeds, and closes the breaker *)
+  Thread.delay 0.15;
+  let s = Router.stats r in
+  let failovers_before = s.Router.failovers
+  and rerouted_before = s.Router.rerouted in
   Alcotest.(check string) "restored shard serves" "ok"
     (status (parse_response (route_ok r ~key req)));
   let s = Router.stats r in
   Alcotest.(check int) "no failover after recovery" failovers_before
-    s.Router.failovers
+    s.Router.failovers;
+  Alcotest.(check int) "answered by the home shard" rerouted_before
+    s.Router.rerouted;
+  Alcotest.(check bool) "home reads healthy again" true
+    (List.nth s.Router.shards home).Router.healthy
 
 let test_expired_deadline_refused_before_dialing () =
   let r = Router.create fake_endpoints in
@@ -272,10 +301,12 @@ let suite =
     Alcotest.test_case "failover when a replica dies" `Quick
       test_failover_when_replica_dies;
     Alcotest.test_case "broadcast reaches every replica" `Quick test_broadcast;
+    Alcotest.test_case "broadcast saturation charges no breaker" `Quick
+      test_broadcast_saturation_charges_no_breaker;
     Alcotest.test_case "saturated fleet sheds instead of queueing" `Quick
       test_saturated_fleet_sheds;
-    Alcotest.test_case "active probe restores a restarted replica" `Quick
-      test_probe_restores_restarted_replica;
+    Alcotest.test_case "restarted replica rejoins via half-open trial" `Quick
+      test_restarted_replica_rejoins_after_half_open_trial;
     Alcotest.test_case "expired deadline refused before dialing" `Quick
       test_expired_deadline_refused_before_dialing;
   ]
