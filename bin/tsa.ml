@@ -1869,9 +1869,17 @@ let run_proxy_load () =
     pl_identical = !identical;
   }
 
+(* the bench case that reads gen-10k from a file rather than
+   generating it *)
+let gen10k_file = "gen-10k-file"
+
 let bench_cmd =
   let files_arg =
-    let doc = "Models to benchmark (default: benchmarks/*.g, sorted)." in
+    let doc =
+      "Models to benchmark (default: benchmarks/*.g, sorted, then the built-ins \
+       $(b,gen-dense) and $(b,gen-10k), and $(b,gen-10k-file): gen-10k exported to \
+       a temporary .g and read back, so that its load phase measures parsing)."
+    in
     Arg.(value & pos_all string [] & info [] ~docv:"MODEL" ~doc)
   in
   let iterations_arg =
@@ -1919,10 +1927,11 @@ let bench_cmd =
         |> List.sort compare
         |> List.map (Filename.concat "benchmarks"))
         (* plus the built-in synthetic workloads: gen-dense is large
-           enough that the simulate phase dominates the pipeline, and
+           enough that the simulate phase dominates the pipeline,
            gen-10k is large enough that the jobs-scaling pass means
-           something *)
-        @ [ "gen-dense"; "gen-10k" ]
+           something, and gen-10k-file is gen-10k read back from its
+           export, so its load phase measures the parser *)
+        @ [ "gen-dense"; "gen-10k"; gen10k_file ]
       else if only <> None then []
       else begin
         Fmt.epr "tsa: no models given and no benchmarks/ directory here@.";
@@ -1936,9 +1945,20 @@ let bench_cmd =
       let r = f () in
       (r, (Unix.gettimeofday () -. t0) *. 1000.)
     in
+    (* gen-10k-file's text, exported once to a temporary .g *)
+    let exported =
+      lazy
+        (let path = Filename.temp_file "gen-10k" ".g" in
+         at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+         Tsg_io.Stg_format.write_file ~model:"gen-10k" path
+           (Option.get (builtin "gen-10k"));
+         path)
+    in
+    let source file = if file = gen10k_file then Lazy.force exported else file in
     let one_iter ~jobs file =
+      let path = source file in
       Tsg_engine.Metrics.reset ();
-      match wall (fun () -> load_model file) with
+      match wall (fun () -> load_model path) with
       | Error msg, _ -> Error (`Error msg)
       | Ok (name, g), bi_load -> (
         match wall (fun () -> Cycle_time.analyze ~jobs g) with
@@ -2326,6 +2346,7 @@ let bench_cmd =
           ("schema", J.String "tsa-bench/7");
           ("date", J.String date);
           ("iterations", J.Int iterations);
+          ("cores", J.Int cores);
           ("jobs_levels", J.List (List.map (fun j -> J.Int j) job_levels));
           ("benchmarks", J.List (List.map entry_json results));
           ("whatif_sweep", sweep_json);

@@ -8,13 +8,20 @@ type arc = {
   disengageable : bool;
 }
 
+module Event_table = Hashtbl.Make (struct
+  type t = Event.t
+
+  let equal = Event.equal
+  let hash = Event.hash
+end)
+
 type t = {
   events : Event.t array;
   classes : event_class array;
   arc_table : arc array;
   out_ids : int list array;
   in_ids : int list array;
-  index : (Event.t, int) Hashtbl.t;
+  index : int Event_table.t;
   repetitive : int list;
   initial : int list;
   signal_names : string list;
@@ -23,48 +30,81 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
 
+(* growable arrays, filled in declaration order: event ids are
+   positions in [b_events], arc ids positions in [b_arcs] *)
 type builder = {
-  mutable b_events : (Event.t * event_class) list; (* reversed *)
-  mutable b_arcs : arc list; (* reversed *)
-  b_index : (Event.t, int) Hashtbl.t;
-  b_class : (int, event_class) Hashtbl.t;
+  b_index : int Event_table.t;
+  mutable b_events : Event.t array;
+  mutable b_classes : event_class array;
   mutable b_count : int;
+  mutable b_arcs : arc array;
+  mutable b_arc_count : int;
 }
 
 let builder () =
   {
-    b_events = [];
-    b_arcs = [];
-    b_index = Hashtbl.create 64;
-    b_class = Hashtbl.create 64;
+    b_index = Event_table.create 64;
+    b_events = [||];
+    b_classes = [||];
     b_count = 0;
+    b_arcs = [||];
+    b_arc_count = 0;
   }
 
+(* [a] with room for index [n], doubled when full; [fill] pads *)
+let grow a n fill =
+  if n < Array.length a then a
+  else begin
+    let a' = Array.make (max 16 (2 * n)) fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  end
+
+let intern b ev cls =
+  match Event_table.find_opt b.b_index ev with
+  | Some i -> i
+  | None ->
+    let i = b.b_count in
+    Event_table.add b.b_index ev i;
+    b.b_events <- grow b.b_events i ev;
+    b.b_classes <- grow b.b_classes i cls;
+    b.b_events.(i) <- ev;
+    b.b_classes.(i) <- cls;
+    b.b_count <- i + 1;
+    i
+
 let add_event b ev cls =
-  if Hashtbl.mem b.b_index ev then
+  if Event_table.mem b.b_index ev then
     invalid_arg
       (Printf.sprintf "Signal_graph.add_event: duplicate event %s" (Event.to_string ev));
-  Hashtbl.add b.b_index ev b.b_count;
-  Hashtbl.add b.b_class b.b_count cls;
-  b.b_events <- (ev, cls) :: b.b_events;
-  b.b_count <- b.b_count + 1
+  ignore (intern b ev cls)
+
+let builder_class b i =
+  if i < 0 || i >= b.b_count then
+    invalid_arg (Printf.sprintf "Signal_graph.builder_class: id %d out of range" i);
+  b.b_classes.(i)
+
+let add_arc_id b ~marked ~disengageable ~delay src dst =
+  let src_cls = builder_class b src and dst_cls = builder_class b dst in
+  let disengageable =
+    disengageable || (src_cls <> Repetitive && dst_cls = Repetitive)
+  in
+  let a = { arc_src = src; arc_dst = dst; delay; marked; disengageable } in
+  b.b_arcs <- grow b.b_arcs b.b_arc_count a;
+  b.b_arcs.(b.b_arc_count) <- a;
+  b.b_arc_count <- b.b_arc_count + 1
 
 let builder_id b ev =
-  match Hashtbl.find_opt b.b_index ev with
+  match Event_table.find_opt b.b_index ev with
   | Some i -> i
   | None ->
     invalid_arg
       (Printf.sprintf "Signal_graph.add_arc: undeclared event %s" (Event.to_string ev))
 
-let builder_class b i = Hashtbl.find b.b_class i
-
 let add_arc b ?(marked = false) ?(disengageable = false) ~delay u v =
-  let src = builder_id b u and dst = builder_id b v in
-  let src_cls = builder_class b src and dst_cls = builder_class b dst in
-  let disengageable =
-    disengageable || (src_cls <> Repetitive && dst_cls = Repetitive)
-  in
-  b.b_arcs <- { arc_src = src; arc_dst = dst; delay; marked; disengageable } :: b.b_arcs
+  let src = builder_id b u in
+  let dst = builder_id b v in
+  add_arc_id b ~marked ~disengageable ~delay src dst
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -101,12 +141,196 @@ let pp_error ppf = function
       evs
   | No_repetitive_events -> Fmt.pf ppf "the graph has no repetitive events"
 
-let validate events classes arc_table =
+(* the front end's share of a request budget: one ambient-deadline
+   check per 8192 arcs or vertices *)
+let tick i = if i land 8191 = 0 then Tsg_engine.Deadline.(check (current ()))
+
+(* a stable counting sort of [order] by [key] (values in
+   [0 .. buckets - 1]): the bucket starts ([buckets + 1] of them) and
+   the sorted array *)
+let counting_sort order key buckets =
+  let starts = Array.make (buckets + 1) 0 in
+  Array.iter (fun i -> starts.(key i + 1) <- starts.(key i + 1) + 1) order;
+  for k = 0 to buckets - 1 do
+    starts.(k + 1) <- starts.(k + 1) + starts.(k)
+  done;
+  let next = Array.sub starts 0 buckets in
+  let sorted = Array.make (Array.length order) 0 in
+  Array.iter
+    (fun i ->
+      let k = key i in
+      sorted.(next.(k)) <- i;
+      next.(k) <- next.(k) + 1)
+    order;
+  (starts, sorted)
+
+(* compressed sparse rows: the arcs with [key a = v] are
+   [ids.(starts.(v)) .. ids.(starts.(v + 1) - 1)], in arc-id order *)
+let csr n arc_table key =
+  counting_sort (Array.init (Array.length arc_table) Fun.id) (fun i -> key arc_table.(i)) n
+
+(* every repetitive event reachable from [root] along arcs between
+   repetitive events, walking the rows [starts]/[ids] towards [far] *)
+let reaches_all classes arc_table (starts, ids) far root rep_count =
+  let n = Array.length classes in
+  let seen = Array.make n false and stack = Array.make n 0 in
+  let top = ref 1 and count = ref 1 in
+  seen.(root) <- true;
+  stack.(0) <- root;
+  while !top > 0 do
+    decr top;
+    let v = stack.(!top) in
+    for j = starts.(v) to starts.(v + 1) - 1 do
+      let w = far arc_table.(ids.(j)) in
+      if classes.(w) = Repetitive && not seen.(w) then begin
+        seen.(w) <- true;
+        incr count;
+        stack.(!top) <- w;
+        incr top
+      end
+    done
+  done;
+  !count = rep_count
+
+(* Kahn over the unmarked arcs with a FIFO: [None] when live,
+   [Some stuck] when a token-free cycle leaves the vertices with
+   [stuck.(v) = true] (on or downstream of a cycle) unemitted *)
+let unmarked_residue n arc_table (starts, ids) =
+  let in_deg = Array.make n 0 in
+  Array.iter
+    (fun a -> if not a.marked then in_deg.(a.arc_dst) <- in_deg.(a.arc_dst) + 1)
+    arc_table;
+  let queue = Array.make n 0 and tail = ref 0 in
+  for v = 0 to n - 1 do
+    if in_deg.(v) = 0 then begin
+      queue.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    tick !head;
+    let v = queue.(!head) in
+    incr head;
+    for j = starts.(v) to starts.(v + 1) - 1 do
+      let a = arc_table.(ids.(j)) in
+      if not a.marked then begin
+        let w = a.arc_dst in
+        in_deg.(w) <- in_deg.(w) - 1;
+        if in_deg.(w) = 0 then begin
+          queue.(!tail) <- w;
+          incr tail
+        end
+      end
+    done
+  done;
+  if !tail = n then None else Some (Array.map (fun d -> d > 0) in_deg)
+
+(* the vertices on a token-free cycle: Tarjan's algorithm over the
+   stuck vertices (every unmarked successor of a stuck vertex is
+   stuck), keeping the components of two or more vertices and the
+   unmarked self-loops *)
+let on_unmarked_cycle arc_table (starts, ids) stuck =
+  let n = Array.length stuck in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let on_stack = Array.make n false and stack = Array.make n 0 and sp = ref 0 in
+  let call = Array.make n 0 and next = Array.make n 0 and depth = ref 0 in
+  let cyclic = Array.make n false and counter = ref 0 in
+  let enter v =
+    index.(v) <- !counter;
+    low.(v) <- !counter;
+    incr counter;
+    on_stack.(v) <- true;
+    stack.(!sp) <- v;
+    incr sp;
+    call.(!depth) <- v;
+    next.(!depth) <- starts.(v);
+    incr depth
+  in
+  for root = 0 to n - 1 do
+    if stuck.(root) && index.(root) < 0 then begin
+      enter root;
+      while !depth > 0 do
+        let v = call.(!depth - 1) and j = next.(!depth - 1) in
+        if j < starts.(v + 1) then begin
+          next.(!depth - 1) <- j + 1;
+          let a = arc_table.(ids.(j)) in
+          if not a.marked then begin
+            let w = a.arc_dst in
+            if w = v then cyclic.(v) <- true;
+            if index.(w) < 0 then enter w
+            else if on_stack.(w) then low.(v) <- min low.(v) index.(w)
+          end
+        end
+        else begin
+          decr depth;
+          if !depth > 0 then begin
+            let p = call.(!depth - 1) in
+            low.(p) <- min low.(p) low.(v)
+          end;
+          if low.(v) = index.(v) then begin
+            let size = ref 0 and bottom = !sp in
+            let rec pop () =
+              decr sp;
+              incr size;
+              on_stack.(stack.(!sp)) <- false;
+              if stack.(!sp) <> v then pop ()
+            in
+            pop ();
+            if !size > 1 then
+              for k = !sp to bottom - 1 do
+                cyclic.(stack.(k)) <- true
+              done
+          end
+        end
+      done
+    end
+  done;
+  cyclic
+
+(* one concrete token-free cycle: from the smallest cyclic vertex,
+   follow each vertex's first unmarked out-arc (in arc-id order) into
+   a cyclic vertex until a vertex repeats *)
+let cycle_witness arc_table (starts, ids) cyclic =
+  let n = Array.length cyclic in
+  let rec first v = if v >= n || cyclic.(v) then v else first (v + 1) in
+  let start = first 0 in
+  if start >= n then []
+  else begin
+    let position = Array.make n (-1) and path = ref [] and len = ref 0 in
+    let rec next_on_cycle u j =
+      if j >= starts.(u + 1) then None
+      else
+        let a = arc_table.(ids.(j)) in
+        if (not a.marked) && cyclic.(a.arc_dst) then Some a.arc_dst
+        else next_on_cycle u (j + 1)
+    in
+    let rec chase u =
+      if position.(u) >= 0 then
+        (* the path from the first occurrence of u on *)
+        List.filteri (fun k _ -> k >= position.(u)) (List.rev !path)
+      else
+        match next_on_cycle u starts.(u) with
+        | None -> List.rev !path
+        | Some w ->
+          position.(u) <- !len;
+          path := u :: !path;
+          incr len;
+          chase w
+    in
+    chase start
+  end
+
+(* every well-formedness rule, in a fixed order: the per-arc rules in
+   arc-id order, then strong connectivity of the repetitive part, then
+   liveness; all of it on the CSR rows [out_rows]/[in_rows] *)
+let validate events classes arc_table ~out_rows ~in_rows =
   let errors = ref [] in
   let err e = errors := e :: !errors in
   let n = Array.length events in
-  Array.iter
-    (fun a ->
+  Array.iteri
+    (fun i a ->
+      tick i;
       let u = events.(a.arc_src) and v = events.(a.arc_dst) in
       if a.delay < 0. then err (Negative_delay (u, v, a.delay));
       if a.marked && a.disengageable then err (Marked_disengageable (u, v));
@@ -116,91 +340,56 @@ let validate events classes arc_table =
         err (Repetitive_to_non_repetitive (u, v));
       if classes.(a.arc_dst) = Initial then err (Initial_event_with_in_arc v))
     arc_table;
-  (* strong connectivity of the repetitive part *)
-  let rep = ref [] in
-  for v = n - 1 downto 0 do
-    if classes.(v) = Repetitive then rep := v :: !rep
-  done;
-  let rep_list = !rep in
-  let rep_count = List.length rep_list in
+  let rep_count = Array.fold_left (fun k c -> if c = Repetitive then k + 1 else k) 0 classes in
   if rep_count > 0 then begin
-    let dense = Hashtbl.create rep_count in
-    List.iteri (fun i v -> Hashtbl.add dense v i) rep_list;
-    let sub = Tsg_graph.Digraph.create ~capacity:rep_count () in
-    Tsg_graph.Digraph.add_vertices sub rep_count;
-    Array.iter
-      (fun a ->
-        match (Hashtbl.find_opt dense a.arc_src, Hashtbl.find_opt dense a.arc_dst) with
-        | Some s, Some d -> Tsg_graph.Digraph.add_arc sub ~src:s ~dst:d ()
-        | _ -> ())
-      arc_table;
-    if not (Tsg_graph.Scc.is_strongly_connected sub) then
-      err Repetitive_part_not_strongly_connected
+    let rec first v = if classes.(v) = Repetitive then v else first (v + 1) in
+    let root = first 0 in
+    if
+      not
+        (reaches_all classes arc_table out_rows (fun a -> a.arc_dst) root rep_count
+        && reaches_all classes arc_table in_rows (fun a -> a.arc_src) root rep_count)
+    then err Repetitive_part_not_strongly_connected
   end;
-  (* liveness: the subgraph of unmarked arcs must be acyclic *)
-  let unmarked = Tsg_graph.Digraph.create ~capacity:(max n 1) () in
-  Tsg_graph.Digraph.add_vertices unmarked n;
-  Array.iter
-    (fun a ->
-      if not a.marked then
-        Tsg_graph.Digraph.add_arc unmarked ~src:a.arc_src ~dst:a.arc_dst ())
-    arc_table;
-  (match Tsg_graph.Topo.sort unmarked with
-  | Ok _ -> ()
-  | Error on_cycle ->
-    (* report one concrete cycle as a witness *)
-    let witness =
-      match on_cycle with
-      | [] -> []
-      | v :: _ ->
-        let rec chase u seen =
-          if List.exists (fun w -> w = u) seen then
-            (* cut the prefix before the first occurrence of u *)
-            let rec cut = function
-              | [] -> []
-              | w :: rest -> if w = u then w :: rest else cut rest
-            in
-            cut (List.rev seen)
-          else
-            let next =
-              List.find_opt
-                (fun w -> List.exists (fun x -> x = w) on_cycle)
-                (Tsg_graph.Digraph.succ unmarked u)
-            in
-            (match next with None -> List.rev seen | Some w -> chase w (u :: seen))
-        in
-        chase v []
-    in
+  (match unmarked_residue n arc_table out_rows with
+  | None -> ()
+  | Some stuck ->
+    let cyclic = on_unmarked_cycle arc_table out_rows stuck in
+    let witness = cycle_witness arc_table out_rows cyclic in
     err (Unmarked_cycle (List.map (fun v -> events.(v)) witness)));
   List.rev !errors
 
 (* ------------------------------------------------------------------ *)
 (* Freezing                                                            *)
 
-let build b =
-  let events = Array.make (max b.b_count 1) (Event.rise "_") in
-  let classes = Array.make (max b.b_count 1) Repetitive in
-  List.iteri
-    (fun i (ev, cls) ->
-      let id = b.b_count - 1 - i in
-      events.(id) <- ev;
-      classes.(id) <- cls)
-    b.b_events;
-  let events = Array.sub events 0 b.b_count in
-  let classes = Array.sub classes 0 b.b_count in
-  let arc_table = Array.of_list (List.rev b.b_arcs) in
-  match validate events classes arc_table with
+(* the one freeze behind [build] and [with_arcs]: CSR rows, every rule
+   of [validate], then the per-event arc-id lists read off the rows *)
+let freeze events classes arc_table =
+  let n = Array.length events in
+  let out_rows = csr n arc_table (fun a -> a.arc_src) in
+  let in_rows = csr n arc_table (fun a -> a.arc_dst) in
+  match validate events classes arc_table ~out_rows ~in_rows with
   | _ :: _ as errs -> Error errs
   | [] ->
-    let n = b.b_count in
-    let out_ids = Array.make (max n 1) [] and in_ids = Array.make (max n 1) [] in
-    Array.iteri
-      (fun i a ->
-        out_ids.(a.arc_src) <- i :: out_ids.(a.arc_src);
-        in_ids.(a.arc_dst) <- i :: in_ids.(a.arc_dst))
-      arc_table;
-    Array.iteri (fun v ids -> out_ids.(v) <- List.rev ids) out_ids;
-    Array.iteri (fun v ids -> in_ids.(v) <- List.rev ids) in_ids;
+    let lists (starts, ids) =
+      let views = Array.make (max n 1) [] in
+      for v = 0 to n - 1 do
+        let l = ref [] in
+        for j = starts.(v + 1) - 1 downto starts.(v) do
+          l := ids.(j) :: !l
+        done;
+        views.(v) <- !l
+      done;
+      views
+    in
+    Ok (lists out_rows, lists in_rows)
+
+let build b =
+  let n = b.b_count in
+  let events = Array.sub b.b_events 0 n and classes = Array.sub b.b_classes 0 n in
+  let arc_table = Array.sub b.b_arcs 0 b.b_arc_count in
+  match freeze events classes arc_table with
+  | Error errs -> Error errs
+  | Ok (out_ids, in_ids) ->
     let repetitive = ref [] and initial = ref [] in
     for v = n - 1 downto 0 do
       match classes.(v) with
@@ -220,16 +409,14 @@ let build b =
         events;
       List.rev !names
     in
-    let index = Hashtbl.create (max n 1) in
-    Array.iteri (fun i ev -> Hashtbl.add index ev i) events;
     Ok
       {
         events;
         classes;
         arc_table;
-        out_ids = Array.sub out_ids 0 (max n 1);
-        in_ids = Array.sub in_ids 0 (max n 1);
-        index;
+        out_ids;
+        in_ids;
+        index = Event_table.copy b.b_index;
         repetitive = !repetitive;
         initial = !initial;
         signal_names;
@@ -259,8 +446,8 @@ let event g i =
     invalid_arg (Printf.sprintf "Signal_graph.event: id %d out of range" i);
   g.events.(i)
 
-let id g ev = Hashtbl.find g.index ev
-let id_opt g ev = Hashtbl.find_opt g.index ev
+let id g ev = Event_table.find g.index ev
+let id_opt g ev = Event_table.find_opt g.index ev
 let class_of g i = g.classes.(i)
 let is_repetitive g i = g.classes.(i) = Repetitive
 let arc g i = g.arc_table.(i)
@@ -300,8 +487,8 @@ let make_arc g ?(marked = false) ?(disengageable = false) ~delay src dst =
   { arc_src = src; arc_dst = dst; delay; marked; disengageable }
 
 (* a structural edit replaces the whole arc table over the unchanged
-   event set; unlike [with_delays] this re-runs the full [validate]
-   pass (connectivity, liveness, marking rules) because topology and
+   event set; unlike [with_delays] this re-runs the whole [freeze]
+   (marking rules, connectivity, liveness) because topology and
    marking may have changed *)
 let with_arcs g arc_table =
   let n = Array.length g.events in
@@ -310,18 +497,9 @@ let with_arcs g arc_table =
       if a.arc_src < 0 || a.arc_src >= n || a.arc_dst < 0 || a.arc_dst >= n then
         invalid_arg "Signal_graph.with_arcs: arc endpoint out of range")
     arc_table;
-  match validate g.events g.classes arc_table with
-  | _ :: _ as errs -> Error errs
-  | [] ->
-    let out_ids = Array.make (max n 1) [] and in_ids = Array.make (max n 1) [] in
-    Array.iteri
-      (fun i a ->
-        out_ids.(a.arc_src) <- i :: out_ids.(a.arc_src);
-        in_ids.(a.arc_dst) <- i :: in_ids.(a.arc_dst))
-      arc_table;
-    Array.iteri (fun v ids -> out_ids.(v) <- List.rev ids) out_ids;
-    Array.iteri (fun v ids -> in_ids.(v) <- List.rev ids) in_ids;
-    Ok { g with arc_table; out_ids; in_ids }
+  match freeze g.events g.classes arc_table with
+  | Error errs -> Error errs
+  | Ok (out_ids, in_ids) -> Ok { g with arc_table; out_ids; in_ids }
 
 let out_arc_ids g v = g.out_ids.(v)
 let in_arc_ids g v = g.in_ids.(v)
@@ -360,46 +538,81 @@ let repetitive_digraph g =
    two spellings cannot split a digest. *)
 let canonical_delay d = if d = 0. then "0" else Printf.sprintf "%h" d
 
+(* The canonical form is the event lines ["name class"] and the arc
+   lines ["src dst delay[ *][ !]"], each block sorted as strings.  No
+   line is built to be sorted: the string order of the lines is the
+   order of their fields, ranked once.
+   - Names: when one name is a proper prefix of another, the longer one
+     goes on with ['/'] or a digit (an occurrence index), both above
+     the [' '] that ends the shorter one's field; so lines order as
+     their names do, source first, then target.
+   - Delay literals ([canonical_delay]) use only characters above
+     [' '] too, so they order as strings, ranked over the distinct
+     values.
+   - The flags order as no flag < [" !"] < [" *"] < [" * !"].
+   The arc order is then four stable counting sorts, least significant
+   field first. *)
 let canonical_form g =
-  let class_tag = function
-    | Initial -> "i"
-    | Non_repetitive -> "n"
-    | Repetitive -> "r"
+  let n = Array.length g.events and arcs = g.arc_table in
+  let names = Array.map Event.to_string g.events in
+  let by_name = Array.init n Fun.id in
+  Array.stable_sort (fun u v -> String.compare names.(u) names.(v)) by_name;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r v -> rank.(v) <- r) by_name;
+  (* number the distinct delays in order of appearance ([-0.] is [0.]),
+     then rank them by literal *)
+  let numbers = Hashtbl.create 64 and distinct = ref [] and count = ref 0 in
+  let delay_index =
+    Array.map
+      (fun a ->
+        let d = if a.delay = 0. then 0. else a.delay in
+        match Hashtbl.find_opt numbers d with
+        | Some k -> k
+        | None ->
+          Hashtbl.add numbers d !count;
+          distinct := d :: !distinct;
+          incr count;
+          !count - 1)
+      arcs
   in
-  let events =
-    Array.to_list
-      (Array.mapi
-         (fun i ev ->
-           Printf.sprintf "%s %s" (Event.to_string ev) (class_tag g.classes.(i)))
-         g.events)
-    |> List.sort compare
+  let literals = Array.of_list (List.rev_map canonical_delay !distinct) in
+  let by_literal = Array.init !count Fun.id in
+  Array.stable_sort (fun i j -> String.compare literals.(i) literals.(j)) by_literal;
+  let literal_rank = Array.make !count 0 in
+  Array.iteri (fun r i -> literal_rank.(i) <- r) by_literal;
+  let flags a = (if a.marked then 2 else 0) + if a.disengageable then 1 else 0 in
+  let by key buckets order = snd (counting_sort order key buckets) in
+  let order =
+    Array.init (Array.length arcs) Fun.id
+    |> by (fun i -> flags arcs.(i)) 4
+    |> by (fun i -> literal_rank.(delay_index.(i))) !count
+    |> by (fun i -> rank.(arcs.(i).arc_dst)) n
+    |> by (fun i -> rank.(arcs.(i).arc_src)) n
   in
-  let arcs =
-    Array.to_list
-      (Array.map
-         (fun a ->
-           Printf.sprintf "%s %s %s%s%s"
-             (Event.to_string g.events.(a.arc_src))
-             (Event.to_string g.events.(a.arc_dst))
-             (canonical_delay a.delay)
-             (if a.marked then " *" else "")
-             (if a.disengageable then " !" else ""))
-         g.arc_table)
-    |> List.sort compare
-  in
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (16 + (12 * n) + (32 * Array.length arcs)) in
   Buffer.add_string buf "events\n";
-  List.iter
-    (fun line ->
-      Buffer.add_string buf line;
-      Buffer.add_char buf '\n')
-    events;
+  Array.iter
+    (fun v ->
+      Buffer.add_string buf names.(v);
+      Buffer.add_string buf
+        (match g.classes.(v) with
+        | Initial -> " i\n"
+        | Non_repetitive -> " n\n"
+        | Repetitive -> " r\n"))
+    by_name;
   Buffer.add_string buf "arcs\n";
-  List.iter
-    (fun line ->
-      Buffer.add_string buf line;
+  Array.iter
+    (fun i ->
+      let a = arcs.(i) in
+      Buffer.add_string buf names.(a.arc_src);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf names.(a.arc_dst);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf literals.(delay_index.(i));
+      if a.marked then Buffer.add_string buf " *";
+      if a.disengageable then Buffer.add_string buf " !";
       Buffer.add_char buf '\n')
-    arcs;
+    order;
   Buffer.contents buf
 
 let digest g = Digest.to_hex (Digest.string (canonical_form g))

@@ -28,7 +28,29 @@ type arc = {
 
 type t
 
-(** {1 Construction} *)
+(** {1:construction Construction}
+
+    A builder is a pair of growable arrays, one of events (with their
+    classes) and one of arcs: declaring an event costs one hash of the
+    {!Event.t}, adding an arc by id costs nothing more than the array
+    write.  {!build} then freezes the arrays in time linear in the
+    number of events plus arcs: it counting-sorts the arc ids into
+    compressed rows by source and by target, checks every rule on
+    those rows, and reads the {!out_arc_ids}/{!in_arc_ids} lists off
+    them.  The rules are checked in a fixed order, which is the order
+    of the returned errors:
+    + the per-arc rules, arc by arc in id order: a negative delay, a
+      marked disengageable arc, a disengageable arc leaving a
+      repetitive event, an arc from a repetitive to a non-repetitive
+      event, an arc into an initial event;
+    + strong connectivity of the repetitive part (forward and backward
+      reachability from its smallest event);
+    + liveness: Kahn's algorithm over the unmarked arcs must emit every
+      event, else one token-free cycle is reported as the witness.
+
+    {!with_arcs} runs the same freeze.  Both check the ambient
+    {!Tsg_engine.Deadline.current} once per 8192 arcs and events, so a
+    request budget also bounds reading a large model. *)
 
 type builder
 
@@ -36,6 +58,15 @@ val builder : unit -> builder
 
 val add_event : builder -> Event.t -> event_class -> unit
 (** Declares an event.  @raise Invalid_argument on a duplicate. *)
+
+val intern : builder -> Event.t -> event_class -> int
+(** [intern b ev cls] is the id of [ev], declaring it with class [cls]
+    first if it is new.  An event declared before keeps its class; read
+    it with {!builder_class}.  Ids are dense, in declaration order. *)
+
+val builder_class : builder -> int -> event_class
+(** The class of a declared event.  @raise Invalid_argument if the id
+    is out of range. *)
 
 val add_arc :
   builder ->
@@ -48,7 +79,14 @@ val add_arc :
 (** [add_arc b ~delay u v] adds the arc [u -> v].  Both events must
     already be declared.  [marked] and [disengageable] default to
     [false]; an arc from a non-repetitive event to a repetitive one is
-    made disengageable automatically (well-formedness, Section III.A). *)
+    made disengageable automatically (well-formedness, Section III.A).
+    @raise Invalid_argument if either event is undeclared. *)
+
+val add_arc_id :
+  builder -> marked:bool -> disengageable:bool -> delay:float -> int -> int -> unit
+(** {!add_arc} between events named by their ids (as {!intern} returns
+    them), with no event lookup and no defaults.
+    @raise Invalid_argument if either id is out of range. *)
 
 type error =
   | Negative_delay of Event.t * Event.t * float
@@ -67,7 +105,9 @@ type error =
 val pp_error : error Fmt.t
 
 val build : builder -> (t, error list) result
-(** Validates and freezes the graph. *)
+(** Validates and freezes the graph (see {!section-construction} for
+    the cost and the order of the checks).  The builder can still be
+    extended and built again. *)
 
 val build_exn : builder -> t
 (** @raise Invalid_argument listing the validation errors. *)

@@ -4,26 +4,22 @@ type model = {
   dialect : [ `Native | `Astg ];
 }
 
-(* substring search by imperative scan: no stack growth on large
-   inputs (the previous hand-rolled scan recursed once per byte) *)
-let contains_sub hay needle =
-  let n = String.length needle and len = String.length hay in
-  let found = ref false in
-  let i = ref 0 in
-  while (not !found) && !i + n <= len do
-    if String.sub hay !i n = needle then found := true else incr i
-  done;
-  !found
-
+(* one scan, no allocation: a [#] hides the rest of its line, and
+   ".marking" anywhere else on a line selects the astg dialect *)
 let is_astg text =
-  String.split_on_char '\n' text
-  |> List.exists (fun line ->
-         let line =
-           match String.index_opt line '#' with
-           | None -> line
-           | Some i -> String.sub line 0 i
-         in
-         contains_sub line ".marking")
+  let needle = ".marking" in
+  let n = String.length needle and len = String.length text in
+  let rec matches i k = k = n || (text.[i + k] = needle.[k] && matches i (k + 1)) in
+  let rec scan i in_comment =
+    if i + n > len then false
+    else
+      match text.[i] with
+      | '\n' -> scan (i + 1) false
+      | '#' -> scan (i + 1) true
+      | '.' when (not in_comment) && matches i 0 -> true
+      | _ -> scan (i + 1) in_comment
+  in
+  scan 0 false
 
 let of_string_unguarded ~name text =
   Tsg_obs.Trace.with_span "load" ~args:[ ("name", name) ] @@ fun () ->
@@ -46,7 +42,9 @@ let of_string ?(name = "input") text =
      must come back as [Error], never as an exception.  The size
      screen runs before sniffing (which walks the whole text), and the
      catch-all turns a parser bug into a per-request error instead of
-     a dead connection thread. *)
+     a dead connection thread.  An expired request budget is not a bad
+     model: [Deadline_exceeded] passes through to the caller, which
+     answers it as a timeout. *)
   match
     Tsg_obs.Failpoint.hit "loader/load";
     match Validate.input_text text with
@@ -54,6 +52,7 @@ let of_string ?(name = "input") text =
     | Ok () -> of_string_unguarded ~name text
   with
   | result -> result
+  | exception (Tsg_engine.Deadline.Deadline_exceeded as exn) -> raise exn
   | exception exn ->
     Error (Printf.sprintf "cannot load %s: %s" name (Printexc.to_string exn))
 

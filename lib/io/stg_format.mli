@@ -21,7 +21,13 @@ c- a+ 2 token
     Arc lines are [src dst delay] optionally followed by [token]
     (initially marked) and/or [once] (disengageable).  Events may also
     be declared implicitly by their first use in [.graph], in which
-    case they are repetitive. *)
+    case they are repetitive.  An event's class is fixed where it first
+    appears: a later [.events] line may repeat that class, but another
+    one is an error ([line N: event a+ already declared as rep]).
+
+    The parser reads the text in one pass, in time linear in its
+    length, and checks the ambient {!Tsg_engine.Deadline.current} every
+    8192 lines. *)
 
 type document = { model : string; graph : Tsg.Signal_graph.t }
 

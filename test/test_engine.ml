@@ -232,6 +232,20 @@ let test_loader_detects_astg () =
   | Error msg -> Alcotest.failf "astg parse failed: %s" msg
   | Ok m -> Alcotest.(check bool) "astg dialect" true (m.Tsg_io.Loader.dialect = `Astg)
 
+let test_loader_sniff_edges () =
+  let sniff name want text = Alcotest.(check bool) name want (Tsg_io.Loader.is_astg text) in
+  sniff "behind # on its own line" false "# .marking { <b+,a+> }\n.graph\na+ b+ 1\n";
+  sniff "behind # after an arc" false ".graph\na+ b+ 1 # .marking\n";
+  sniff "a comment ends at its newline" true "# note\n.marking { <b+,a+> }\n";
+  sniff "after leading blanks" true ".graph\na+ b+\n  \t.marking { <b+,a+> }\n";
+  sniff "at the very end" true ".graph\na+ b+\n.marking";
+  sniff "cut short" false ".graph\na+ b+\n.markin";
+  let crlf = ".model tiny\r\n.graph\r\na+ b+\r\nb+ a+\r\n.marking { <b+,a+> }\r\n.end\r\n" in
+  sniff "in a CRLF file" true crlf;
+  match Tsg_io.Loader.of_string crlf with
+  | Error msg -> Alcotest.failf "CRLF astg parse failed: %s" msg
+  | Ok m -> Alcotest.(check bool) "CRLF astg dialect" true (m.Tsg_io.Loader.dialect = `Astg)
+
 let test_loader_large_input_no_overflow () =
   (* the old scan recursed once per byte; megabytes of comments must
      not overflow the stack *)
@@ -284,6 +298,7 @@ let suite =
     Alcotest.test_case "Loader ignores commented .marking" `Quick
       test_loader_ignores_comments;
     Alcotest.test_case "Loader detects real .marking" `Quick test_loader_detects_astg;
+    Alcotest.test_case "Loader sniff edge cases" `Quick test_loader_sniff_edges;
     Alcotest.test_case "Loader survives megabyte inputs" `Quick
       test_loader_large_input_no_overflow;
     prop_batch_equals_sequential;

@@ -108,6 +108,27 @@ let test_expired_deadline_aborts_analysis () =
   Alcotest.(check bool) "subsequent analysis succeeds" true
     (Float.is_finite report.Cycle_time.cycle_time && report.Cycle_time.cycle_time > 0.)
 
+(* the front end shares the request budget: the parser checks it every
+   8192 lines and the graph freeze every 8192 arcs *)
+let gen10k_text () =
+  Tsg_io.Stg_format.to_string ~model:"gen-10k"
+    (Tsg_circuit.Generators.segmented_live_tsg ~seed:11 ~events:10_000 ~tokens:24
+       ~extra_arcs:20_000 ())
+
+let test_expired_deadline_aborts_loading () =
+  let text = gen10k_text () in
+  let d = Deadline.make ~budget_ms:0. () in
+  Unix.sleepf 0.002;
+  (match Deadline.with_deadline d (fun () -> Tsg_io.Loader.of_string text) with
+  | Ok _ -> Alcotest.fail "loading beat an already-expired deadline"
+  | Error msg -> Alcotest.failf "the expired budget became a load error: %s" msg
+  | exception Deadline.Deadline_exceeded -> ());
+  match Tsg_io.Loader.of_string text with
+  | Ok m ->
+    Alcotest.(check int) "loads without a budget" 10_000
+      (Signal_graph.event_count m.Tsg_io.Loader.graph)
+  | Error msg -> Alcotest.failf "gen-10k text: %s" msg
+
 (* calibrate against this machine: a budget of a tenth, or a half, of
    the real cost must abort the analysis within a small slack of the
    budget, wherever in the pipeline the budget runs out.  The real
@@ -622,6 +643,19 @@ let test_rpc_timeout_ms () =
     expect_ok "retry without budget succeeds" served
   | other -> Alcotest.failf "expected two replies, got %d" (List.length other)
 
+let test_rpc_timeout_ms_large_model () =
+  let path = Filename.temp_file "gen10k" ".g" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc (gen10k_text ()));
+  with_hardened_server @@ fun ~socket ->
+  match call ~socket [ analyze_req ~timeout_ms:0.001 path; analyze_req (bench "fig1.g") ] with
+  | [ timed_out; served ] ->
+    let j = parse_response timed_out in
+    Alcotest.(check string) "status" "error" (field "status" j);
+    Alcotest.(check string) "code" "deadline_exceeded" (field "code" j);
+    expect_ok "the connection serves the next request" served
+  | other -> Alcotest.failf "expected two replies, got %d" (List.length other)
+
 let test_external_stop_drains () =
   let stop = Atomic.make false in
   with_hardened_server ~stop @@ fun ~socket ->
@@ -692,6 +726,8 @@ let suite =
     Alcotest.test_case "deadline: aborts analysis, engine reusable" `Quick
       test_expired_deadline_aborts_analysis;
     Alcotest.test_case "deadline: expiry is prompt" `Quick test_deadline_expiry_is_prompt;
+    Alcotest.test_case "deadline: aborts loading a large model" `Quick
+      test_expired_deadline_aborts_loading;
     Alcotest.test_case "deadline: per-item batch budgets" `Quick
       test_batch_deadline_is_per_item_and_structured;
     Alcotest.test_case "validate: delay judgement" `Quick test_validate_delay;
@@ -717,6 +753,8 @@ let suite =
     Alcotest.test_case "server: injected faults stay per-request" `Quick
       test_server_requests_survive_injection;
     Alcotest.test_case "server: timeout_ms on the wire" `Quick test_rpc_timeout_ms;
+    Alcotest.test_case "server: timeout_ms on a large model" `Quick
+      test_rpc_timeout_ms_large_model;
     Alcotest.test_case "server: external stop drains" `Quick test_external_stop_drains;
     Alcotest.test_case "client: call retries with backoff" `Quick
       test_call_retries_until_daemon_appears;
