@@ -290,36 +290,23 @@ let on_unmarked_cycle arc_table (starts, ids) stuck =
 
 (* one concrete token-free cycle: from the smallest cyclic vertex,
    follow each vertex's first unmarked out-arc (in arc-id order) into
-   a cyclic vertex until a vertex repeats *)
+   a cyclic vertex until a vertex repeats.  Such an arc always exists:
+   it leads into the vertex's own component, or is its self-loop. *)
 let cycle_witness arc_table (starts, ids) cyclic =
-  let n = Array.length cyclic in
-  let rec first v = if v >= n || cyclic.(v) then v else first (v + 1) in
-  let start = first 0 in
-  if start >= n then []
-  else begin
-    let position = Array.make n (-1) and path = ref [] and len = ref 0 in
-    let rec next_on_cycle u j =
-      if j >= starts.(u + 1) then None
-      else
-        let a = arc_table.(ids.(j)) in
-        if (not a.marked) && cyclic.(a.arc_dst) then Some a.arc_dst
-        else next_on_cycle u (j + 1)
-    in
-    let rec chase u =
-      if position.(u) >= 0 then
-        (* the path from the first occurrence of u on *)
-        List.filteri (fun k _ -> k >= position.(u)) (List.rev !path)
-      else
-        match next_on_cycle u starts.(u) with
-        | None -> List.rev !path
-        | Some w ->
-          position.(u) <- !len;
-          path := u :: !path;
-          incr len;
-          chase w
-    in
-    chase start
-  end
+  let rec first v = if cyclic.(v) then v else first (v + 1) in
+  let rec next j =
+    let a = arc_table.(ids.(j)) in
+    if (not a.marked) && cyclic.(a.arc_dst) then a.arc_dst else next (j + 1)
+  in
+  let position = Array.make (Array.length cyclic) (-1) in
+  let rec chase u k path =
+    if position.(u) >= 0 then List.filteri (fun i _ -> i >= position.(u)) (List.rev path)
+    else begin
+      position.(u) <- k;
+      chase (next starts.(u)) (k + 1) (u :: path)
+    end
+  in
+  chase (first 0) 0 []
 
 (* every well-formedness rule, in a fixed order: the per-arc rules in
    arc-id order, then strong connectivity of the repetitive part, then
