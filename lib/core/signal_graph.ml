@@ -19,8 +19,8 @@ type t = {
   events : Event.t array;
   classes : event_class array;
   arc_table : arc array;
-  out_ids : int list array;
-  in_ids : int list array;
+  out_rows : int array * int array;  (* CSR by source: starts, arc ids *)
+  in_rows : int array * int array;  (* CSR by target *)
   index : int Event_table.t;
   repetitive : int list;
   initial : int list;
@@ -145,29 +145,31 @@ let pp_error ppf = function
    check per 8192 arcs or vertices *)
 let tick i = if i land 8191 = 0 then Tsg_engine.Deadline.(check (current ()))
 
-(* a stable counting sort of [order] by [key] (values in
-   [0 .. buckets - 1]): the bucket starts ([buckets + 1] of them) and
-   the sorted array *)
-let counting_sort order key buckets =
+(* a stable counting sort of the [m] items [item 0 .. item (m - 1)]
+   by [key] (values in [0 .. buckets - 1]): the bucket starts
+   ([buckets + 1] of them) and the items in order *)
+let counting_sort m item key buckets =
   let starts = Array.make (buckets + 1) 0 in
-  Array.iter (fun i -> starts.(key i + 1) <- starts.(key i + 1) + 1) order;
+  for j = 0 to m - 1 do
+    let k = key (item j) + 1 in
+    starts.(k) <- starts.(k) + 1
+  done;
   for k = 0 to buckets - 1 do
     starts.(k + 1) <- starts.(k + 1) + starts.(k)
   done;
-  let next = Array.sub starts 0 buckets in
-  let sorted = Array.make (Array.length order) 0 in
-  Array.iter
-    (fun i ->
-      let k = key i in
-      sorted.(next.(k)) <- i;
-      next.(k) <- next.(k) + 1)
-    order;
+  let next = Array.sub starts 0 buckets and sorted = Array.make m 0 in
+  for j = 0 to m - 1 do
+    let i = item j in
+    let k = key i in
+    sorted.(next.(k)) <- i;
+    next.(k) <- next.(k) + 1
+  done;
   (starts, sorted)
 
 (* compressed sparse rows: the arcs with [key a = v] are
    [ids.(starts.(v)) .. ids.(starts.(v + 1) - 1)], in arc-id order *)
 let csr n arc_table key =
-  counting_sort (Array.init (Array.length arc_table) Fun.id) (fun i -> key arc_table.(i)) n
+  counting_sort (Array.length arc_table) Fun.id (fun i -> key arc_table.(i)) n
 
 (* every repetitive event reachable from [root] along arcs between
    repetitive events, walking the rows [starts]/[ids] towards [far] *)
@@ -348,27 +350,15 @@ let validate events classes arc_table ~out_rows ~in_rows =
 (* ------------------------------------------------------------------ *)
 (* Freezing                                                            *)
 
-(* the one freeze behind [build] and [with_arcs]: CSR rows, every rule
-   of [validate], then the per-event arc-id lists read off the rows *)
+(* the one freeze behind [build] and [with_arcs]: the CSR rows by
+   source and by target, checked by every rule of [validate] *)
 let freeze events classes arc_table =
   let n = Array.length events in
   let out_rows = csr n arc_table (fun a -> a.arc_src) in
   let in_rows = csr n arc_table (fun a -> a.arc_dst) in
   match validate events classes arc_table ~out_rows ~in_rows with
   | _ :: _ as errs -> Error errs
-  | [] ->
-    let lists (starts, ids) =
-      let views = Array.make (max n 1) [] in
-      for v = 0 to n - 1 do
-        let l = ref [] in
-        for j = starts.(v + 1) - 1 downto starts.(v) do
-          l := ids.(j) :: !l
-        done;
-        views.(v) <- !l
-      done;
-      views
-    in
-    Ok (lists out_rows, lists in_rows)
+  | [] -> Ok (out_rows, in_rows)
 
 let build b =
   let n = b.b_count in
@@ -376,7 +366,7 @@ let build b =
   let arc_table = Array.sub b.b_arcs 0 b.b_arc_count in
   match freeze events classes arc_table with
   | Error errs -> Error errs
-  | Ok (out_ids, in_ids) ->
+  | Ok (out_rows, in_rows) ->
     let repetitive = ref [] and initial = ref [] in
     for v = n - 1 downto 0 do
       match classes.(v) with
@@ -401,8 +391,8 @@ let build b =
         events;
         classes;
         arc_table;
-        out_ids;
-        in_ids;
+        out_rows;
+        in_rows;
         index = Event_table.copy b.b_index;
         repetitive = !repetitive;
         initial = !initial;
@@ -486,10 +476,18 @@ let with_arcs g arc_table =
     arc_table;
   match freeze g.events g.classes arc_table with
   | Error errs -> Error errs
-  | Ok (out_ids, in_ids) -> Ok { g with arc_table; out_ids; in_ids }
+  | Ok (out_rows, in_rows) -> Ok { g with arc_table; out_rows; in_rows }
 
-let out_arc_ids g v = g.out_ids.(v)
-let in_arc_ids g v = g.in_ids.(v)
+(* a row of arc ids as a list, built on each call *)
+let row_list (starts, ids) v =
+  let l = ref [] in
+  for j = starts.(v + 1) - 1 downto starts.(v) do
+    l := ids.(j) :: !l
+  done;
+  !l
+
+let out_arc_ids g v = row_list g.out_rows v
+let in_arc_ids g v = row_list g.in_rows v
 let events_of g = g.events
 let repetitive_events g = g.repetitive
 let initial_events g = g.initial
@@ -568,7 +566,9 @@ let canonical_form g =
   let literal_rank = Array.make !count 0 in
   Array.iteri (fun r i -> literal_rank.(i) <- r) by_literal;
   let flags a = (if a.marked then 2 else 0) + if a.disengageable then 1 else 0 in
-  let by key buckets order = snd (counting_sort order key buckets) in
+  let by key buckets order =
+    snd (counting_sort (Array.length order) (Array.get order) key buckets)
+  in
   let order =
     Array.init (Array.length arcs) Fun.id
     |> by (fun i -> flags arcs.(i)) 4

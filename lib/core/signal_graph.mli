@@ -36,8 +36,8 @@ type t
     write.  {!build} then freezes the arrays in time linear in the
     number of events plus arcs: it counting-sorts the arc ids into
     compressed rows by source and by target, checks every rule on
-    those rows, and reads the {!out_arc_ids}/{!in_arc_ids} lists off
-    them.  The rules are checked in a fixed order, which is the order
+    those rows, and keeps them: {!out_arc_ids}/{!in_arc_ids} read a
+    row.  The rules are checked in a fixed order, which is the order
     of the returned errors:
     + the per-arc rules, arc by arc in id order: a negative delay, a
       marked disengageable arc, a disengageable arc leaving a
@@ -170,9 +170,13 @@ val arcs : t -> arc array
 (** All arcs, indexed by arc id (do not mutate). *)
 
 val out_arc_ids : t -> int -> int list
-(** Ids of arcs leaving the event, in insertion order. *)
+(** Ids of arcs leaving the event, in insertion order.  The list is
+    built from the graph's compressed rows on each call, in time
+    linear in the event's out-degree. *)
 
 val in_arc_ids : t -> int -> int list
+(** Ids of arcs entering the event, in insertion order; built like
+    {!out_arc_ids}. *)
 
 val events_of : t -> Event.t array
 (** All events indexed by id (do not mutate). *)
