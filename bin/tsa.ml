@@ -8,40 +8,10 @@
 open Cmdliner
 open Tsg
 
-let builtin = function
-  | "fig1" -> Some (Tsg_circuit.Circuit_library.fig1_tsg ())
-  | "ring5" -> Some (Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:5 ())
-  | "stack" -> Some (Tsg_circuit.Circuit_library.async_stack_tsg ())
-  | "gen-dense" ->
-    (* synthetic bench workload: big enough that the simulate phase
-       dominates and kernel-level wins show above timer noise *)
-    Some (Tsg_circuit.Generators.random_live_tsg ~seed:7 ~events:120 ~extra_arcs:240 ())
-  | "gen-10k" ->
-    (* scaling workloads: tens/hundreds of thousands of unfolding
-       instances but a fixed, small border (the segment-token count),
-       so the per-border-event simulations are few, heavy and uneven —
-       the shape that exposes parallel-scheduling wins and losses *)
-    Some
-      (Tsg_circuit.Generators.segmented_live_tsg ~seed:11 ~events:10_000 ~tokens:24
-         ~extra_arcs:20_000 ())
-  | "gen-100k" ->
-    Some
-      (Tsg_circuit.Generators.segmented_live_tsg ~seed:13 ~events:100_000 ~tokens:12
-         ~extra_arcs:100_000 ())
-  | _ -> None
-
-(* dialect sniffing (".marking" outside comments -> astg) lives in
-   Tsg_io.Loader, shared with batch mode and the tests *)
-let load_model path =
-  match builtin path with
-  | Some g -> Ok (path, g)
-  | None -> (
-    match Tsg_io.Loader.load_file path with
-    | Ok m -> Ok (m.Tsg_io.Loader.name, m.Tsg_io.Loader.graph)
-    | Error msg -> Error msg)
+module Service = Tsg_io.Service
 
 let graph_of_input path =
-  match load_model path with
+  match Service.load_model path with
   | Ok r -> r
   | Error msg ->
     Fmt.epr "tsa: %s@." msg;
@@ -86,10 +56,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* [--jobs 0] means "use the whole machine", uniformly across analyze,
-   batch, serve and the RPC [jobs] field *)
-let resolve_jobs j = if j <= 0 then Tsg_engine.Pool.recommended () else j
-
 let json_arg =
   let doc = "Emit machine-readable JSON instead of the textual report." in
   Arg.(value & flag & info [ "json" ] ~doc)
@@ -118,7 +84,7 @@ let timeout_arg =
 let analyze_cmd =
   let run input periods jobs json trace timeout_ms =
     if trace <> None then Tsg_obs.Trace.enable ();
-    let jobs = resolve_jobs jobs in
+    let jobs = Service.resolve_jobs jobs in
     let name, g = graph_of_input input in
     let deadline =
       match timeout_ms with
@@ -148,19 +114,9 @@ let analyze_cmd =
       const run $ input_arg $ periods_arg $ jobs_arg $ json_arg $ trace_arg
       $ timeout_arg)
 
-(* load + analyze one model; the shared job of batch mode and the
-   serve daemon *)
-let analyze_model ?periods path =
-  match load_model path with
-  | Error msg -> Error msg
-  | Ok (name, g) -> (
-    match Cycle_time.analyze ?periods g with
-    | report -> Ok (name, g, report)
-    | exception Cycle_time.Not_analyzable msg -> Error msg)
-
 (* ------------------------------------------------------------------ *)
-(* What-if sweeps (shared by `tsa sweep`, `tsa client --delta` and the
-   serve daemon's sweep op)                                            *)
+(* What-if scenario specs (shared by `tsa sweep` and
+   `tsa client --delta`)                                               *)
 
 (* "TOK[,TOK...]" -> one scenario.  Each TOK is one edit:
      ARC:DELTA          add DELTA to an arc's delay
@@ -259,85 +215,6 @@ let delta_conv =
   in
   Arg.conv (parse, print)
 
-(* wire edits -> Whatif changes, resolving event names against the
-   model.  Resolution failures are per-scenario errors: one bad name
-   must not take down the sweep (the daemon path relies on this). *)
-let changes_of_edits g edits =
-  let open Tsg_engine.Protocol in
-  let resolve = function
-    | Ev_id i -> Ok i
-    | Ev_name s -> (
-      match Event.of_string s with
-      | Error msg -> Error (Printf.sprintf "bad event %S: %s" s msg)
-      | Ok ev -> (
-        match Signal_graph.id_opt g ev with
-        | Some id -> Ok id
-        | None -> Error (Fmt.str "event %a is not in the graph" Event.pp ev)))
-  in
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | e :: rest ->
-      let* c =
-        match e with
-        | Sw_delay { sw_arc; sw_delta } ->
-          Ok (Whatif.Delay { arc = sw_arc; delta = sw_delta })
-        | Sw_add { sw_src; sw_dst; sw_delay; sw_marked } ->
-          let* src = resolve sw_src in
-          let* dst = resolve sw_dst in
-          Ok (Whatif.Add_arc { src; dst; delay = sw_delay; marked = sw_marked })
-        | Sw_remove arc -> Ok (Whatif.Remove_arc arc)
-        | Sw_mark { sw_arc; sw_marked } ->
-          Ok (Whatif.Set_marked { arc = sw_arc; marked = sw_marked })
-      in
-      go (c :: acc) rest
-  in
-  go [] edits
-
-(* one timed warm re-analysis per scenario, self-scheduled on the
-   domain pool with one scratch arena per participant; mirrors
-   Whatif.sweep but records wall-clock per item for the reports *)
-let run_sweep ?deadline ?budget_ms ~jobs base
-    (scenarios : Tsg_engine.Protocol.sweep_edit list array) =
-  let outer =
-    match deadline with Some d -> d | None -> Tsg_engine.Deadline.current ()
-  in
-  let g = Whatif.signal_graph base in
-  Parallel.map_claims ~jobs
-    ~with_ctx:(fun k -> k (Whatif.scratch base))
-    ~f:(fun sc edits ->
-      let d =
-        match budget_ms with
-        | None -> Tsg_engine.Deadline.none
-        | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let outcome =
-        match changes_of_edits g edits with
-        | Error _ as e -> e
-        | Ok changes -> (
-          match
-            Tsg_engine.Deadline.check outer;
-            Whatif.reanalyze_changes
-              ~deadline:(if d == Tsg_engine.Deadline.none then outer else d)
-              ~scratch:sc base changes
-          with
-          | result -> Ok result
-          | exception Tsg_engine.Deadline.Deadline_exceeded ->
-            Error
-              (Tsg_engine.Deadline.error_message
-                 (if Tsg_engine.Deadline.expired outer then outer else d))
-          | exception Invalid_argument msg -> Error msg
-          | exception Cycle_time.Not_analyzable msg ->
-            Error (Printf.sprintf "not analyzable: %s" msg))
-      in
-      {
-        Tsg_io.Rpc.edits;
-        elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-        outcome;
-      })
-    scenarios
-
 let sweep_cmd =
   let deltas_arg =
     let doc =
@@ -353,7 +230,7 @@ let sweep_cmd =
   in
   let run input deltas periods jobs json trace timeout_ms =
     if trace <> None then Tsg_obs.Trace.enable ();
-    let jobs = resolve_jobs jobs in
+    let jobs = Service.resolve_jobs jobs in
     let name, g = graph_of_input input in
     match Whatif.prepare ?periods ~jobs g with
     | exception Cycle_time.Not_analyzable msg ->
@@ -361,7 +238,7 @@ let sweep_cmd =
       exit 1
     | base ->
       let scenarios = Array.of_list deltas in
-      let items = run_sweep ?budget_ms:timeout_ms ~jobs base scenarios in
+      let items = Service.sweep ?budget_ms:timeout_ms ~jobs base scenarios in
       write_trace trace;
       if json then
         print_endline (Tsg_io.Rpc.sweep_response ~model:name g (Array.to_list items))
@@ -423,12 +300,12 @@ let batch_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"MODEL" ~doc)
   in
   let run files periods jobs json timeout_ms =
-    let jobs = resolve_jobs jobs in
-    (* a path repeated in one sweep is analyzed once *)
+    let jobs = Service.resolve_jobs jobs in
+    (* a model repeated in one batch is analyzed once *)
     let cache = Tsg_engine.Cache.create ~capacity:(List.length files) () in
     let entries =
-      Tsg_engine.Batch.run ~jobs ?deadline_ms:timeout_ms ~cache ~label:Fun.id
-        ~f:(analyze_model ?periods) files
+      Tsg_engine.Batch.run ~jobs ?deadline_ms:timeout_ms ~label:Fun.id
+        ~f:(Service.analyze_model ~cache ?periods) files
     in
     if json then print_endline (Tsg_io.Json_report.batch entries)
     else begin
@@ -504,6 +381,33 @@ let resolve_serve_endpoint ~socket ~tcp =
     Fmt.epr "tsa: give --socket PATH or --tcp HOST:PORT@.";
     exit 2
 
+(* a flag that SIGTERM or SIGINT sets; serve, proxy and fleet drain on it *)
+let stop_signals () =
+  let stop = Atomic.make false in
+  List.iter
+    (fun signal ->
+      try Sys.set_signal signal (Sys.Signal_handle (fun _ -> Atomic.set stop true))
+      with Invalid_argument _ | Sys_error _ -> ())
+    [ Sys.sigterm; Sys.sigint ];
+  stop
+
+let parse_endpoint_list spec =
+  let eps =
+    String.split_on_char ',' spec
+    |> List.filter (fun s -> String.trim s <> "")
+    |> List.map (fun s ->
+           match Tsg_engine.Server.endpoint_of_string (String.trim s) with
+           | Ok ep -> ep
+           | Error msg ->
+             Fmt.epr "tsa: bad endpoint %S: %s@." s msg;
+             exit 2)
+  in
+  if eps = [] then begin
+    Fmt.epr "tsa: --endpoints names no endpoints@.";
+    exit 2
+  end;
+  eps
+
 let serve_cmd =
   let cache_size_arg =
     let doc = "Capacity of the content-addressed result cache (0 disables it)." in
@@ -570,7 +474,7 @@ let serve_cmd =
       max_connections max_sweep max_request_bytes read_timeout write_timeout
       drain_timeout failpoints =
     let endpoint = resolve_serve_endpoint ~socket ~tcp in
-    let jobs = resolve_jobs jobs in
+    let jobs = Service.resolve_jobs jobs in
     (match failpoints with
     | None -> ()
     | Some spec -> (
@@ -584,174 +488,31 @@ let serve_cmd =
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
       Tsg_obs.Trace.enable ());
     let cache = Tsg_engine.Cache.create ~capacity:cache_size () in
-    (* the second tier: rendered analyze responses, digest-keyed, on
-       disk.  Survives restarts and is safely shared between replicas
-       because responses are byte-identical by construction — any
-       replica's answer is every replica's answer. *)
+    (* the second tier: rendered analyze responses on disk.  Survives
+       restarts and is safely shared between replicas because responses
+       are byte-identical by construction — any replica's answer is
+       every replica's answer. *)
     let disk_cache =
       Option.map
         (fun dir -> Tsg_engine.Disk_cache.create ~capacity:disk_cache_size ~dir ())
         cache_dir
     in
-    (* the cache key is the graph's content (declaration-order
-       independent), the model name and the requested horizon — two
-       files with identical content hit the same entry, an edited
-       file misses and is re-analyzed *)
-    let cache_key ?periods name g =
-      Printf.sprintf "%s|%s|%s" (Signal_graph.digest g) name
-        (match periods with None -> "b" | Some n -> string_of_int n)
-    in
-    let analyze_cached ?periods path =
-      match load_model path with
-      | Error msg -> Error msg
-      | Ok (name, g) ->
-        Tsg_engine.Cache.find_or_add cache (cache_key ?periods name g) (fun () ->
-            match Cycle_time.analyze ?periods g with
-            | report -> Ok (name, g, report)
-            | exception Cycle_time.Not_analyzable msg -> Error msg)
-    in
-    (* the analyze op's read path through both tiers: memory (triples,
-       shared with batch) then disk (rendered response lines).  A disk
-       hit is served as stored bytes — the byte-identity guarantee
-       makes that sound; a fresh result is written behind to both.  A
-       timed-out analysis raises before either [add] and is never
-       cached; load/analysis errors stay in memory only (they are
-       cheap to re-derive and not content-addressed facts). *)
-    let analyze_response_cached ?periods path =
-      match load_model path with
-      | Error msg -> Tsg_io.Rpc.error_response msg
-      | Ok (name, g) -> (
-        let key = cache_key ?periods name g in
-        match Tsg_engine.Cache.find cache key with
-        | Some (Ok (name, g, report)) ->
-          Tsg_io.Rpc.analyze_response ~model:name g report
-        | Some (Error msg) -> Tsg_io.Rpc.error_response msg
-        | None -> (
-          match
-            Option.bind disk_cache (fun dc -> Tsg_engine.Disk_cache.find dc key)
-          with
-          | Some response -> response
-          | None -> (
-            match Cycle_time.analyze ?periods g with
-            | report ->
-              Tsg_engine.Cache.add cache key (Ok (name, g, report));
-              let response = Tsg_io.Rpc.analyze_response ~model:name g report in
-              Option.iter
-                (fun dc -> Tsg_engine.Disk_cache.add dc key response)
-                disk_cache;
-              response
-            | exception Cycle_time.Not_analyzable msg ->
-              Tsg_engine.Cache.add cache key (Error msg);
-              Tsg_io.Rpc.error_response msg)))
-    in
     (* prepared what-if bases are ~b retained float arrays each, far
-       heavier than a report — a small separate LRU so repeated sweeps
-       of the same model warm-start instantly without letting bases
+       heavier than a report: a small separate LRU, so they cannot
        crowd out the analysis cache *)
     let whatif_cache = Tsg_engine.Cache.create ~metrics_prefix:"whatif-cache" ~capacity:8 () in
-    let prepared_base ?periods path =
-      match load_model path with
-      | Error msg -> Error msg
-      | Ok (name, g) ->
-        Tsg_engine.Cache.find_or_add whatif_cache (cache_key ?periods name g)
-          (fun () ->
-            match Whatif.prepare ?periods g with
-            | base -> Ok (name, base)
-            | exception Cycle_time.Not_analyzable msg -> Error msg)
-    in
     (* the endpoint as actually bound — for Tcp {port = 0} the kernel
        picks the port; on_ready stores it before any client is
        accepted, so the stats handler can report this replica's shard
        identity *)
     let bound_endpoint = ref endpoint in
-    let handler line =
-      match Tsg_engine.Protocol.parse_request line with
-      | Error msg ->
-        Tsg_engine.Server.Reply (Tsg_io.Rpc.error_response ~code:"bad_request" msg)
-      | Ok (Tsg_engine.Protocol.Analyze { path; periods; timeout_ms }) ->
-        Tsg_engine.Server.Reply
-          ((* the request's budget wraps load + analyze; a timed-out
-              analysis is reported structurally and never cached, so a
-              retry with a larger budget can still succeed *)
-           let d =
-             match timeout_ms with
-             | None -> Tsg_engine.Deadline.none
-             | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
-           in
-           match
-             Tsg_engine.Deadline.with_deadline d (fun () ->
-                 analyze_response_cached ?periods path)
-           with
-          | response -> response
-          | exception Tsg_engine.Deadline.Deadline_exceeded ->
-            Tsg_io.Rpc.error_response ~code:"deadline_exceeded"
-              (Tsg_engine.Deadline.error_message d))
-      | Ok (Tsg_engine.Protocol.Batch { paths; periods; jobs = req_jobs; timeout_ms })
-        ->
-        let jobs = match req_jobs with Some j -> resolve_jobs j | None -> jobs in
-        let entries =
-          Tsg_engine.Batch.run ~jobs ?deadline_ms:timeout_ms ~label:Fun.id
-            ~f:(analyze_cached ?periods) paths
-        in
-        Tsg_engine.Server.Reply (Tsg_io.Rpc.batch_response entries)
-      | Ok
-          (Tsg_engine.Protocol.Sweep
-             { path; scenarios; periods; jobs = req_jobs; timeout_ms }) ->
-        Tsg_engine.Server.Reply
-          (if List.length scenarios > max_sweep then
-             Tsg_io.Rpc.error_response ~code:"too_large"
-               (Printf.sprintf "sweep of %d scenarios exceeds --max-sweep %d"
-                  (List.length scenarios) max_sweep)
-           else
-             (* the budget bounds the base preparation too: a sweep
-                whose prepare times out is reported structurally and
-                never cached, exactly like a timed-out analysis *)
-             let d =
-               match timeout_ms with
-               | None -> Tsg_engine.Deadline.none
-               | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
-             in
-             match
-               Tsg_engine.Deadline.with_deadline d (fun () -> prepared_base ?periods path)
-             with
-             | Error msg -> Tsg_io.Rpc.error_response msg
-             | exception Tsg_engine.Deadline.Deadline_exceeded ->
-               Tsg_io.Rpc.error_response ~code:"deadline_exceeded"
-                 (Tsg_engine.Deadline.error_message d)
-             | Ok (name, base) ->
-               let jobs = match req_jobs with Some j -> resolve_jobs j | None -> jobs in
-               (* structural scenarios never invalidate the prepared
-                  base: re-analysis leaves it untouched, so the LRU
-                  entry stays live across the whole sweep and across
-                  subsequent sweeps of the same model *)
-               let scens = Array.of_list scenarios in
-               let items = run_sweep ?budget_ms:timeout_ms ~jobs base scens in
-               Tsg_io.Rpc.sweep_response ~model:name (Whatif.signal_graph base)
-                 (Array.to_list items))
-      | Ok Tsg_engine.Protocol.Stats ->
-        Tsg_engine.Server.Reply
-          (Tsg_io.Rpc.stats_response ~cache:(Tsg_engine.Cache.stats cache)
-             ?disk_cache:(Option.map Tsg_engine.Disk_cache.stats disk_cache)
-             ~transport:
-               (match endpoint with
-               | Tsg_engine.Server.Unix_socket _ -> "unix"
-               | Tsg_engine.Server.Tcp _ -> "tcp")
-             ~shard:
-               (match shard with
-               | Some label -> label
-               | None -> Tsg_engine.Server.endpoint_to_string !bound_endpoint)
-             ())
-      | Ok Tsg_engine.Protocol.Shutdown ->
-        Tsg_engine.Server.Final (Tsg_io.Rpc.shutdown_response ())
+    let handler =
+      Service.replica_handler ~cache ~disk_cache ~whatif_cache ~max_sweep ~jobs ~shard
+        ~endpoint:(fun () -> !bound_endpoint)
     in
     (* SIGTERM/SIGINT request a graceful drain: stop accepting, let
        in-flight requests finish (up to --drain-timeout), then exit *)
-    let stop = Atomic.make false in
-    let request_stop _ = Atomic.set stop true in
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop)
-     with Invalid_argument _ | Sys_error _ -> ());
+    let stop = stop_signals () in
     let on_ready ep =
       bound_endpoint := ep;
       let name = Tsg_engine.Server.endpoint_to_string ep in
@@ -900,6 +661,24 @@ let client_cmd =
       Fmt.epr "tsa: nothing to send (give models, --stats or --shutdown)@.";
       exit 2
     end;
+    (* one conversation with a daemon: a serve socket, or a proxy —
+       the thin-client path, where the proxy owns routing, retries,
+       hedging and shedding.  Responses (degraded:true stale serves
+       included) are printed as received. *)
+    let converse daemon endpoint =
+      match
+        Tsg_engine.Server.call ~retries ~endpoint (List.map request_to_string requests)
+      with
+      | responses -> List.iter print_endline responses
+      | exception Unix.Unix_error (err, _, _) ->
+        Fmt.epr "tsa: cannot reach %s: %s (is 'tsa %s' running?)@."
+          (Tsg_engine.Server.endpoint_to_string endpoint)
+          (Unix.error_message err) daemon;
+        exit 1
+      | exception Failure msg ->
+        Fmt.epr "tsa: %s@." msg;
+        exit 1
+    in
     match (socket, endpoints, via) with
     | (Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _) ->
       Fmt.epr "tsa: give exactly one of --socket, --endpoints or --via@.";
@@ -907,84 +686,20 @@ let client_cmd =
     | None, None, None ->
       Fmt.epr "tsa: give --socket PATH, --endpoints EP,EP,... or --via EP@.";
       exit 2
-    | Some socket, None, None -> (
-      match
-        Tsg_engine.Server.call ~retries
-          ~endpoint:(Tsg_engine.Server.Unix_socket socket)
-          (List.map request_to_string requests)
-      with
-      | responses -> List.iter print_endline responses
-      | exception Unix.Unix_error (err, _, _) ->
-        Fmt.epr "tsa: cannot reach %s: %s (is 'tsa serve' running?)@." socket
-          (Unix.error_message err);
-        exit 1
-      | exception Failure msg ->
-        Fmt.epr "tsa: %s@." msg;
-        exit 1)
+    | Some socket, None, None -> converse "serve" (Tsg_engine.Server.Unix_socket socket)
     | None, None, Some spec -> (
-      (* the thin-client path: one conversation with the proxy, which
-         owns routing, retries, hedging and shedding.  Responses —
-         including degraded:true stale serves — are printed as
-         received. *)
-      let endpoint =
-        match Tsg_engine.Server.endpoint_of_string (String.trim spec) with
-        | Ok ep -> ep
-        | Error msg ->
-          Fmt.epr "tsa: bad --via endpoint %S: %s@." spec msg;
-          exit 2
-      in
-      match
-        Tsg_engine.Server.call ~retries ~endpoint
-          (List.map request_to_string requests)
-      with
-      | responses -> List.iter print_endline responses
-      | exception Unix.Unix_error (err, _, _) ->
-        Fmt.epr "tsa: cannot reach %s: %s (is 'tsa proxy' running?)@."
-          (Tsg_engine.Server.endpoint_to_string endpoint)
-          (Unix.error_message err);
-        exit 1
-      | exception Failure msg ->
-        Fmt.epr "tsa: %s@." msg;
-        exit 1)
+      match Tsg_engine.Server.endpoint_of_string (String.trim spec) with
+      | Ok endpoint -> converse "proxy" endpoint
+      | Error msg ->
+        Fmt.epr "tsa: bad --via endpoint %S: %s@." spec msg;
+        exit 2)
     | None, Some spec, None ->
-      let eps =
-        String.split_on_char ',' spec
-        |> List.filter (fun s -> String.trim s <> "")
-        |> List.map (fun s ->
-               match Tsg_engine.Server.endpoint_of_string (String.trim s) with
-               | Ok ep -> ep
-               | Error msg ->
-                 Fmt.epr "tsa: bad endpoint %S: %s@." s msg;
-                 exit 2)
-      in
-      if eps = [] then begin
-        Fmt.epr "tsa: --endpoints names no endpoints@.";
-        exit 2
-      end;
-      let router = Tsg_engine.Router.create ~retries eps in
-      (* the routing key is the model's content digest — the exact key
-         the replica caches hash on, so each replica's cache
-         concentrates on its slice of the keyspace.  An unloadable
-         model routes on its path; the daemon reports the load error
-         as the response. *)
-      let digest_of path =
-        match load_model path with
-        | Ok (_, g) -> Signal_graph.digest g
-        | Error _ -> path
-      in
-      let routing_key = function
-        | Analyze { path; _ } | Sweep { path; _ } -> Some (digest_of path)
-        | Batch { paths; _ } -> (
-          match paths with
-          | [ p ] -> Some (digest_of p)
-          | _ -> Some (String.concat "," paths))
-        | Stats | Shutdown -> None (* fleet-wide: broadcast *)
-      in
+      let router = Tsg_engine.Router.create ~retries (parse_endpoint_list spec) in
       let failures = ref 0 in
       List.iter
         (fun req ->
           let line = request_to_string req in
-          match routing_key req with
+          match Service.routing_key req with
           | Some key -> (
             match Tsg_engine.Router.route router ~key line with
             | Ok response -> print_endline response
@@ -1033,23 +748,6 @@ let client_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* The proxy tier: the whole fleet behind one address                  *)
-
-let parse_endpoint_list spec =
-  let eps =
-    String.split_on_char ',' spec
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun s ->
-           match Tsg_engine.Server.endpoint_of_string (String.trim s) with
-           | Ok ep -> ep
-           | Error msg ->
-             Fmt.epr "tsa: bad endpoint %S: %s@." s msg;
-             exit 2)
-  in
-  if eps = [] then begin
-    Fmt.epr "tsa: --endpoints names no endpoints@.";
-    exit 2
-  end;
-  eps
 
 let proxy_cmd =
   let listen_arg =
@@ -1170,96 +868,11 @@ let proxy_cmd =
         Fmt.epr "tsa: %s@." msg;
         exit 2
     in
-    (* the routing key is the model's content digest — the same key the
-       client-side router and the replica caches use, so the proxy's
-       shard choice agrees with every other participant's.  The cache
-       key (degraded path) reproduces the daemon's exact disk-cache key
-       for analyze requests; sweeps and batches are never disk-cached *)
-    let digest_of path =
-      match load_model path with
-      | Ok (_, g) -> Signal_graph.digest g
-      | Error _ -> path
-    in
-    let classify req =
-      let open Tsg_engine.Protocol in
-      match req with
-      | Analyze { path; periods; timeout_ms } ->
-        let key, cache_key =
-          match load_model path with
-          | Ok (name, g) ->
-            let digest = Signal_graph.digest g in
-            ( digest,
-              Some
-                (Printf.sprintf "%s|%s|%s" digest name
-                   (match periods with
-                   | None -> "b"
-                   | Some n -> string_of_int n)) )
-          | Error _ -> (path, None)
-        in
-        `Forward (key, cache_key, true, timeout_ms)
-      | Sweep { path; timeout_ms; _ } ->
-        `Forward (digest_of path, None, true, timeout_ms)
-      | Batch { paths; timeout_ms; _ } ->
-        let key =
-          match paths with
-          | [ p ] -> digest_of p
-          | _ -> String.concat "," paths
-        in
-        (* batches fan out heavy work on the shard pool: correct to
-           replay but wasteful to duplicate, so they are not hedged *)
-        `Forward (key, None, false, timeout_ms)
-      | Stats -> `Stats
-      | Shutdown -> `Shutdown
-    in
     let bound_endpoint = ref listen_ep in
-    let handler line =
-      match Tsg_engine.Protocol.parse_request line with
-      | Error msg ->
-        Tsg_engine.Server.Reply (Tsg_io.Rpc.error_response ~code:"bad_request" msg)
-      | Ok req -> (
-        match classify req with
-        | `Stats ->
-          Tsg_engine.Server.Reply
-            (Tsg_io.Rpc.stats_response
-               ?disk_cache:(Option.map Tsg_engine.Disk_cache.stats stale)
-               ~transport:
-                 (match listen_ep with
-                 | Tsg_engine.Server.Unix_socket _ -> "unix"
-                 | Tsg_engine.Server.Tcp _ -> "tcp")
-               ~shard:(Tsg_engine.Server.endpoint_to_string !bound_endpoint)
-               ~proxy:(Tsg_engine.Proxy.stats proxy, Tsg_engine.Router.stats router)
-               ())
-        | `Shutdown ->
-          (* the proxy is the fleet's one address: shutting it down
-             drains the shards behind it too (failures ignored — a
-             dead shard is already down) *)
-          ignore (Tsg_engine.Router.broadcast router line);
-          Tsg_engine.Server.Final (Tsg_io.Rpc.shutdown_response ())
-        | `Forward (key, cache_key, idempotent, timeout_ms) ->
-          let deadline_at =
-            Option.map
-              (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))
-              timeout_ms
-          in
-          Tsg_engine.Server.Reply
-            (match
-               Tsg_engine.Proxy.forward proxy ~key ?cache_key ?deadline_at
-                 ~idempotent line
-             with
-            | Tsg_engine.Proxy.Fresh response -> response
-            | Tsg_engine.Proxy.Degraded (payload, _age) ->
-              Tsg_engine.Proxy.mark_degraded payload
-            | Tsg_engine.Proxy.Shed (code, msg) ->
-              Tsg_io.Rpc.error_response ~code msg
-            | Tsg_engine.Proxy.Failed msg ->
-              Tsg_io.Rpc.error_response ~code:"unavailable" msg))
+    let handler =
+      Service.proxy_handler ~router ~proxy ~stale ~endpoint:(fun () -> !bound_endpoint)
     in
-    let stop = Atomic.make false in
-    let request_stop _ = Atomic.set stop true in
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop)
-     with Invalid_argument _ | Sys_error _ -> ());
+    let stop = stop_signals () in
     let on_ready ep =
       bound_endpoint := ep;
       Fmt.epr "tsa: proxy on %s fronting %d shards%s@."
@@ -1319,26 +932,11 @@ let free_port () =
   | Unix.ADDR_INET (_, port) -> port
   | _ -> assert false
 
-let spawn_replica ?(quiet = false) ?cache_dir ~cache_size ~host ~port () =
-  let ep = Printf.sprintf "%s:%d" host port in
+(* run [tsa ARGS...] as a child process of this binary; [quiet]
+   sends its stderr to /dev/null *)
+let spawn_tsa ?(quiet = false) ?cache_dir args =
   let argv =
-    [ "tsa"; "serve"; "--tcp"; ep; "--cache-size"; string_of_int cache_size ]
-    @ match cache_dir with Some d -> [ "--cache-dir"; d ] | None -> []
-  in
-  let stderr_fd =
-    if quiet then Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 else Unix.stderr
-  in
-  let pid =
-    Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin
-      Unix.stdout stderr_fd
-  in
-  if quiet then (try Unix.close stderr_fd with Unix.Unix_error _ -> ());
-  (pid, ep)
-
-let spawn_proxy ?(quiet = false) ?cache_dir ~listen ~endpoints () =
-  let argv =
-    [ "tsa"; "proxy"; "--listen"; listen; "--endpoints"; String.concat "," endpoints ]
-    @ match cache_dir with Some d -> [ "--cache-dir"; d ] | None -> []
+    ("tsa" :: args) @ match cache_dir with Some d -> [ "--cache-dir"; d ] | None -> []
   in
   let stderr_fd =
     if quiet then Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 else Unix.stderr
@@ -1350,17 +948,29 @@ let spawn_proxy ?(quiet = false) ?cache_dir ~listen ~endpoints () =
   if quiet then (try Unix.close stderr_fd with Unix.Unix_error _ -> ());
   pid
 
+let spawn_replica ?quiet ?cache_dir ~cache_size ~host ~port () =
+  let ep = Printf.sprintf "%s:%d" host port in
+  ( spawn_tsa ?quiet ?cache_dir
+      [ "serve"; "--tcp"; ep; "--cache-size"; string_of_int cache_size ],
+    ep )
+
+let spawn_proxy ?quiet ?cache_dir ~listen ~endpoints () =
+  spawn_tsa ?quiet ?cache_dir
+    [ "proxy"; "--listen"; listen; "--endpoints"; String.concat "," endpoints ]
+
 (* block until every replica answers a stats request (or raise after
    the retries run out) *)
+let parse_ep ep =
+  match Tsg_engine.Server.endpoint_of_string ep with
+  | Ok e -> e
+  | Error msg -> failwith msg
+
 let wait_fleet_ready endpoints =
   List.iter
     (fun ep ->
-      match Tsg_engine.Server.endpoint_of_string ep with
-      | Error msg -> failwith msg
-      | Ok endpoint ->
-        ignore
-          (Tsg_engine.Server.call ~retries:12 ~backoff_ms:25. ~endpoint
-             [ {|{"op":"stats"}|} ]))
+      ignore
+        (Tsg_engine.Server.call ~retries:12 ~backoff_ms:25. ~endpoint:(parse_ep ep)
+           [ {|{"op":"stats"}|} ]))
     endpoints
 
 (* one supervised replica slot: [fm_state] is [`Alive] while the pid
@@ -1486,17 +1096,12 @@ let fleet_cmd =
        which drains gracefully on its own.  With --restart an
        abnormal exit respawns the replica on its port after a capped
        exponential backoff; draining cancels pending restarts. *)
-    let drain = ref false in
-    let forward _ = drain := true in
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle forward)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle forward)
-     with Invalid_argument _ | Sys_error _ -> ());
+    let drain = stop_signals () in
     let draining = ref false in
     let live () = List.exists (fun m -> m.fm_state <> `Gone) members in
     while live () do
-      if !drain then begin
-        drain := false;
+      if Atomic.get drain then begin
+        Atomic.set drain false;
         draining := true;
         kill_all Sys.sigterm;
         Option.iter
@@ -1588,286 +1193,158 @@ type bench_iter = {
   bi_backtrack : float;
 }
 
-(* the serving-tier drill: push one fixed mixed analyze/sweep request
-   set through a 1-replica and then a 3-replica TCP fleet (spawned as
-   subprocesses, stderr silenced), 4 client threads each, and compare
-   throughput.  The request set is deterministic so snapshots stay
-   comparable; byte-identity of the analyze responses across fleet
-   sizes is checked on every run (sweep responses embed per-item wall
-   clock, so they are excluded from the byte comparison, not from the
-   load). *)
-type fleet_load = {
-  fl_requests : int;
-  fl_threads : int;
-  fl_replicas : int;
-  fl_single_ms : float;
-  fl_fleet_ms : float;
-  fl_failed : int;
-  fl_identical : bool;
+(* The serving-tier drills send one fixed mixed analyze/sweep request
+   set from 4 client threads to quiet TCP replicas spawned as
+   subprocesses.  The request set is deterministic so snapshots stay
+   comparable; byte-identity of the analyze responses across the two
+   passes of a drill is checked on every run (sweep responses embed
+   per-item wall clock, so they are excluded from the byte comparison,
+   not from the load). *)
+let load_client_threads = 4
+let load_replicas = 3
+
+(* (routing key, request line, is an analyze) *)
+let load_requests =
+  lazy
+    (let open Tsg_engine.Protocol in
+     let models = [| "fig1"; "ring5"; "stack" |] in
+     Array.init 48 (fun i ->
+         let path = models.(i mod Array.length models) in
+         let req =
+           if i land 1 = 0 then Analyze { path; periods = None; timeout_ms = None }
+           else
+             Sweep
+               {
+                 path;
+                 scenarios =
+                   [
+                     [
+                       Sw_delay
+                         {
+                           sw_arc = i mod 3;
+                           sw_delta = 0.25 +. (float_of_int (i mod 5) /. 8.);
+                         };
+                     ];
+                   ];
+                 periods = None;
+                 jobs = None;
+                 timeout_ms = None;
+               }
+         in
+         (Option.get (Service.routing_key req), request_to_string req, i land 1 = 0)))
+
+(* [f endpoints] over [n] fresh replicas, torn down afterwards *)
+let with_replicas n f =
+  let members =
+    List.init n (fun _ ->
+        spawn_replica ~quiet:true ~cache_size:1024 ~host:"127.0.0.1" ~port:(free_port ()) ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (pid, _) -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+        members;
+      List.iter
+        (fun (pid, _) -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        members)
+  @@ fun () ->
+  let endpoints = List.map snd members in
+  wait_fleet_ready endpoints;
+  f endpoints
+
+(* send the request set through [send key line] from the client
+   threads: (wall ms, responses by request index, failed count) *)
+let drive_load send =
+  let lines = Lazy.force load_requests in
+  let n = Array.length lines in
+  let idx = Atomic.make 0 in
+  let failed = Atomic.make 0 in
+  let responses = Array.make n "" in
+  let rec worker () =
+    let i = Atomic.fetch_and_add idx 1 in
+    if i < n then begin
+      let key, line, _ = lines.(i) in
+      (match send key line with
+      | Ok r -> responses.(i) <- r
+      | Error _ -> Atomic.incr failed);
+      worker ()
+    end
+  in
+  let t0 = Unix.gettimeofday () in
+  let threads = List.init load_client_threads (fun _ -> Thread.create worker ()) in
+  List.iter Thread.join threads;
+  ((Unix.gettimeofday () -. t0) *. 1000., responses, Atomic.get failed)
+
+(* the request set through a client-side router over [n] replicas *)
+let direct_load n =
+  with_replicas n (fun endpoints ->
+      let router = Tsg_engine.Router.create ~retries:3 (List.map parse_ep endpoints) in
+      let r = drive_load (fun key line -> Tsg_engine.Router.route router ~key line) in
+      ignore (Tsg_engine.Router.broadcast router {|{"op":"shutdown"}|});
+      r)
+
+(* one drill's two passes over the request set: the baseline and the
+   configuration under test *)
+type load_drill = {
+  ld_requests : int;
+  ld_base_ms : float;
+  ld_test_ms : float;
+  ld_failed : int;  (** over both passes *)
+  ld_identical : bool;  (** analyze responses equal across the passes *)
 }
 
+let compare_passes (base_ms, base, base_failed) (test_ms, test, test_failed) =
+  let identical = ref true in
+  Array.iteri
+    (fun i (_, _, is_analyze) -> if is_analyze && base.(i) <> test.(i) then identical := false)
+    (Lazy.force load_requests);
+  {
+    ld_requests = Array.length base;
+    ld_base_ms = base_ms;
+    ld_test_ms = test_ms;
+    ld_failed = base_failed + test_failed;
+    ld_identical = !identical;
+  }
+
+(* the fleet drill: a 1-replica and then a 3-replica fleet, comparing
+   throughput *)
 let run_fleet_load () =
-  let open Tsg_engine.Protocol in
-  let host = "127.0.0.1" in
-  let models = [| "fig1"; "ring5"; "stack" |] in
-  let n_requests = 48 in
-  let client_threads = 4 in
-  let replicas = 3 in
-  let request_of i m =
-    if i land 1 = 0 then Analyze { path = m; periods = None; timeout_ms = None }
-    else
-      Sweep
-        {
-          path = m;
-          scenarios =
-            [
-              [
-                Sw_delay
-                  {
-                    sw_arc = i mod 3;
-                    sw_delta = 0.25 +. (float_of_int (i mod 5) /. 8.);
-                  };
-              ];
-            ];
-          periods = None;
-          jobs = None;
-          timeout_ms = None;
-        }
-  in
-  let lines =
-    Array.init n_requests (fun i ->
-        let m = models.(i mod Array.length models) in
-        let key =
-          match load_model m with
-          | Ok (_, g) -> Signal_graph.digest g
-          | Error _ -> m
-        in
-        (key, request_to_string (request_of i m), i land 1 = 0))
-  in
-  let with_fleet n f =
-    let members =
-      List.init n (fun _ ->
-          let port = free_port () in
-          spawn_replica ~quiet:true ~cache_size:1024 ~host ~port ())
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun (pid, _) ->
-            try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          members;
-        List.iter
-          (fun (pid, _) ->
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-          members)
-    @@ fun () ->
-    let endpoints = List.map snd members in
-    wait_fleet_ready endpoints;
-    let eps =
-      List.map
-        (fun ep ->
-          match Tsg_engine.Server.endpoint_of_string ep with
-          | Ok e -> e
-          | Error msg -> failwith msg)
-        endpoints
-    in
-    let router = Tsg_engine.Router.create ~retries:3 eps in
-    let result = f router in
-    ignore (Tsg_engine.Router.broadcast router {|{"op":"shutdown"}|});
-    result
-  in
-  let drive router =
-    let idx = Atomic.make 0 in
-    let failed = Atomic.make 0 in
-    let responses = Array.make n_requests "" in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add idx 1 in
-        if i < n_requests then begin
-          let key, line, _ = lines.(i) in
-          (match Tsg_engine.Router.route router ~key line with
-          | Ok r -> responses.(i) <- r
-          | Error _ -> Atomic.incr failed);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let threads = List.init client_threads (fun _ -> Thread.create worker ()) in
-    List.iter Thread.join threads;
-    ((Unix.gettimeofday () -. t0) *. 1000., responses, Atomic.get failed)
-  in
-  let single_ms, single_responses, single_failed = with_fleet 1 drive in
-  let fleet_ms, fleet_responses, fleet_failed = with_fleet replicas drive in
-  let identical = ref true in
-  Array.iteri
-    (fun i (_, _, is_analyze) ->
-      if is_analyze && single_responses.(i) <> fleet_responses.(i) then
-        identical := false)
-    lines;
-  {
-    fl_requests = n_requests;
-    fl_threads = client_threads;
-    fl_replicas = replicas;
-    fl_single_ms = single_ms;
-    fl_fleet_ms = fleet_ms;
-    fl_failed = single_failed + fleet_failed;
-    fl_identical = !identical;
-  }
+  let single = direct_load 1 in
+  compare_passes single (direct_load load_replicas)
 
-(* the proxy-overhead drill: the same deterministic mixed request set
-   as fleet_load, once through a client-side router over a 3-replica
-   fleet and once through a [tsa proxy] subprocess fronting an
-   identical fresh fleet.  Both passes start cold, so the walls are
-   comparable; the headline is the overhead of the extra loopback hop
-   plus the proxy's admission/breaker/budget bookkeeping, gated at
-   15% in CI. *)
-type proxy_load = {
-  pl_requests : int;
-  pl_threads : int;
-  pl_replicas : int;
-  pl_direct_ms : float;
-  pl_proxy_ms : float;
-  pl_failed : int;
-  pl_identical : bool;
-}
-
+(* the proxy-overhead drill: the request set once through a
+   client-side router over a 3-replica fleet and once through a
+   [tsa proxy] subprocess fronting an identical fresh fleet.  Both
+   passes start cold, so the walls are comparable; the headline is the
+   overhead of the extra loopback hop plus the proxy's
+   admission/breaker/budget bookkeeping, gated at 15% in CI. *)
 let run_proxy_load () =
-  let open Tsg_engine.Protocol in
-  let host = "127.0.0.1" in
-  let models = [| "fig1"; "ring5"; "stack" |] in
-  let n_requests = 48 in
-  let client_threads = 4 in
-  let replicas = 3 in
-  let request_of i m =
-    if i land 1 = 0 then Analyze { path = m; periods = None; timeout_ms = None }
-    else
-      Sweep
-        {
-          path = m;
-          scenarios =
-            [
-              [
-                Sw_delay
-                  {
-                    sw_arc = i mod 3;
-                    sw_delta = 0.25 +. (float_of_int (i mod 5) /. 8.);
-                  };
-              ];
-            ];
-          periods = None;
-          jobs = None;
-          timeout_ms = None;
-        }
-  in
-  let lines =
-    Array.init n_requests (fun i ->
-        let m = models.(i mod Array.length models) in
-        let key =
-          match load_model m with
-          | Ok (_, g) -> Signal_graph.digest g
-          | Error _ -> m
-        in
-        (key, request_to_string (request_of i m), i land 1 = 0))
-  in
-  let with_fleet f =
-    let members =
-      List.init replicas (fun _ ->
-          let port = free_port () in
-          spawn_replica ~quiet:true ~cache_size:1024 ~host ~port ())
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun (pid, _) ->
-            try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          members;
-        List.iter
-          (fun (pid, _) ->
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-          members)
-    @@ fun () ->
-    let endpoints = List.map snd members in
-    wait_fleet_ready endpoints;
-    f endpoints
-  in
-  let drive send =
-    let idx = Atomic.make 0 in
-    let failed = Atomic.make 0 in
-    let responses = Array.make n_requests "" in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add idx 1 in
-        if i < n_requests then begin
-          let key, line, _ = lines.(i) in
-          (match send key line with
-          | Ok r -> responses.(i) <- r
-          | Error _ -> Atomic.incr failed);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let threads = List.init client_threads (fun _ -> Thread.create worker ()) in
-    List.iter Thread.join threads;
-    ((Unix.gettimeofday () -. t0) *. 1000., responses, Atomic.get failed)
-  in
-  let parse_ep ep =
-    match Tsg_engine.Server.endpoint_of_string ep with
-    | Ok e -> e
-    | Error msg -> failwith msg
-  in
-  let direct_ms, direct_responses, direct_failed =
-    with_fleet (fun endpoints ->
-        let router = Tsg_engine.Router.create ~retries:3 (List.map parse_ep endpoints) in
-        let r = drive (fun key line -> Tsg_engine.Router.route router ~key line) in
-        ignore (Tsg_engine.Router.broadcast router {|{"op":"shutdown"}|});
-        r)
-  in
-  let proxy_ms, proxy_responses, proxy_failed =
-    with_fleet (fun endpoints ->
-        let listen = Printf.sprintf "%s:%d" host (free_port ()) in
-        let pid = spawn_proxy ~quiet:true ~listen ~endpoints () in
-        Fun.protect
-          ~finally:(fun () ->
-            (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        @@ fun () ->
-        wait_fleet_ready [ listen ];
-        let endpoint = parse_ep listen in
-        let r =
-          drive (fun _key line ->
-              match Tsg_engine.Server.call ~retries:3 ~endpoint [ line ] with
-              | [ response ] -> Ok response
-              | _ -> Error "response count mismatch"
-              | exception Unix.Unix_error (e, _, _) ->
-                Error (Unix.error_message e)
-              | exception Failure msg -> Error msg)
-        in
-        (* a shutdown through the proxy drains the shards behind it,
-           then the proxy itself — the single-address teardown *)
-        (match Tsg_engine.Server.call ~endpoint [ {|{"op":"shutdown"}|} ] with
-        | _ -> ()
-        | exception Unix.Unix_error _ | exception Failure _ -> ());
-        r)
-  in
-  let identical = ref true in
-  Array.iteri
-    (fun i (_, _, is_analyze) ->
-      if is_analyze && direct_responses.(i) <> proxy_responses.(i) then
-        identical := false)
-    lines;
-  {
-    pl_requests = n_requests;
-    pl_threads = client_threads;
-    pl_replicas = replicas;
-    pl_direct_ms = direct_ms;
-    pl_proxy_ms = proxy_ms;
-    pl_failed = direct_failed + proxy_failed;
-    pl_identical = !identical;
-  }
+  let direct = direct_load load_replicas in
+  compare_passes direct
+    (with_replicas load_replicas (fun endpoints ->
+         let listen = Printf.sprintf "127.0.0.1:%d" (free_port ()) in
+         let pid = spawn_proxy ~quiet:true ~listen ~endpoints () in
+         Fun.protect
+           ~finally:(fun () ->
+             (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+             try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+         @@ fun () ->
+         wait_fleet_ready [ listen ];
+         let endpoint = parse_ep listen in
+         let r =
+           drive_load (fun _key line ->
+               match Tsg_engine.Server.call ~retries:3 ~endpoint [ line ] with
+               | [ response ] -> Ok response
+               | _ -> Error "response count mismatch"
+               | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+               | exception Failure msg -> Error msg)
+         in
+         (* a shutdown through the proxy drains the shards behind it,
+            then the proxy itself — the single-address teardown *)
+         (match Tsg_engine.Server.call ~endpoint [ {|{"op":"shutdown"}|} ] with
+         | _ -> ()
+         | exception Unix.Unix_error _ | exception Failure _ -> ());
+         r))
 
 (* the bench case that reads gen-10k from a file rather than
    generating it *)
@@ -1951,14 +1428,14 @@ let bench_cmd =
         (let path = Filename.temp_file "gen-10k" ".g" in
          at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
          Tsg_io.Stg_format.write_file ~model:"gen-10k" path
-           (Option.get (builtin "gen-10k"));
+           (Option.get (Service.builtin "gen-10k"));
          path)
     in
     let source file = if file = gen10k_file then Lazy.force exported else file in
     let one_iter ~jobs file =
       let path = source file in
       Tsg_engine.Metrics.reset ();
-      match wall (fun () -> load_model path) with
+      match wall (fun () -> Service.load_model path) with
       | Error msg, _ -> Error (`Error msg)
       | Ok (name, g), bi_load -> (
         match wall (fun () -> Cycle_time.analyze ~jobs g) with
@@ -2034,7 +1511,7 @@ let bench_cmd =
     let sweep_stats =
       if not (selected "whatif_sweep") then None
       else begin
-        let g = Option.get (builtin "gen-dense") in
+        let g = Option.get (Service.builtin "gen-dense") in
         let arcs = Signal_graph.arc_count g in
         let base, sw_prepare_ms = wall (fun () -> Whatif.prepare g) in
         let scenarios =
@@ -2088,7 +1565,7 @@ let bench_cmd =
     let structural_stats =
       if not (selected "whatif_structural") then None
       else begin
-        let g = Option.get (builtin "gen-dense") in
+        let g = Option.get (Service.builtin "gen-dense") in
         let events = Signal_graph.event_count g in
         let arcs = Signal_graph.arcs g in
         let chords =
@@ -2162,77 +1639,48 @@ let bench_cmd =
     (* the serving-tier workload is environment-dependent (subprocess
        spawning, loopback TCP): a sandbox that forbids either yields
        an error entry instead of killing the whole snapshot *)
-    let fleet_outcome =
-      if not (selected "fleet_load") then None
-      else
-        Some
-          (match run_fleet_load () with
-          | fl -> Ok fl
-          | exception exn -> Error (Printexc.to_string exn))
+    let drill name run =
+      if not (selected name) then None
+      else Some (match run () with d -> Ok d | exception exn -> Error (Printexc.to_string exn))
     in
-    let proxy_outcome =
-      if not (selected "proxy_load") then None
-      else
-        Some
-          (match run_proxy_load () with
-          | pl -> Ok pl
-          | exception exn -> Error (Printexc.to_string exn))
-    in
+    let fleet_outcome = drill "fleet_load" run_fleet_load in
+    let proxy_outcome = drill "proxy_load" run_proxy_load in
     let module J = Tsg_io.Json in
-    let fleet_json =
-      match fleet_outcome with
+    (* a drill's snapshot entry, its passes named [base] and [test].  On
+       a single core the replicas (and the proxy) share that core, so
+       neither the >=2x fleet speedup nor the proxy overhead means
+       anything; the status records it so CI can gate softly, like the
+       jobs-scaling gate *)
+    let drill_json ~base ~test ~ratio = function
       | None -> J.Obj [ ("status", J.String "skipped") ]
-      | Some (Error msg) ->
-        J.Obj [ ("status", J.String "error"); ("error", J.String msg) ]
-      | Some (Ok fl) ->
-        let rps ms = float_of_int fl.fl_requests /. (ms /. 1000.) in
+      | Some (Error msg) -> J.Obj [ ("status", J.String "error"); ("error", J.String msg) ]
+      | Some (Ok d) ->
+        let rps ms = float_of_int d.ld_requests /. (ms /. 1000.) in
         J.Obj
           [
-            (* single-core containers cannot show the >=2x fleet
-               speedup (three replicas share one core); the snapshot
-               records the status so CI can gate softly, like the
-               jobs-scaling gate *)
-            ( "status",
-              J.String (if cores <= 1 then "single_core" else "ok") );
-            ("requests", J.Int fl.fl_requests);
-            ("client_threads", J.Int fl.fl_threads);
-            ("replicas", J.Int fl.fl_replicas);
+            ("status", J.String (if cores <= 1 then "single_core" else "ok"));
+            ("requests", J.Int d.ld_requests);
+            ("client_threads", J.Int load_client_threads);
+            ("replicas", J.Int load_replicas);
             ("cores", J.Int cores);
-            ("single_ms", J.Float fl.fl_single_ms);
-            ("fleet_ms", J.Float fl.fl_fleet_ms);
-            ("single_rps", J.Float (rps fl.fl_single_ms));
-            ("fleet_rps", J.Float (rps fl.fl_fleet_ms));
-            ("speedup", J.Float (fl.fl_single_ms /. fl.fl_fleet_ms));
-            ("failed", J.Int fl.fl_failed);
-            ("byte_identical", J.Bool fl.fl_identical);
+            (base ^ "_ms", J.Float d.ld_base_ms);
+            (test ^ "_ms", J.Float d.ld_test_ms);
+            (base ^ "_rps", J.Float (rps d.ld_base_ms));
+            (test ^ "_rps", J.Float (rps d.ld_test_ms));
+            ratio d;
+            ("failed", J.Int d.ld_failed);
+            ("byte_identical", J.Bool d.ld_identical);
           ]
+    in
+    let fleet_json =
+      drill_json ~base:"single" ~test:"fleet"
+        ~ratio:(fun d -> ("speedup", J.Float (d.ld_base_ms /. d.ld_test_ms)))
+        fleet_outcome
     in
     let proxy_json =
-      match proxy_outcome with
-      | None -> J.Obj [ ("status", J.String "skipped") ]
-      | Some (Error msg) ->
-        J.Obj [ ("status", J.String "error"); ("error", J.String msg) ]
-      | Some (Ok pl) ->
-        let rps ms = float_of_int pl.pl_requests /. (ms /. 1000.) in
-        J.Obj
-          [
-            (* on a single core the proxy subprocess competes with the
-               replicas and the client for the same core, so the
-               overhead ratio is noise; the snapshot records the
-               status and CI gates softly, like fleet_load *)
-            ("status", J.String (if cores <= 1 then "single_core" else "ok"));
-            ("requests", J.Int pl.pl_requests);
-            ("client_threads", J.Int pl.pl_threads);
-            ("replicas", J.Int pl.pl_replicas);
-            ("cores", J.Int cores);
-            ("direct_ms", J.Float pl.pl_direct_ms);
-            ("proxy_ms", J.Float pl.pl_proxy_ms);
-            ("direct_rps", J.Float (rps pl.pl_direct_ms));
-            ("proxy_rps", J.Float (rps pl.pl_proxy_ms));
-            ("overhead", J.Float ((pl.pl_proxy_ms /. pl.pl_direct_ms) -. 1.));
-            ("failed", J.Int pl.pl_failed);
-            ("byte_identical", J.Bool pl.pl_identical);
-          ]
+      drill_json ~base:"direct" ~test:"proxy"
+        ~ratio:(fun d -> ("overhead", J.Float ((d.ld_test_ms /. d.ld_base_ms) -. 1.)))
+        proxy_outcome
     in
     let entry_json (file, outcome) =
       match outcome with
@@ -2423,39 +1871,39 @@ let bench_cmd =
       | None -> ()
       | Some (Error msg) -> Fmt.pr "@.fleet load: skipped (%s)@." msg
       | Some (Ok fl) ->
-        let rps ms = float_of_int fl.fl_requests /. (ms /. 1000.) in
+        let rps ms = float_of_int fl.ld_requests /. (ms /. 1000.) in
         Fmt.pr "@.fleet load (%d mixed analyze/sweep requests, %d client threads)@."
-          fl.fl_requests fl.fl_threads;
-        Fmt.pr "  1 replica:  %9.2f ms  (%.0f req/s)@." fl.fl_single_ms
-          (rps fl.fl_single_ms);
-        Fmt.pr "  %d replicas: %9.2f ms  (%.0f req/s)@." fl.fl_replicas
-          fl.fl_fleet_ms (rps fl.fl_fleet_ms);
+          fl.ld_requests load_client_threads;
+        Fmt.pr "  1 replica:  %9.2f ms  (%.0f req/s)@." fl.ld_base_ms
+          (rps fl.ld_base_ms);
+        Fmt.pr "  %d replicas: %9.2f ms  (%.0f req/s)@." load_replicas
+          fl.ld_test_ms (rps fl.ld_test_ms);
         Fmt.pr "  speedup %.2fx on %d core%s; %d failed; %s@."
-          (fl.fl_single_ms /. fl.fl_fleet_ms)
+          (fl.ld_base_ms /. fl.ld_test_ms)
           cores
           (if cores = 1 then "" else "s")
-          fl.fl_failed
-          (if fl.fl_identical then "analyze responses byte-identical"
+          fl.ld_failed
+          (if fl.ld_identical then "analyze responses byte-identical"
            else "ANALYZE RESPONSES DIFFER"));
       (match proxy_outcome with
       | None -> ()
       | Some (Error msg) -> Fmt.pr "@.proxy load: skipped (%s)@." msg
       | Some (Ok pl) ->
-        let rps ms = float_of_int pl.pl_requests /. (ms /. 1000.) in
+        let rps ms = float_of_int pl.ld_requests /. (ms /. 1000.) in
         Fmt.pr
           "@.proxy load (%d mixed analyze/sweep requests, %d client threads, \
            %d replicas)@."
-          pl.pl_requests pl.pl_threads pl.pl_replicas;
-        Fmt.pr "  direct router: %9.2f ms  (%.0f req/s)@." pl.pl_direct_ms
-          (rps pl.pl_direct_ms);
-        Fmt.pr "  via tsa proxy: %9.2f ms  (%.0f req/s)@." pl.pl_proxy_ms
-          (rps pl.pl_proxy_ms);
+          pl.ld_requests load_client_threads load_replicas;
+        Fmt.pr "  direct router: %9.2f ms  (%.0f req/s)@." pl.ld_base_ms
+          (rps pl.ld_base_ms);
+        Fmt.pr "  via tsa proxy: %9.2f ms  (%.0f req/s)@." pl.ld_test_ms
+          (rps pl.ld_test_ms);
         Fmt.pr "  overhead %.1f%% on %d core%s; %d failed; %s@."
-          (((pl.pl_proxy_ms /. pl.pl_direct_ms) -. 1.) *. 100.)
+          (((pl.ld_test_ms /. pl.ld_base_ms) -. 1.) *. 100.)
           cores
           (if cores = 1 then "" else "s")
-          pl.pl_failed
-          (if pl.pl_identical then "analyze responses byte-identical"
+          pl.ld_failed
+          (if pl.ld_identical then "analyze responses byte-identical"
            else "ANALYZE RESPONSES DIFFER"))
     end;
     Fmt.epr "tsa: snapshot written to %s@." path

@@ -628,22 +628,22 @@ let sweep_changes ?deadline ?budget_ms ?(jobs = 1) t scenarios =
         | None -> Tsg_engine.Deadline.none
         | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
       in
-      match
-        Tsg_engine.Deadline.check outer;
-        reanalyze_changes
-          ~deadline:(if d == Tsg_engine.Deadline.none then outer else d)
-          ~scratch:sc t changes
-      with
-      | result -> Ok result
-      | exception Tsg_engine.Deadline.Deadline_exceeded ->
-        Error
-          (Tsg_engine.Deadline.error_message
-             (if Tsg_engine.Deadline.expired outer then outer else d))
-      | exception Invalid_argument msg -> Error msg
-      | exception Cycle_time.Not_analyzable msg ->
-        Error (Printf.sprintf "not analyzable: %s" msg))
+      let t0 = Unix.gettimeofday () in
+      let outcome =
+        match
+          Tsg_engine.Deadline.check outer;
+          reanalyze_changes
+            ~deadline:(if d == Tsg_engine.Deadline.none then outer else d)
+            ~scratch:sc t changes
+        with
+        | result -> Ok result
+        | exception Tsg_engine.Deadline.Deadline_exceeded ->
+          Error
+            (Tsg_engine.Deadline.error_message
+               (if Tsg_engine.Deadline.expired outer then outer else d))
+        | exception Invalid_argument msg -> Error msg
+        | exception Cycle_time.Not_analyzable msg ->
+          Error (Printf.sprintf "not analyzable: %s" msg)
+      in
+      (outcome, (Unix.gettimeofday () -. t0) *. 1000.))
     scenarios
-
-let sweep ?deadline ?budget_ms ?jobs t scenarios =
-  sweep_changes ?deadline ?budget_ms ?jobs t
-    (Array.map (List.map (fun e -> Delay e)) scenarios)

@@ -89,7 +89,7 @@ val prepare :
 (** One cold analysis (same parameters and report as
     {!Cycle_time.analyze}) that additionally retains the warm-start
     tables.  [jobs] parallelises the base simulations; re-analyses are
-    parallelised per scenario by {!sweep} instead.
+    parallelised per scenario by {!sweep_changes} instead.
     @raise Cycle_time.Not_analyzable as {!Cycle_time.analyze}.
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
 
@@ -166,17 +166,19 @@ val reanalyze_changes :
     {!edited_graph_changes}.
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
 
-val sweep :
+val sweep_changes :
   ?deadline:Tsg_engine.Deadline.t ->
   ?budget_ms:float ->
   ?jobs:int ->
   t ->
-  edit list array ->
-  (Cycle_time.report * stats, string) result array
-(** [sweep t scenarios] re-analyses every scenario, sharing the one
-    prepared base across [jobs] participants via
-    {!Parallel.map_claims} (one {!scratch} per participant, scenarios
-    claimed one at a time).  Results land at their scenario's index.
+  change list array ->
+  ((Cycle_time.report * stats, string) result * float) array
+(** [sweep_changes t scenarios] re-analyses every scenario with
+    {!reanalyze_changes}, sharing the one prepared base across [jobs]
+    participants via {!Parallel.map_claims} (one {!scratch} per
+    participant, scenarios claimed one at a time).  Results land at
+    their scenario's index, each paired with the scenario's wall time
+    in milliseconds.
 
     Failures are per-scenario: an invalid edit, a
     {!Cycle_time.Not_analyzable} graph or a tripped deadline turns
@@ -184,14 +186,3 @@ val sweep :
     fresh per-scenario deadline (Batch semantics — one pathological
     scenario times out alone); [deadline] (or the ambient one) is
     checked between scenarios, bounding the whole sweep. *)
-
-val sweep_changes :
-  ?deadline:Tsg_engine.Deadline.t ->
-  ?budget_ms:float ->
-  ?jobs:int ->
-  t ->
-  change list array ->
-  (Cycle_time.report * stats, string) result array
-(** {!sweep} over structural scenarios — same sharing, claiming,
-    budgets and per-scenario failure isolation, with each scenario
-    answered by {!reanalyze_changes}. *)

@@ -41,9 +41,9 @@
 
     The proxy is transport-and-policy only: it never parses model
     files (it cannot — the engine layer has no loader).  The caller
-    ([tsa proxy]) classifies each request line into a routing key, an
-    optional disk-cache key and an idempotency flag, and hands the
-    raw line to {!forward}.
+    ([Tsg_io.Service.proxy_handler], which [tsa proxy] serves) classifies
+    each request line into a routing key, an optional disk-cache key
+    and an idempotency flag, and hands the raw line to {!forward}.
 
     Counters under [<prefix>] (default ["proxy"]): [requests],
     [retries], [retry_budget_shed], [hedges], [hedge_wins], [degraded],

@@ -15,7 +15,8 @@
     framing, while the meaning of a request line is delegated to the
     [handler] so this module depends on neither the model nor the
     encoders ({!Tsg_io} sits {e above} the engine in the library
-    stack).  The CLI wires the two together in [tsa serve].
+    stack).  [Tsg_io.Service] builds the handlers that [tsa serve]
+    and [tsa proxy] pass here.
 
     Each connection is served by its own thread; concurrent clients do
     not block one another, and a handler that raises produces an

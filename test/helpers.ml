@@ -108,3 +108,48 @@ let structured_tsg_gen =
 let qcheck_structured_case ?(count = 60) ~name law =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count ~print:tsg_print structured_tsg_gen law)
+
+(* ------------------------------------------------------------------ *)
+(* In-process replicas running the real `tsa serve` handler            *)
+
+(* the replica handler over fresh memory and what-if caches, and the
+   memory cache (for its stats) *)
+let replica ?(metrics_prefix = "test-replica") ?disk_cache ~endpoint () =
+  let cache = Tsg_engine.Cache.create ~metrics_prefix ~capacity:32 () in
+  let whatif_cache =
+    Tsg_engine.Cache.create ~metrics_prefix:(metrics_prefix ^ "-whatif") ~capacity:8 ()
+  in
+  ( cache,
+    Tsg_io.Service.replica_handler ~cache ~disk_cache ~whatif_cache ~max_sweep:4096
+      ~jobs:2 ~shard:None ~endpoint )
+
+(* a replica serving TCP on a thread, optionally slowed by [delay_s]
+   per request and pinned to [port] (for restart drills); returns the
+   thread and the bound endpoint *)
+let start_shard ?(delay_s = 0.) ?(port = 0) ?(metrics_prefix = "test-shard") () =
+  let bound = ref None in
+  let _, serve = replica ~metrics_prefix ~endpoint:(fun () -> Option.get !bound) () in
+  let thread =
+    Thread.create
+      (fun () ->
+        Tsg_engine.Server.serve
+          ~on_ready:(fun ep -> bound := Some ep)
+          ~endpoint:(Tsg_engine.Server.Tcp { host = "127.0.0.1"; port })
+          ~handler:(fun line ->
+            if delay_s > 0. then Thread.delay delay_s;
+            serve line)
+          ())
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while !bound = None && Unix.gettimeofday () < deadline do
+    Thread.yield ()
+  done;
+  match !bound with
+  | None -> Alcotest.fail "shard never became ready"
+  | Some ep -> (thread, ep)
+
+let stop_shard (thread, ep) =
+  (try ignore (Tsg_engine.Server.call ~endpoint:ep [ {|{"op":"shutdown"}|} ])
+   with Unix.Unix_error _ | Failure _ -> ());
+  Thread.join thread

@@ -131,41 +131,9 @@ let test_degraded_marker_round_trips () =
 (* ------------------------------------------------------------------ *)
 (* Live in-process shards                                              *)
 
-(* a TCP shard serving the test handler, optionally slowed and
-   optionally pinned to a port (for restart drills) *)
-let start_shard ?(delay_s = 0.) ?(port = 0) () =
-  let cache = Cache.create ~metrics_prefix:"test-proxy-shard" ~capacity:32 () in
-  let base = Test_server.make_handler cache in
-  let handler line =
-    if delay_s > 0. then Thread.delay delay_s;
-    base line
-  in
-  let bound = ref None in
-  let thread =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~on_ready:(fun ep -> bound := Some ep)
-          ~endpoint:(Server.Tcp { host = "127.0.0.1"; port })
-          ~handler ())
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while !bound = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
-  match !bound with
-  | None -> Alcotest.fail "shard never became ready"
-  | Some ep -> (thread, ep)
-
-let stop_shard (thread, ep) =
-  (try ignore (Server.call ~endpoint:ep [ {|{"op":"shutdown"}|} ])
-   with Unix.Unix_error _ | Failure _ -> ());
-  Thread.join thread
-
 let with_shards ?delay_s n f =
-  let shards = List.init n (fun _ -> start_shard ?delay_s ()) in
-  Fun.protect ~finally:(fun () -> List.iter stop_shard shards) (fun () -> f shards)
+  let shards = List.init n (fun _ -> Helpers.start_shard ?delay_s ()) in
+  Fun.protect ~finally:(fun () -> List.iter Helpers.stop_shard shards) (fun () -> f shards)
 
 let with_router eps f = f (Router.create ~retries:0 eps)
 
@@ -222,7 +190,7 @@ let test_hedge_winner_byte_identity () =
 let test_retry_budget_exhaustion_sheds () =
   with_shards 3 @@ fun shards ->
   let eps = List.map snd shards in
-  List.iter stop_shard shards;
+  List.iter Helpers.stop_shard shards;
   with_router eps @@ fun router ->
   (* ratio 0, burst 1: the first attempt is free, the first retry
      spends the only token, the second retry must shed *)
@@ -260,7 +228,7 @@ let test_degraded_stale_serving () =
   Disk_cache.flush dc;
   with_shards 1 @@ fun shards ->
   let eps = List.map snd shards in
-  List.iter stop_shard shards;
+  List.iter Helpers.stop_shard shards;
   with_router eps @@ fun router ->
   let p = Proxy.create ~hedging:Proxy.Off ~stale:dc router in
   (match Proxy.forward p ~key:"k" ~cache_key:"ck" ~idempotent:true "req" with
@@ -288,7 +256,7 @@ let test_breaker_trips_and_recovers_through_forward () =
     | Server.Tcp { port; _ } -> port
     | _ -> Alcotest.fail "expected a TCP endpoint"
   in
-  List.iter stop_shard shards;
+  List.iter Helpers.stop_shard shards;
   let router =
     Router.create ~retries:0 ~breaker_window:4 ~breaker_failures:2
       ~breaker_cooldown_ms:100. eps
@@ -309,8 +277,8 @@ let test_breaker_trips_and_recovers_through_forward () =
   | _ -> Alcotest.fail "an open breaker cannot serve");
   (* the shard comes back on its port; after the cooldown the breaker
      admits one trial and a success closes it *)
-  let revived = start_shard ~port () in
-  Fun.protect ~finally:(fun () -> stop_shard revived) @@ fun () ->
+  let revived = Helpers.start_shard ~port () in
+  Fun.protect ~finally:(fun () -> Helpers.stop_shard revived) @@ fun () ->
   Thread.delay 0.15;
   (match forward () with
   | Proxy.Fresh _ -> ()
@@ -323,7 +291,7 @@ let test_one_breaker_state_for_forward_and_route () =
      on the same router must then refuse without dialing *)
   with_shards 1 @@ fun shards ->
   let eps = List.map snd shards in
-  List.iter stop_shard shards;
+  List.iter Helpers.stop_shard shards;
   let router =
     Router.create ~retries:0 ~breaker_window:4 ~breaker_failures:2
       ~breaker_cooldown_ms:60_000. eps
@@ -411,7 +379,7 @@ let test_chaos_kill_busiest_shard_under_load () =
     while Atomic.get idx < n_requests / 3 do
       Thread.delay 0.002
     done;
-    stop_shard (List.nth shards !busiest)
+    Helpers.stop_shard (List.nth shards !busiest)
   in
   let kt = Thread.create killer () in
   let threads = List.init 4 (fun _ -> Thread.create worker ()) in

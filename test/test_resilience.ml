@@ -404,49 +404,6 @@ let fresh_socket () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "tsa-resil-%d-%d.sock" (Unix.getpid ()) !socket_counter)
 
-(* the same composition as tsa serve: loader -> digest -> cache ->
-   analysis under the request's deadline -> Rpc encoders *)
-let make_handler cache =
-  let analyze_cached path =
-    match Tsg_io.Loader.load_file path with
-    | Error msg -> Error msg
-    | Ok m ->
-      let g = m.Tsg_io.Loader.graph in
-      let key = Signal_graph.digest g in
-      Cache.find_or_add cache key (fun () ->
-          match Cycle_time.analyze g with
-          | report -> Ok (m.Tsg_io.Loader.name, g, report)
-          | exception Cycle_time.Not_analyzable msg -> Error msg)
-  in
-  fun line ->
-    match Protocol.parse_request line with
-    | Error msg -> Server.Reply (Tsg_io.Rpc.error_response ~code:"bad_request" msg)
-    | Ok (Protocol.Analyze { path; timeout_ms; _ }) ->
-      Server.Reply
-        (let d =
-           match timeout_ms with
-           | None -> Deadline.none
-           | Some ms -> Deadline.make ~budget_ms:ms ()
-         in
-         match Deadline.with_deadline d (fun () -> analyze_cached path) with
-        | Ok (name, g, report) -> Tsg_io.Rpc.analyze_response ~model:name g report
-        | Error msg -> Tsg_io.Rpc.error_response msg
-        | exception Deadline.Deadline_exceeded ->
-          Tsg_io.Rpc.error_response ~code:"deadline_exceeded" (Deadline.error_message d))
-    | Ok (Protocol.Batch { paths; timeout_ms; _ }) ->
-      let entries =
-        Batch.run ~jobs:2 ?deadline_ms:timeout_ms ~label:Fun.id ~f:analyze_cached paths
-      in
-      Server.Reply (Tsg_io.Rpc.batch_response entries)
-    | Ok (Protocol.Sweep _) ->
-      (* the hardening scenarios drive analyze/batch only; Whatif has
-         its own deadline tests and bin/tsa.ml owns the real handler *)
-      Server.Reply
-        (Tsg_io.Rpc.error_response ~code:"bad_request"
-           "sweep is not wired in this test harness")
-    | Ok Protocol.Stats -> Server.Reply (Tsg_io.Rpc.stats_response ~cache:(Cache.stats cache) ())
-    | Ok Protocol.Shutdown -> Server.Final (Tsg_io.Rpc.shutdown_response ())
-
 let wait_for p =
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (not (p ())) && Unix.gettimeofday () < deadline do
@@ -457,13 +414,15 @@ let wait_for p =
 let with_hardened_server ?max_connections ?max_request_bytes ?read_timeout_s
     ?write_timeout_s ?stop f =
   let socket = fresh_socket () in
-  let cache = Cache.create ~metrics_prefix:"test-resilience" ~capacity:32 () in
+  let endpoint = Server.Unix_socket socket in
+  let _, handler =
+    Helpers.replica ~metrics_prefix:"test-resilience" ~endpoint:(fun () -> endpoint) ()
+  in
   let server =
     Thread.create
       (fun () ->
         Server.serve ?max_connections ?max_request_bytes ?read_timeout_s
-          ?write_timeout_s ~drain_timeout_s:2. ?stop
-          ~endpoint:(Server.Unix_socket socket) ~handler:(make_handler cache) ())
+          ?write_timeout_s ~drain_timeout_s:2. ?stop ~endpoint ~handler ())
       ()
   in
   wait_for (fun () -> Sys.file_exists socket);
@@ -669,14 +628,16 @@ let test_external_stop_drains () =
 
 let test_call_retries_until_daemon_appears () =
   let socket = fresh_socket () in
-  let cache = Cache.create ~metrics_prefix:"test-resilience-late" ~capacity:8 () in
+  let endpoint = Server.Unix_socket socket in
+  let _, handler =
+    Helpers.replica ~metrics_prefix:"test-resilience-late" ~endpoint:(fun () -> endpoint) ()
+  in
   let server =
     Thread.create
       (fun () ->
         (* the daemon shows up late; a retrying client rides it out *)
         Unix.sleepf 0.2;
-        Server.serve ~endpoint:(Server.Unix_socket socket)
-          ~handler:(make_handler cache) ())
+        Server.serve ~endpoint ~handler ())
       ()
   in
   Fun.protect

@@ -1,8 +1,8 @@
 (* The client-side shard router: rendezvous determinism, routing over
-   a live TCP fleet (reusing test_server's handler), failover when a
-   replica dies mid-run and its breaker tripping, a restarted replica
-   rejoining through the half-open trial, admission shedding that
-   never charges a breaker, and deadline refusal. *)
+   a live TCP fleet (in-process replicas running the real handler),
+   failover when a replica dies mid-run and its breaker tripping, a
+   restarted replica rejoining through the half-open trial, admission
+   shedding that never charges a breaker, and deadline refusal. *)
 
 open Tsg_engine
 
@@ -63,35 +63,12 @@ let test_removing_a_shard_only_moves_its_keys () =
 (* ------------------------------------------------------------------ *)
 (* A live TCP fleet (in-process replicas)                              *)
 
-let start_tcp_server () =
-  let cache = Cache.create ~metrics_prefix:"test-router" ~capacity:32 () in
-  let bound = ref None in
-  let thread =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~on_ready:(fun ep -> bound := Some ep)
-          ~endpoint:(Server.Tcp { host = "127.0.0.1"; port = 0 })
-          ~handler:(Test_server.make_handler cache) ())
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while !bound = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
-  match !bound with
-  | None -> Alcotest.fail "TCP replica never became ready"
-  | Some ep -> (thread, ep)
-
-let stop_server (thread, ep) =
-  (try ignore (Server.call ~endpoint:ep [ {|{"op":"shutdown"}|} ])
-   with Unix.Unix_error _ | Failure _ -> ());
-  Thread.join thread
-
 let with_fleet n f =
-  let servers = List.init n (fun _ -> start_tcp_server ()) in
+  let servers =
+    List.init n (fun _ -> Helpers.start_shard ~metrics_prefix:"test-router" ())
+  in
   Fun.protect
-    ~finally:(fun () -> List.iter stop_server servers)
+    ~finally:(fun () -> List.iter Helpers.stop_shard servers)
     (fun () -> f servers)
 
 let route_ok r ~key request =
@@ -134,7 +111,7 @@ let test_failover_when_replica_dies () =
   let before = route_ok r ~key req in
   (* kill the key's home replica — the worst-case victim *)
   let home = Router.home r key in
-  stop_server (List.nth servers home);
+  Helpers.stop_shard (List.nth servers home);
   let after = route_ok r ~key req in
   Alcotest.(check string) "failover response still ok" "ok"
     (status (parse_response after));
@@ -180,7 +157,7 @@ let test_broadcast () =
       | Ok resp -> Alcotest.(check string) "stats ok" "ok" (status (parse_response resp))
       | Error e -> Alcotest.failf "broadcast leg failed: %s" e)
     replies;
-  stop_server (List.nth servers 0);
+  Helpers.stop_shard (List.nth servers 0);
   let replies = Router.broadcast r {|{"op":"stats"}|} in
   let ok_count =
     List.length (List.filter (fun (_, res) -> Result.is_ok res) replies)
@@ -232,7 +209,7 @@ let test_restarted_replica_rejoins_after_half_open_trial () =
   let key = "rejoin-digest" in
   ignore (route_ok r ~key req);
   let home = Router.home r key in
-  stop_server (List.nth servers home);
+  Helpers.stop_shard (List.nth servers home);
   (* the next request fails over and trips the home's breaker *)
   ignore (route_ok r ~key req);
   let s = Router.stats r in
@@ -244,25 +221,8 @@ let test_restarted_replica_rejoins_after_half_open_trial () =
     | Server.Tcp { port; _ } -> port
     | _ -> Alcotest.fail "expected a TCP endpoint"
   in
-  let cache = Cache.create ~metrics_prefix:"test-router-rejoin" ~capacity:8 () in
-  let bound = ref None in
-  let thread =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~on_ready:(fun ep -> bound := Some ep)
-          ~endpoint:(Server.Tcp { host = "127.0.0.1"; port })
-          ~handler:(Test_server.make_handler cache) ())
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while !bound = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
-  (match !bound with
-  | None -> Alcotest.fail "replacement replica never became ready"
-  | Some _ -> ());
-  Fun.protect ~finally:(fun () -> stop_server (thread, List.nth eps home))
+  let revived = Helpers.start_shard ~port ~metrics_prefix:"test-router-rejoin" () in
+  Fun.protect ~finally:(fun () -> Helpers.stop_shard revived)
   @@ fun () ->
   (* past the cooldown the next request is the half-open trial: it
      goes to the home, succeeds, and closes the breaker *)

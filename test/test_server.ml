@@ -1,9 +1,8 @@
 (* Integration tests of the tsa serve daemon: a real Unix-domain
-   socket, a handler wired exactly like bin/tsa.ml's, concurrent
+   socket, the real replica handler (Tsg_io.Service), concurrent
    clients, malformed input, and cache behaviour observed through
    Metrics. *)
 
-open Tsg
 open Tsg_engine
 
 let benchmarks_dir = try Sys.getenv "BENCHMARKS" with Not_found -> "../benchmarks"
@@ -14,70 +13,6 @@ let bench file = Filename.concat benchmarks_dir file
 let call ?retries ?backoff_ms ~socket requests =
   Server.call ?retries ?backoff_ms ~endpoint:(Server.Unix_socket socket) requests
 
-(* the same composition as `tsa serve`: loader -> digest -> cache ->
-   analysis -> Rpc encoders *)
-let make_handler cache =
-  let analyze_cached path =
-    match Tsg_io.Loader.load_file path with
-    | Error msg -> Error msg
-    | Ok m ->
-      let g = m.Tsg_io.Loader.graph in
-      let key = Signal_graph.digest g in
-      Cache.find_or_add cache key (fun () ->
-          match Cycle_time.analyze g with
-          | report -> Ok (m.Tsg_io.Loader.name, g, report)
-          | exception Cycle_time.Not_analyzable msg -> Error msg)
-  in
-  fun line ->
-    match Protocol.parse_request line with
-    | Error msg -> Server.Reply (Tsg_io.Rpc.error_response msg)
-    | Ok (Protocol.Analyze { path; _ }) ->
-      Server.Reply
-        (match analyze_cached path with
-        | Ok (name, g, report) -> Tsg_io.Rpc.analyze_response ~model:name g report
-        | Error msg -> Tsg_io.Rpc.error_response msg)
-    | Ok (Protocol.Batch { paths; _ }) ->
-      let entries = Batch.run ~jobs:2 ~label:Fun.id ~f:analyze_cached paths in
-      Server.Reply (Tsg_io.Rpc.batch_response entries)
-    | Ok (Protocol.Sweep { path; scenarios; _ }) ->
-      Server.Reply
-        (match Tsg_io.Loader.load_file path with
-        | Error msg -> Tsg_io.Rpc.error_response msg
-        | Ok m -> (
-          let g = m.Tsg_io.Loader.graph in
-          match Whatif.prepare g with
-          | exception Cycle_time.Not_analyzable msg -> Tsg_io.Rpc.error_response msg
-          | base ->
-            let change = function
-              | Protocol.Sw_delay { sw_arc; sw_delta } ->
-                Whatif.Delay { arc = sw_arc; delta = sw_delta }
-              | Protocol.Sw_add { sw_src; sw_dst; sw_delay; sw_marked } ->
-                let ev = function
-                  | Protocol.Ev_id i -> i
-                  | Protocol.Ev_name _ -> Alcotest.fail "test handler resolves ids only"
-                in
-                Whatif.Add_arc
-                  { src = ev sw_src; dst = ev sw_dst; delay = sw_delay; marked = sw_marked }
-              | Protocol.Sw_remove arc -> Whatif.Remove_arc arc
-              | Protocol.Sw_mark { sw_arc; sw_marked } ->
-                Whatif.Set_marked { arc = sw_arc; marked = sw_marked }
-            in
-            let scens = Array.of_list scenarios in
-            let results =
-              Whatif.sweep_changes ~jobs:2 base (Array.map (List.map change) scens)
-            in
-            let items =
-              Array.to_list
-                (Array.mapi
-                   (fun i outcome ->
-                     { Tsg_io.Rpc.edits = scens.(i); elapsed_ms = 0.; outcome })
-                   results)
-            in
-            Tsg_io.Rpc.sweep_response ~model:m.Tsg_io.Loader.name g items))
-    | Ok Protocol.Stats ->
-      Server.Reply (Tsg_io.Rpc.stats_response ~cache:(Cache.stats cache) ())
-    | Ok Protocol.Shutdown -> Server.Final (Tsg_io.Rpc.shutdown_response ())
-
 let socket_counter = ref 0
 
 let with_server f =
@@ -87,13 +22,11 @@ let with_server f =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "tsa-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
   in
-  let cache = Cache.create ~metrics_prefix:"test-server" ~capacity:32 () in
-  let server =
-    Thread.create
-      (fun () ->
-        Server.serve ~endpoint:(Server.Unix_socket socket) ~handler:(make_handler cache) ())
-      ()
+  let endpoint = Server.Unix_socket socket in
+  let cache, handler =
+    Helpers.replica ~metrics_prefix:"test-server" ~endpoint:(fun () -> endpoint) ()
   in
+  let server = Thread.create (fun () -> Server.serve ~endpoint ~handler ()) () in
   (* wait for the daemon to bind *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline do
@@ -423,41 +356,18 @@ let test_tcp_round_trip_matches_unix () =
     with_server @@ fun ~socket ~cache:_ ->
     match call ~socket [ req ] with [ r ] -> r | _ -> Alcotest.fail "one response"
   in
-  let cache = Cache.create ~metrics_prefix:"test-server-tcp" ~capacity:32 () in
-  let bound = ref None in
-  let server =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~on_ready:(fun ep -> bound := Some ep)
-          ~endpoint:(Server.Tcp { host = "127.0.0.1"; port = 0 })
-          ~handler:(make_handler cache) ())
-      ()
-  in
-  (* port 0 means the kernel picks; on_ready reports the real endpoint *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while !bound = None && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
-  match !bound with
-  | None -> Alcotest.fail "TCP server never became ready"
-  | Some ep ->
-    Fun.protect
-      ~finally:(fun () ->
-        (try ignore (Server.call ~endpoint:ep [ {|{"op":"shutdown"}|} ])
-         with Unix.Unix_error _ | Failure _ -> ());
-        Thread.join server)
-      (fun () ->
-        (match ep with
-        | Server.Tcp { port; _ } ->
-          Alcotest.(check bool) "kernel assigned a real port" true (port > 0)
-        | Server.Unix_socket _ -> Alcotest.fail "expected a TCP endpoint");
-        match Server.call ~endpoint:ep [ req; req ] with
-        | [ first; second ] ->
-          Alcotest.(check string) "ok over TCP" "ok" (status (parse_response first));
-          Alcotest.(check string) "TCP matches Unix byte-for-byte" unix_resp first;
-          Alcotest.(check string) "TCP cache hit is byte-identical" first second
-        | other -> Alcotest.failf "expected two responses, got %d" (List.length other))
+  let ((_, ep) as shard) = Helpers.start_shard ~metrics_prefix:"test-server-tcp" () in
+  Fun.protect ~finally:(fun () -> Helpers.stop_shard shard) @@ fun () ->
+  (match ep with
+  | Server.Tcp { port; _ } ->
+    Alcotest.(check bool) "kernel assigned a real port" true (port > 0)
+  | Server.Unix_socket _ -> Alcotest.fail "expected a TCP endpoint");
+  match Server.call ~endpoint:ep [ req; req ] with
+  | [ first; second ] ->
+    Alcotest.(check string) "ok over TCP" "ok" (status (parse_response first));
+    Alcotest.(check string) "TCP matches Unix byte-for-byte" unix_resp first;
+    Alcotest.(check string) "TCP cache hit is byte-identical" first second
+  | other -> Alcotest.failf "expected two responses, got %d" (List.length other)
 
 let suite =
   [

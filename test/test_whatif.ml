@@ -23,6 +23,12 @@ let check_warm_equals_cold msg base edits =
 
 let fig1_base () = Whatif.prepare (Tsg_circuit.Circuit_library.fig1_tsg ())
 
+(* delay-only scenarios through the sweep, outcomes without wall times *)
+let sweep_delays ?budget_ms ~jobs base scenarios =
+  Array.map fst
+    (Whatif.sweep_changes ?budget_ms ~jobs base
+       (Array.map (List.map (fun e -> Whatif.Delay e)) scenarios))
+
 (* ------------------------------------------------------------------ *)
 (* Short circuits                                                      *)
 
@@ -92,7 +98,7 @@ let qcheck_sweep_matches_independent =
           [ { Whatif.arc = 0; delta = 0.5 }; { Whatif.arc = m / 3; delta = -0. } ];
         |]
       in
-      let results = Whatif.sweep ~jobs:2 base scenarios in
+      let results = sweep_delays ~jobs:2 base scenarios in
       Array.iteri
         (fun i result ->
           match result with
@@ -350,7 +356,8 @@ let test_structural_sweep_shares_scratch () =
   in
   let results = Whatif.sweep_changes ~jobs:2 base scenarios in
   Array.iteri
-    (fun i result ->
+    (fun i (result, elapsed_ms) ->
+      Alcotest.(check bool) (Printf.sprintf "scenario %d: wall time" i) true (elapsed_ms >= 0.);
       match result with
       | Error msg -> Alcotest.failf "scenario %d failed: %s" i msg
       | Ok (report, _) ->
@@ -386,7 +393,7 @@ let test_sweep_isolates_bad_scenario () =
       [ { Whatif.arc = 0; delta = 2. } ];
     |]
   in
-  let results = Whatif.sweep base scenarios in
+  let results = sweep_delays ~jobs:1 base scenarios in
   (match results.(1) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "invalid scenario did not error");
@@ -408,7 +415,7 @@ let test_deadline_mid_sweep_pool_reusable () =
   let scenarios =
     Array.init 6 (fun i -> [ { Whatif.arc = i; delta = float_of_int (i + 1) } ])
   in
-  let strangled = Whatif.sweep ~jobs:4 ~budget_ms:1e-6 base scenarios in
+  let strangled = sweep_delays ~jobs:4 ~budget_ms:1e-6 base scenarios in
   Array.iteri
     (fun i result ->
       match result with
@@ -418,7 +425,7 @@ let test_deadline_mid_sweep_pool_reusable () =
       | Ok _ -> Alcotest.failf "scenario %d survived a 1ns budget" i)
     strangled;
   (* the pool (and the prepared base) must be immediately reusable *)
-  let results = Whatif.sweep ~jobs:4 base scenarios in
+  let results = sweep_delays ~jobs:4 base scenarios in
   Array.iteri
     (fun i result ->
       match result with
