@@ -614,7 +614,7 @@ let client_cmd =
   let via_arg =
     let doc =
       "Send every request to a $(b,tsa proxy) at this single address \
-       (HOST:PORT or socket path) and let it route, retry, hedge and shed: \
+       (HOST:PORT or socket path) and let it route, retry and shed: \
        the thin-client path — no endpoint list, no local router."
     in
     Arg.(value & opt (some string) None & info [ "via" ] ~docv:"EP" ~doc)
@@ -662,8 +662,8 @@ let client_cmd =
       exit 2
     end;
     (* one conversation with a daemon: a serve socket, or a proxy —
-       the thin-client path, where the proxy owns routing, retries,
-       hedging and shedding.  Responses (degraded:true stale serves
+       the thin-client path, where the proxy owns routing, retries
+       and shedding.  Responses (degraded:true stale serves
        included) are printed as received. *)
     let converse daemon endpoint =
       match
@@ -776,19 +776,11 @@ let proxy_cmd =
   let retry_budget_arg =
     let doc =
       "Retry-budget deposit ratio: tokens added per primary request; every \
-       retry and hedge withdraws one whole token, so retries are bounded to \
+       retry withdraws one whole token, so retries are bounded to \
        about this fraction of traffic.  An exhausted budget sheds \
        ('overloaded') instead of retrying."
     in
     Arg.(value & opt float 0.1 & info [ "retry-budget" ] ~docv:"RATIO" ~doc)
-  in
-  let hedge_ms_arg =
-    let doc =
-      "Hedge idempotent requests after $(docv) milliseconds: 0 disables \
-       hedging; omitted, the delay adapts to the observed p95 upstream \
-       latency."
-    in
-    Arg.(value & opt (some float) None & info [ "hedge-ms" ] ~docv:"T" ~doc)
   in
   let queue_depth_arg =
     let doc =
@@ -828,9 +820,9 @@ let proxy_cmd =
     let doc = "Refuse clients past this many concurrent connections." in
     Arg.(value & opt int 256 & info [ "max-connections" ] ~docv:"N" ~doc)
   in
-  let run listen endpoints cache_dir retry_budget hedge_ms queue_depth
-      max_concurrent breaker_window breaker_failures breaker_cooldown_ms
-      upstream_timeout max_connections =
+  let run listen endpoints cache_dir retry_budget queue_depth max_concurrent
+      breaker_window breaker_failures breaker_cooldown_ms upstream_timeout
+      max_connections =
     let listen_ep =
       match Tsg_engine.Server.endpoint_of_string listen with
       | Ok ep -> ep
@@ -844,12 +836,6 @@ let proxy_cmd =
     let stale =
       Option.map (fun dir -> Tsg_engine.Disk_cache.create ~dir ()) cache_dir
     in
-    let hedging =
-      match hedge_ms with
-      | None -> Tsg_engine.Proxy.Auto
-      | Some ms when ms <= 0. -> Tsg_engine.Proxy.Off
-      | Some ms -> Tsg_engine.Proxy.Fixed_ms ms
-    in
     let router, proxy =
       try
         (* retries:0 — the proxy owns the retry policy (budgeted,
@@ -861,9 +847,9 @@ let proxy_cmd =
             ~breaker_cooldown_ms eps
         in
         ( router,
-          Tsg_engine.Proxy.create ~retry_ratio:retry_budget ~hedging
-            ~queue_depth ~max_concurrent ~upstream_timeout_s:upstream_timeout
-            ?stale router )
+          Tsg_engine.Proxy.create ~retry_ratio:retry_budget ~queue_depth
+            ~max_concurrent ~upstream_timeout_s:upstream_timeout ?stale router
+        )
       with Invalid_argument msg ->
         Fmt.epr "tsa: %s@." msg;
         exit 2
@@ -898,9 +884,8 @@ let proxy_cmd =
   let doc =
     "Front a replica fleet on one address: requests are digest-routed to \
      their home shard through per-shard circuit breakers, retried under a \
-     global retry budget (exhaustion sheds instead of retrying), hedged to \
-     the next-ranked shard for idempotent analyze/sweep calls, and admitted \
-     through a deadline-aware bounded queue.  With $(b,--cache-dir), \
+     global retry budget (exhaustion sheds instead of retrying), and \
+     admitted through a deadline-aware bounded queue.  With $(b,--cache-dir), \
      requests whose shards are all down are answered stale from the shared \
      disk cache with a degraded:true marker.  $(b,stats) answers locally \
      with the proxy block; $(b,shutdown) drains the fleet behind the proxy, \
@@ -910,7 +895,7 @@ let proxy_cmd =
     (Cmd.info "proxy" ~doc)
     Term.(
       const run $ listen_arg $ endpoints_arg $ cache_dir_arg $ retry_budget_arg
-      $ hedge_ms_arg $ queue_depth_arg $ max_concurrent_arg $ breaker_window_arg
+      $ queue_depth_arg $ max_concurrent_arg $ breaker_window_arg
       $ breaker_failures_arg $ breaker_cooldown_arg $ upstream_timeout_arg
       $ max_connections_arg)
 

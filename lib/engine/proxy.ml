@@ -87,13 +87,10 @@ let live_waiters ad =
 (* ------------------------------------------------------------------ *)
 (* The proxy *)
 
-type hedging = Off | Fixed_ms of float | Auto
-
 type t = {
   router : Router.t;
   stale : Disk_cache.t option;
   budget : Retry_budget.t;
-  hedging : hedging;
   upstream_timeout_s : float;
   admission : admission;
   prefix : string;
@@ -101,30 +98,23 @@ type t = {
   mutable st_requests : int;
   mutable st_retries : int;
   mutable st_shed : int;
-  mutable st_hedges : int;
-  mutable st_hedge_wins : int;
   mutable st_degraded : int;
   mutable st_degraded_miss : int;
   mutable st_queue_dropped : int;
   mutable st_queue_expired : int;
 }
 
-let create ?(metrics_prefix = "proxy") ?retry_ratio ?retry_burst ?(hedging = Auto)
+let create ?(metrics_prefix = "proxy") ?retry_ratio ?retry_burst
     ?(queue_depth = 64) ?(max_concurrent = 32) ?(upstream_timeout_s = 10.)
     ?stale router =
   if queue_depth <= 0 then invalid_arg "Proxy.create: queue_depth <= 0";
   if max_concurrent <= 0 then invalid_arg "Proxy.create: max_concurrent <= 0";
   if upstream_timeout_s <= 0. || not (Float.is_finite upstream_timeout_s) then
     invalid_arg "Proxy.create: upstream_timeout_s must be finite and positive";
-  (match hedging with
-  | Fixed_ms ms when ms <= 0. || not (Float.is_finite ms) ->
-    invalid_arg "Proxy.create: Fixed_ms hedge delay must be finite and positive"
-  | _ -> ());
   {
     router;
     stale;
     budget = Retry_budget.create ?ratio:retry_ratio ?burst:retry_burst ();
-    hedging;
     upstream_timeout_s;
     admission =
       {
@@ -139,8 +129,6 @@ let create ?(metrics_prefix = "proxy") ?retry_ratio ?retry_burst ?(hedging = Aut
     st_requests = 0;
     st_retries = 0;
     st_shed = 0;
-    st_hedges = 0;
-    st_hedge_wins = 0;
     st_degraded = 0;
     st_degraded_miss = 0;
     st_queue_dropped = 0;
@@ -177,9 +165,7 @@ let acquire t ?deadline_at () =
           end)
         ad.aq;
       if !dropped then begin
-        Mutex.lock t.mx;
-        t.st_queue_dropped <- t.st_queue_dropped + 1;
-        Mutex.unlock t.mx;
+        bump t (fun t -> t.st_queue_dropped <- t.st_queue_dropped + 1);
         Metrics.incr (t.prefix ^ "/queue_dropped")
       end
     end;
@@ -227,81 +213,6 @@ let shard_call t i request =
   | Router.Saturated -> Error "shard saturated"
   | Router.Call_failed e -> Error e
 
-let hedge_delay_ms t =
-  match t.hedging with
-  | Off -> None
-  | Fixed_ms ms -> Some ms
-  | Auto -> (
-    match
-      List.assoc_opt (t.prefix ^ "/upstream_ms") (Metrics.histograms ())
-    with
-    | Some snap when snap.Tsg_obs.Histogram.count >= 16 ->
-      Some (Float.max 1. (Tsg_obs.Histogram.percentile snap 95.))
-    | _ -> Some 50.)
-
-(* one attempt against shard [i], hedged to the next-ranked allowed
-   shard after the hedge delay when the request is idempotent.  The
-   loser of a hedge race is left to finish on its thread — it still
-   records its outcome into its breaker, it just can't win. *)
-let hedged_attempt t ~order ~tried ~idempotent ~deadline_at i request =
-  match (if idempotent then hedge_delay_ms t else None) with
-  | None -> shard_call t i request
-  | Some delay_ms ->
-    let m = Mutex.create () in
-    let cell_p = ref None and cell_h = ref None in
-    let run j cell =
-      let r = shard_call t j request in
-      Mutex.lock m;
-      cell := Some r;
-      Mutex.unlock m
-    in
-    ignore (Thread.create (fun () -> run i cell_p) ());
-    let started = Unix.gettimeofday () in
-    let hedge = ref `Not_yet in
-    let result = ref None in
-    while !result = None do
-      Mutex.lock m;
-      let p = !cell_p and h = !cell_h in
-      Mutex.unlock m;
-      (match (p, h) with
-      | Some (Ok r), _ -> result := Some (Ok r)
-      | _, Some (Ok r) ->
-        Mutex.lock t.mx;
-        t.st_hedge_wins <- t.st_hedge_wins + 1;
-        Mutex.unlock t.mx;
-        Metrics.incr (t.prefix ^ "/hedge_wins");
-        result := Some (Ok r)
-      | Some (Error _), Some (Error e) -> result := Some (Error e)
-      | Some (Error e), None when !hedge <> `Running ->
-        (* the primary failed and no hedge is in flight: report now
-           and let the outer retry loop decide about another shard *)
-        result := Some (Error e)
-      | _ ->
-        let now = Unix.gettimeofday () in
-        if match deadline_at with Some d -> now >= d | None -> false then
-          result :=
-            Some (Error "deadline_exceeded: upstream attempt overran the deadline")
-        else begin
-          if !hedge = `Not_yet && (now -. started) *. 1000. >= delay_ms then
-            match Router.next_allowed t.router order ~tried with
-            | Some j when Retry_budget.try_withdraw t.budget ->
-              tried.(j) <- true;
-              hedge := `Running;
-              Mutex.lock t.mx;
-              t.st_hedges <- t.st_hedges + 1;
-              Mutex.unlock t.mx;
-              Metrics.incr (t.prefix ^ "/hedges");
-              ignore (Thread.create (fun () -> run j cell_h) ())
-            | Some j ->
-              (* no budget: give back the consumed half-open slot *)
-              Router.abort t.router j;
-              hedge := `Abandoned
-            | None -> hedge := `Abandoned
-        end);
-      if !result = None then Thread.delay 0.001
-    done;
-    Option.get !result
-
 (* ------------------------------------------------------------------ *)
 (* Degraded serving *)
 
@@ -343,15 +254,11 @@ let finish_unavailable t ~cache_key last_err =
   | Some dc, Some ck -> (
     match Disk_cache.read_stale dc ck with
     | Some (payload, age) ->
-      Mutex.lock t.mx;
-      t.st_degraded <- t.st_degraded + 1;
-      Mutex.unlock t.mx;
+      bump t (fun t -> t.st_degraded <- t.st_degraded + 1);
       Metrics.incr (t.prefix ^ "/degraded");
       Degraded (payload, age)
     | None ->
-      Mutex.lock t.mx;
-      t.st_degraded_miss <- t.st_degraded_miss + 1;
-      Mutex.unlock t.mx;
+      bump t (fun t -> t.st_degraded_miss <- t.st_degraded_miss + 1);
       Metrics.incr (t.prefix ^ "/degraded_miss");
       Failed msg)
   | _ -> Failed msg
@@ -359,7 +266,7 @@ let finish_unavailable t ~cache_key last_err =
 (* ------------------------------------------------------------------ *)
 (* The forwarding decision *)
 
-let forward t ?key ?cache_key ?deadline_at ~idempotent request =
+let forward t ?key ?cache_key ?deadline_at request =
   bump t (fun t -> t.st_requests <- t.st_requests + 1);
   Metrics.incr (t.prefix ^ "/requests");
   match acquire t ?deadline_at () with
@@ -386,6 +293,7 @@ let forward t ?key ?cache_key ?deadline_at ~idempotent request =
       let now = Unix.gettimeofday () in
       if match deadline_at with Some d -> now >= d | None -> false then begin
         bump t (fun t -> t.st_shed <- t.st_shed + 1);
+        Metrics.incr (t.prefix ^ "/deadline_shed");
         Shed
           ("deadline_exceeded", "deadline_exceeded: proxy ran out of budget")
       end
@@ -407,9 +315,7 @@ let forward t ?key ?cache_key ?deadline_at ~idempotent request =
               Metrics.incr (t.prefix ^ "/retries")
             end;
             tried.(i) <- true;
-            match
-              hedged_attempt t ~order ~tried ~idempotent ~deadline_at i request
-            with
+            match shard_call t i request with
             | Ok resp -> Fresh resp
             | Error e -> attempts ~first:false (Some e)
           end
@@ -423,8 +329,6 @@ type stats = {
   requests : int;
   retries : int;
   shed : int;
-  hedges : int;
-  hedge_wins : int;
   degraded : int;
   degraded_miss : int;
   queue_dropped : int;
@@ -453,8 +357,6 @@ let stats (t : t) =
       requests = t.st_requests;
       retries = t.st_retries;
       shed = t.st_shed;
-      hedges = t.st_hedges;
-      hedge_wins = t.st_hedge_wins;
       degraded = t.st_degraded;
       degraded_miss = t.st_degraded_miss;
       queue_dropped = t.st_queue_dropped;

@@ -14,15 +14,9 @@
        of the same router see the same state.}
     {- {b A retry budget} ({!Retry_budget}): a token bucket deposited
        by primary traffic ([retry_ratio] tokens per request, ~10%)
-       and withdrawn by every retry and hedge.  When the fleet is
-       broadly unhealthy the budget drains and the proxy {e sheds}
-       instead of retrying — a retry storm cannot multiply load
-       fleet-wide.}
-    {- {b Hedged requests}: for idempotent calls, a second attempt to
-       the next-ranked shard after the observed p95 upstream latency
-       (or a fixed [--hedge-ms]); the first reply wins, the loser is
-       left to finish and only feeds the breaker.  Hedges draw
-       budget tokens, so hedging also stops when the fleet is sick.}
+       and withdrawn by every retry.  When the fleet is broadly
+       unhealthy the budget drains and the proxy {e sheds} instead of
+       retrying — a retry storm cannot multiply load fleet-wide.}
     {- {b A deadline-aware bounded admission queue}: at most
        [max_concurrent] requests talk upstream at once; up to
        [queue_depth] more wait FIFO.  A waiter whose deadline passes
@@ -42,17 +36,16 @@
     The proxy is transport-and-policy only: it never parses model
     files (it cannot — the engine layer has no loader).  The caller
     ([Tsg_io.Service.proxy_handler], which [tsa proxy] serves) classifies
-    each request line into a routing key, an optional disk-cache key
-    and an idempotency flag, and hands the raw line to {!forward}.
+    each request line into a routing key and an optional disk-cache
+    key, and hands the raw line to {!forward}.
 
     Counters under [<prefix>] (default ["proxy"]): [requests],
-    [retries], [retry_budget_shed], [hedges], [hedge_wins], [degraded],
+    [retries], [retry_budget_shed], [deadline_shed], [degraded],
     [degraded_miss], [queue_dropped], [queue_expired], [overloaded],
-    plus the [upstream_ms] latency histogram (which also feeds the
-    adaptive hedge delay). *)
+    plus the [upstream_ms] latency histogram. *)
 
 (** The global retry token bucket.  Primary requests {!deposit}
-    [ratio] tokens (capped at [burst]); every retry or hedge must
+    [ratio] tokens (capped at [burst]); every retry must
     {!try_withdraw} a whole token first.  Thread-safe. *)
 module Retry_budget : sig
   type t
@@ -74,19 +67,10 @@ end
 
 type t
 
-(** When to launch a hedge for an idempotent request. *)
-type hedging =
-  | Off
-  | Fixed_ms of float  (** a fixed delay after the primary attempt *)
-  | Auto
-      (** the p95 of the [upstream_ms] histogram, once at least 16
-          calls have been observed; 50 ms before that *)
-
 val create :
   ?metrics_prefix:string ->
   ?retry_ratio:float ->
   ?retry_burst:float ->
-  ?hedging:hedging ->
   ?queue_depth:int ->
   ?max_concurrent:int ->
   ?upstream_timeout_s:float ->
@@ -96,7 +80,7 @@ val create :
 (** [create router] builds the policy layer over an existing router,
     whose breakers it shares (set them with {!Router.create}, and
     create the router with [~retries:0] so every retry passes the
-    budget).  Defaults: [hedging = Auto], [queue_depth] 64,
+    budget).  Defaults: [queue_depth] 64,
     [max_concurrent] 32, [upstream_timeout_s] 10 (passed to
     {!Router.call_one} so a wedged shard trips its breaker instead of
     absorbing a connection thread), budget defaults as in
@@ -104,8 +88,7 @@ val create :
     (never written) by the degraded path; omit it and degraded
     serving is off.
     @raise Invalid_argument on non-positive [queue_depth],
-    [max_concurrent] or [upstream_timeout_s], or a non-positive
-    [Fixed_ms] hedge delay. *)
+    [max_concurrent] or [upstream_timeout_s]. *)
 
 (** What {!forward} decided about one request. *)
 type outcome =
@@ -127,18 +110,18 @@ val forward :
   ?key:string ->
   ?cache_key:string ->
   ?deadline_at:float ->
-  idempotent:bool ->
   string ->
   outcome
-(** [forward t ~key ~cache_key ~idempotent request] runs one raw
-    request line through admission, breakers, budget and hedging, and
-    returns the decision.  [key] is the routing key (the model
-    digest; defaults to the request line itself, keeping unroutable
-    requests deterministic); [cache_key] names the entry the degraded
-    path may serve stale (omit for requests that are never disk
-    cached); [idempotent] gates hedging; [deadline_at] (absolute
-    seconds, {!Unix.gettimeofday} clock) bounds queueing and
-    retrying.  Blocks the calling thread — call it from a
+(** [forward t ~key ~cache_key request] runs one raw request line
+    through admission, breakers and budget, and returns the decision.
+    [key] is the routing key (the model digest; defaults to the
+    request line itself, keeping unroutable requests deterministic);
+    [cache_key] names the entry the degraded path may serve stale
+    (omit for requests that are never disk cached); [deadline_at]
+    (absolute seconds, {!Unix.gettimeofday} clock) bounds queueing
+    and retrying.  Each attempt is one {!Router.call_one} on the
+    calling thread, and the next shard is tried only after the
+    previous one failed.  Blocks the calling thread — call it from a
     {!Server.serve} handler. *)
 
 val mark_degraded : string -> string
@@ -153,9 +136,10 @@ val strip_degraded : string -> string option
 type stats = {
   requests : int;
   retries : int;
-  shed : int;  (** answered [overloaded] without reaching a shard *)
-  hedges : int;
-  hedge_wins : int;  (** hedged calls where the hedge answered first *)
+  shed : int;
+      (** requests answered [Shed]: the sum of the [overloaded],
+          [retry_budget_shed], [queue_expired] and [deadline_shed]
+          counters *)
   degraded : int;  (** stale answers served *)
   degraded_miss : int;  (** degraded path taken but cache had nothing *)
   queue_dropped : int;  (** eldest waiters dropped past high-water *)

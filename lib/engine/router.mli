@@ -115,8 +115,8 @@ val call_one : ?timeout_s:float -> t -> int -> string -> call_outcome
     slot and is never charged as a failure.  It does not consult the
     breaker — pick the shard with {!next_allowed}.  This is the
     building block for callers that own their own retry policy — the
-    proxy tier's retry budget and hedging are written against it, on
-    a router created with [~retries:0].  [timeout_s] bounds the socket
+    proxy tier's retry budget is written against it, on a router
+    created with [~retries:0].  [timeout_s] bounds the socket
     conversation (see {!Server.call}).
     @raise Invalid_argument if [i] is out of range. *)
 

@@ -58,8 +58,6 @@ let proxy_stats_obj (p : Tsg_engine.Proxy.stats) (r : Tsg_engine.Router.router_s
       ("requests", Int p.Tsg_engine.Proxy.requests);
       ("retries", Int p.Tsg_engine.Proxy.retries);
       ("shed", Int p.Tsg_engine.Proxy.shed);
-      ("hedges", Int p.Tsg_engine.Proxy.hedges);
-      ("hedge_wins", Int p.Tsg_engine.Proxy.hedge_wins);
       ("degraded", Int p.Tsg_engine.Proxy.degraded);
       ("degraded_miss", Int p.Tsg_engine.Proxy.degraded_miss);
       ("queue_dropped", Int p.Tsg_engine.Proxy.queue_dropped);

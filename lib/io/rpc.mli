@@ -50,7 +50,7 @@ val stats_response :
     hit/miss/eviction counts ([disk_cache] additionally reports
     [writes], [corrupt], [dropped], [stale_served] and
     [oldest_age_s]); and, for [tsa proxy], the [proxy] block —
-    breaker states, retry/hedge/shed/degraded counters, budget
+    breaker states, retry/shed/degraded counters, budget
     balance, queue occupancy and the embedded router's per-shard
     served/failed counts.  [transport]/[shard] let a fleet client
     tell its replicas apart from one [stats] broadcast. *)

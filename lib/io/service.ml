@@ -254,14 +254,11 @@ let proxy_handler ~router ~proxy ~stale ~endpoint line =
   | Ok ((Analyze { timeout_ms; _ } | Sweep { timeout_ms; _ } | Batch { timeout_ms; _ }) as req)
     ->
     let key, cache_key = keys req in
-    (* batches fan out heavy work on the shard pool: correct to replay
-       but wasteful to duplicate, so they are not hedged *)
-    let idempotent = match req with Batch _ -> false | _ -> true in
     let deadline_at =
       Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) timeout_ms
     in
     Server.Reply
-      (match Proxy.forward proxy ?key ?cache_key ?deadline_at ~idempotent line with
+      (match Proxy.forward proxy ?key ?cache_key ?deadline_at line with
       | Proxy.Fresh response -> response
       | Proxy.Degraded (payload, _age) -> Proxy.mark_degraded payload
       | Proxy.Shed (code, msg) -> Rpc.error_response ~code msg

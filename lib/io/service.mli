@@ -110,7 +110,7 @@ val proxy_handler :
     - analyze, sweep and batch go through {!Tsg_engine.Proxy.forward}
       on their {!routing_key}; analyze also names its {!cache_key}, so
       the degraded path can serve the replica's stored bytes, marked
-      [degraded:true].  Batches are not hedged.
+      [degraded:true].
     - [stats] answers locally with the proxy and router counters and
       the [stale] cache.
     - [shutdown] is broadcast to every shard, then stops the proxy. *)

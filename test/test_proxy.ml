@@ -1,10 +1,11 @@
 (* The proxy tier: the breaker state machine (explicit-clock unit
    tests), retry-budget arithmetic, the degraded-marker algebra, and
-   [Proxy.forward] over live in-process TCP shards — fresh and hedged
-   byte-identity, budget-exhaustion shedding, degraded stale-serving,
-   breaker trip/recovery, one breaker state shared with Router.route,
-   and a failpoint-stretched chaos drill that kills the busiest shard
-   mid-load and demands zero client-visible failures. *)
+   [Proxy.forward] over live in-process TCP shards — byte-identity,
+   one upstream call per request, budget-exhaustion and deadline
+   shedding, degraded stale-serving, breaker trip/recovery, one
+   breaker state shared with Router.route, and a failpoint-stretched
+   chaos drill that kills the busiest shard mid-load and demands zero
+   client-visible failures. *)
 
 open Tsg_engine
 
@@ -147,12 +148,10 @@ let test_forward_matches_direct_call () =
   with_shards 3 @@ fun shards ->
   let eps = List.map snd shards in
   with_router eps @@ fun router ->
-  let p = Proxy.create ~hedging:Proxy.Off router in
+  let p = Proxy.create router in
   let req = analyze_req (bench "fig1.g") in
   let key = "fig1-digest" in
-  let via_proxy =
-    fresh_or_fail (Proxy.forward p ~key ~idempotent:true req)
-  in
+  let via_proxy = fresh_or_fail (Proxy.forward p ~key req) in
   let home_ep = List.nth eps (Router.home router key) in
   (match Server.call ~endpoint:home_ep [ req ] with
   | [ direct ] ->
@@ -164,28 +163,45 @@ let test_forward_matches_direct_call () =
   Alcotest.(check (list string)) "all breakers closed"
     [ "closed"; "closed"; "closed" ] s.Proxy.breakers
 
-let test_hedge_winner_byte_identity () =
-  (* every shard is slow, so the fixed 5 ms hedge always fires; the
-     answer must be the same bytes whichever attempt wins *)
+let test_slow_shards_get_one_call () =
+  (* both shards answer after 80 ms; a default proxy still makes
+     exactly one upstream call, with no second attempt in its shadow *)
   with_shards ~delay_s:0.08 2 @@ fun shards ->
   let eps = List.map snd shards in
   with_router eps @@ fun router ->
-  let req = analyze_req (bench "ring5.g") in
-  let key = "ring5-digest" in
-  let unhedged = Proxy.create ~hedging:Proxy.Off router in
-  let expected =
-    fresh_or_fail (Proxy.forward unhedged ~key ~idempotent:true req)
+  let p = Proxy.create router in
+  ignore
+    (fresh_or_fail
+       (Proxy.forward p ~key:"ring5-digest" (analyze_req (bench "ring5.g"))));
+  (* long enough for any second call to have landed *)
+  Thread.delay 0.2;
+  let served =
+    List.fold_left
+      (fun n sh -> n + sh.Router.served)
+      0 (Router.stats router).Router.shards
   in
-  let hedged = Proxy.create ~hedging:(Proxy.Fixed_ms 5.) router in
-  let got = fresh_or_fail (Proxy.forward hedged ~key ~idempotent:true req) in
-  Alcotest.(check string) "hedged response byte-identical to unhedged" expected
-    got;
-  let s = Proxy.stats hedged in
-  Alcotest.(check int) "the hedge fired" 1 s.Proxy.hedges;
-  (* a non-idempotent request through the same proxy never hedges *)
-  ignore (fresh_or_fail (Proxy.forward hedged ~key ~idempotent:false req));
-  Alcotest.(check int) "non-idempotent requests are not hedged" 1
-    (Proxy.stats hedged).Proxy.hedges
+  Alcotest.(check int) "one upstream call" 1 served;
+  Alcotest.(check int) "no retries" 0 (Proxy.stats p).Proxy.retries
+
+let test_deadline_shed_is_counted () =
+  with_shards 1 @@ fun shards ->
+  let eps = List.map snd shards in
+  with_router eps @@ fun router ->
+  let prefix = "test-proxy-deadline" in
+  let p = Proxy.create ~metrics_prefix:prefix router in
+  (match
+     Proxy.forward p ~key:"k"
+       ~deadline_at:(Unix.gettimeofday () -. 1.)
+       (analyze_req (bench "fig1.g"))
+   with
+  | Proxy.Shed (code, _) ->
+    Alcotest.(check string) "shed as deadline_exceeded" "deadline_exceeded" code
+  | _ -> Alcotest.fail "a passed deadline must shed");
+  Alcotest.(check int) "the metrics count the shed" 1
+    (Metrics.count (prefix ^ "/deadline_shed"));
+  Alcotest.(check int) "as do the stats" 1 (Proxy.stats p).Proxy.shed;
+  Alcotest.(check int) "no shard was called" 0
+    (List.hd (Router.stats router).Router.shards).Router.served
 
 let test_retry_budget_exhaustion_sheds () =
   with_shards 3 @@ fun shards ->
@@ -194,10 +210,8 @@ let test_retry_budget_exhaustion_sheds () =
   with_router eps @@ fun router ->
   (* ratio 0, burst 1: the first attempt is free, the first retry
      spends the only token, the second retry must shed *)
-  let p =
-    Proxy.create ~hedging:Proxy.Off ~retry_ratio:0. ~retry_burst:1. router
-  in
-  (match Proxy.forward p ~key:"k" ~idempotent:false (analyze_req (bench "fig1.g")) with
+  let p = Proxy.create ~retry_ratio:0. ~retry_burst:1. router in
+  (match Proxy.forward p ~key:"k" (analyze_req (bench "fig1.g")) with
   | Proxy.Shed (code, msg) ->
     Alcotest.(check string) "shed as overloaded" "overloaded" code;
     Alcotest.(check bool) "the message names the budget" true
@@ -230,8 +244,8 @@ let test_degraded_stale_serving () =
   let eps = List.map snd shards in
   List.iter Helpers.stop_shard shards;
   with_router eps @@ fun router ->
-  let p = Proxy.create ~hedging:Proxy.Off ~stale:dc router in
-  (match Proxy.forward p ~key:"k" ~cache_key:"ck" ~idempotent:true "req" with
+  let p = Proxy.create ~stale:dc router in
+  (match Proxy.forward p ~key:"k" ~cache_key:"ck" "req" with
   | Proxy.Degraded (served, age) ->
     Alcotest.(check string) "stale bytes are the original bytes" payload served;
     Alcotest.(check bool) "age is non-negative" true (age >= 0.);
@@ -241,7 +255,7 @@ let test_degraded_stale_serving () =
       (Proxy.strip_degraded (Proxy.mark_degraded served))
   | _ -> Alcotest.fail "expected a degraded answer from the stale cache");
   (* a key the cache never held fails instead *)
-  (match Proxy.forward p ~key:"k" ~cache_key:"absent" ~idempotent:true "req" with
+  (match Proxy.forward p ~key:"k" ~cache_key:"absent" "req" with
   | Proxy.Failed _ -> ()
   | _ -> Alcotest.fail "an absent cache entry cannot be served");
   let s = Proxy.stats p in
@@ -261,9 +275,9 @@ let test_breaker_trips_and_recovers_through_forward () =
     Router.create ~retries:0 ~breaker_window:4 ~breaker_failures:2
       ~breaker_cooldown_ms:100. eps
   in
-  let p = Proxy.create ~hedging:Proxy.Off router in
+  let p = Proxy.create router in
   let req = analyze_req (bench "fig1.g") in
-  let forward () = Proxy.forward p ~key:"k" ~idempotent:true req in
+  let forward () = Proxy.forward p ~key:"k" req in
   (match forward () with Proxy.Failed _ -> () | _ -> Alcotest.fail "dead shard");
   (match forward () with Proxy.Failed _ -> () | _ -> Alcotest.fail "dead shard");
   let s = Proxy.stats p in
@@ -296,10 +310,10 @@ let test_one_breaker_state_for_forward_and_route () =
     Router.create ~retries:0 ~breaker_window:4 ~breaker_failures:2
       ~breaker_cooldown_ms:60_000. eps
   in
-  let p = Proxy.create ~hedging:Proxy.Off router in
+  let p = Proxy.create router in
   let req = analyze_req (bench "fig1.g") in
   for _ = 1 to 2 do
-    match Proxy.forward p ~key:"k" ~idempotent:true req with
+    match Proxy.forward p ~key:"k" req with
     | Proxy.Failed _ -> ()
     | _ -> Alcotest.fail "dead shard"
   done;
@@ -328,14 +342,13 @@ let test_chaos_kill_busiest_shard_under_load () =
   with_shards 3 @@ fun shards ->
   let eps = List.map snd shards in
   with_router eps @@ fun router ->
-  let p = Proxy.create ~hedging:Proxy.Off router in
+  let p = Proxy.create router in
   let models = [| "fig1.g"; "ring5.g"; "stack66.g" |] in
   let keys = Array.map (fun m -> "digest-" ^ m) models in
   let expected =
     Array.mapi
       (fun i m ->
-        fresh_or_fail
-          (Proxy.forward p ~key:keys.(i) ~idempotent:true (analyze_req (bench m))))
+        fresh_or_fail (Proxy.forward p ~key:keys.(i) (analyze_req (bench m))))
       models
   in
   (* the busiest shard is the home of the most keys *)
@@ -362,10 +375,7 @@ let test_chaos_kill_busiest_shard_under_load () =
       let i = Atomic.fetch_and_add idx 1 in
       if i < n_requests then begin
         let m = i mod Array.length models in
-        (match
-           Proxy.forward p ~key:keys.(m) ~idempotent:true
-             (analyze_req (bench models.(m)))
-         with
+        (match Proxy.forward p ~key:keys.(m) (analyze_req (bench models.(m))) with
         | Proxy.Fresh r | Proxy.Degraded (r, _) ->
           if r <> expected.(m) then Atomic.incr mismatches
         | Proxy.Shed _ | Proxy.Failed _ -> Atomic.incr failures);
@@ -406,8 +416,10 @@ let suite =
       test_degraded_marker_round_trips;
     Alcotest.test_case "forward matches a direct call byte-for-byte" `Quick
       test_forward_matches_direct_call;
-    Alcotest.test_case "hedge winner is byte-identical" `Quick
-      test_hedge_winner_byte_identity;
+    Alcotest.test_case "slow shards get one upstream call" `Quick
+      test_slow_shards_get_one_call;
+    Alcotest.test_case "a deadline shed is counted" `Quick
+      test_deadline_shed_is_counted;
     Alcotest.test_case "exhausted retry budget sheds" `Quick
       test_retry_budget_exhaustion_sheds;
     Alcotest.test_case "degraded stale-serve round-trip" `Quick

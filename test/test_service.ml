@@ -82,7 +82,7 @@ let test_degraded_read_matches_replica_write () =
   Disk_cache.flush dc;
   (* the proxy's only shard is down, so it must serve the stale entry *)
   let router = Router.create ~retries:0 [ dead ] in
-  let proxy = Proxy.create ~hedging:Proxy.Off ~stale router in
+  let proxy = Proxy.create ~stale router in
   let degraded =
     reply
       (Service.proxy_handler ~router ~proxy ~stale:(Some stale)
