@@ -900,78 +900,7 @@ let proxy_cmd =
       $ max_connections_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Local replica fleets: spawn/drain N daemon subprocesses (testing,
-   CI smoke drills, the fleet_load bench workload)                     *)
-
-(* ask the kernel for a currently free loopback port.  There is a
-   window between closing the probe socket and the replica binding it,
-   but replicas bind with SO_REUSEADDR immediately after, and the
-   fleet retries readiness before announcing — good enough for local
-   drills, not a general-purpose allocator. *)
-let free_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  match Unix.getsockname fd with
-  | Unix.ADDR_INET (_, port) -> port
-  | _ -> assert false
-
-(* run [tsa ARGS...] as a child process of this binary; [quiet]
-   sends its stderr to /dev/null *)
-let spawn_tsa ?(quiet = false) ?cache_dir args =
-  let argv =
-    ("tsa" :: args) @ match cache_dir with Some d -> [ "--cache-dir"; d ] | None -> []
-  in
-  let stderr_fd =
-    if quiet then Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 else Unix.stderr
-  in
-  let pid =
-    Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin
-      Unix.stdout stderr_fd
-  in
-  if quiet then (try Unix.close stderr_fd with Unix.Unix_error _ -> ());
-  pid
-
-let spawn_replica ?quiet ?cache_dir ~cache_size ~host ~port () =
-  let ep = Printf.sprintf "%s:%d" host port in
-  ( spawn_tsa ?quiet ?cache_dir
-      [ "serve"; "--tcp"; ep; "--cache-size"; string_of_int cache_size ],
-    ep )
-
-let spawn_proxy ?quiet ?cache_dir ~listen ~endpoints () =
-  spawn_tsa ?quiet ?cache_dir
-    [ "proxy"; "--listen"; listen; "--endpoints"; String.concat "," endpoints ]
-
-(* block until every replica answers a stats request (or raise after
-   the retries run out) *)
-let parse_ep ep =
-  match Tsg_engine.Server.endpoint_of_string ep with
-  | Ok e -> e
-  | Error msg -> failwith msg
-
-let wait_fleet_ready endpoints =
-  List.iter
-    (fun ep ->
-      ignore
-        (Tsg_engine.Server.call ~retries:12 ~backoff_ms:25. ~endpoint:(parse_ep ep)
-           [ {|{"op":"stats"}|} ]))
-    endpoints
-
-(* one supervised replica slot: [fm_state] is [`Alive] while the pid
-   runs, [`Waiting] while a crashed replica sits out its restart
-   backoff, [`Gone] once it exited for good *)
-type fleet_member = {
-  fm_i : int;
-  fm_host : string;
-  fm_port : int;
-  fm_ep : string;
-  mutable fm_pid : int;
-  mutable fm_started : float;
-  mutable fm_crashes : int;  (** consecutive abnormal exits *)
-  mutable fm_until : float;  (** restart not before this instant *)
-  mutable fm_state : [ `Alive | `Waiting | `Gone ];
-}
+(* Local replica fleets ({!Tsg_io.Fleet})                              *)
 
 let fleet_cmd =
   let replicas_arg =
@@ -1021,133 +950,35 @@ let fleet_cmd =
       Fmt.epr "tsa: --replicas must be at least 1@.";
       exit 2
     end;
-    let members =
-      List.init replicas (fun i ->
-          let port = if base_port = 0 then free_port () else base_port + i in
-          let pid, ep = spawn_replica ?cache_dir ~cache_size ~host ~port () in
-          {
-            fm_i = i;
-            fm_host = host;
-            fm_port = port;
-            fm_ep = ep;
-            fm_pid = pid;
-            fm_started = Unix.gettimeofday ();
-            fm_crashes = 0;
-            fm_until = 0.;
-            fm_state = `Alive;
-          })
-    in
-    let endpoints = List.map (fun m -> m.fm_ep) members in
-    (* announce the fleet in a machine-parsable shape: scripts capture
-       the endpoints line for --endpoints, the proxy line for --via,
-       and the pid lines for kill drills *)
-    List.iter
-      (fun m -> Fmt.pr "replica %d: pid %d %s@." m.fm_i m.fm_pid m.fm_ep)
-      members;
-    Fmt.pr "fleet: endpoints %s@." (String.concat "," endpoints);
-    let kill_all signal =
-      List.iter
-        (fun m ->
-          if m.fm_state = `Alive then
-            try Unix.kill m.fm_pid signal with Unix.Unix_error _ -> ())
-        members
-    in
-    (match wait_fleet_ready endpoints with
-    | () -> ()
-    | exception _ ->
-      Fmt.epr "tsa: fleet failed to come up; terminating@.";
-      kill_all Sys.sigterm;
-      exit 1);
-    let proxy_pid =
-      if not with_proxy then None
-      else begin
-        let listen = Printf.sprintf "%s:%d" host (free_port ()) in
-        let pid = spawn_proxy ?cache_dir ~listen ~endpoints () in
-        match wait_fleet_ready [ listen ] with
-        | () ->
-          Fmt.pr "fleet: proxy %s@." listen;
-          Some pid
-        | exception _ ->
-          Fmt.epr "tsa: proxy failed to come up; terminating@.";
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          kill_all Sys.sigterm;
-          exit 1
-      end
-    in
-    Fmt.pr "fleet: ready@.";
-    (* from here the fleet runs until its replicas exit (a client
-       broadcast shutdown, a kill drill) or we are asked to drain:
-       SIGTERM/SIGINT is forwarded to every live replica, each of
-       which drains gracefully on its own.  With --restart an
-       abnormal exit respawns the replica on its port after a capped
-       exponential backoff; draining cancels pending restarts. *)
-    let drain = stop_signals () in
-    let draining = ref false in
-    let live () = List.exists (fun m -> m.fm_state <> `Gone) members in
-    while live () do
-      if Atomic.get drain then begin
-        Atomic.set drain false;
-        draining := true;
-        kill_all Sys.sigterm;
-        Option.iter
-          (fun pid ->
-            try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          proxy_pid
-      end;
-      List.iter
-        (fun m ->
-          match m.fm_state with
-          | `Gone -> ()
-          | `Waiting ->
-            if !draining then m.fm_state <- `Gone
-            else if Unix.gettimeofday () >= m.fm_until then begin
-              let pid, _ =
-                spawn_replica ?cache_dir ~cache_size ~host:m.fm_host
-                  ~port:m.fm_port ()
-              in
-              m.fm_pid <- pid;
-              m.fm_started <- Unix.gettimeofday ();
-              m.fm_state <- `Alive;
-              Fmt.pr "replica %d: restarted pid %d@." m.fm_i pid
-            end
-          | `Alive -> (
-            match Unix.waitpid [ Unix.WNOHANG ] m.fm_pid with
-            | 0, _ -> ()
-            | _, status ->
-              Fmt.pr "fleet: replica %d (%s) exited (%s)@." m.fm_i m.fm_ep
-                (match status with
-                | Unix.WEXITED c -> Printf.sprintf "status %d" c
-                | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-                | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s);
-              let abnormal =
-                match status with Unix.WEXITED 0 -> false | _ -> true
-              in
-              if restart && abnormal && not !draining then begin
-                let now = Unix.gettimeofday () in
-                (* a replica that ran long enough has proven the port
-                   and config good — don't let ancient crashes inflate
-                   the next backoff *)
-                if now -. m.fm_started > 30. then m.fm_crashes <- 0;
-                let backoff =
-                  Float.min 10. (0.5 *. (2. ** float_of_int m.fm_crashes))
-                in
-                m.fm_crashes <- m.fm_crashes + 1;
-                m.fm_until <- now +. backoff;
-                m.fm_state <- `Waiting
-              end
-              else m.fm_state <- `Gone
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-              m.fm_state <- `Gone
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
-        members;
-      if live () then Unix.sleepf 0.1
-    done;
-    Option.iter
-      (fun pid ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      proxy_pid;
-    Fmt.pr "fleet: stopped@."
+    match
+      Tsg_io.Fleet.start ?cache_dir ~cache_size ~host ~base_port ~proxy:with_proxy
+        ~exe:Sys.executable_name ~replicas ()
+    with
+    | Error msg ->
+      Fmt.epr "tsa: %s; terminating@." msg;
+      exit 1
+    | Ok fleet ->
+      (* announce the fleet in a machine-parsable shape: scripts capture
+         the endpoints line for --endpoints, the proxy line for --via,
+         and the pid lines for kill drills *)
+      let members = Tsg_io.Fleet.replicas fleet in
+      List.iteri (fun i (pid, ep) -> Fmt.pr "replica %d: pid %d %s@." i pid ep) members;
+      Fmt.pr "fleet: endpoints %s@." (String.concat "," (List.map snd members));
+      Option.iter (Fmt.pr "fleet: proxy %s@.") (Tsg_io.Fleet.proxy fleet);
+      Fmt.pr "fleet: ready@.";
+      (* from here the fleet runs until its replicas exit (a client
+         broadcast shutdown, a kill drill) or SIGTERM/SIGINT drains it *)
+      Tsg_io.Fleet.supervise ~restart ~stop:(stop_signals ()) fleet ~on_event:(function
+        | Tsg_io.Fleet.Exited { replica; endpoint; status } ->
+          Fmt.pr "fleet: replica %d (%s) exited (%s)@." replica endpoint
+            (match status with
+            | Unix.WEXITED c -> Printf.sprintf "status %d" c
+            | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+            | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s)
+        | Tsg_io.Fleet.Restarted { replica; pid } ->
+          Fmt.pr "replica %d: restarted pid %d@." replica pid);
+      Tsg_io.Fleet.stop fleet;
+      Fmt.pr "fleet: stopped@."
   in
   let doc =
     "Spawn N local $(b,tsa serve --tcp) replicas on free ports, announce their \
@@ -1165,175 +996,93 @@ let fleet_cmd =
       $ cache_dir_arg $ restart_flag $ proxy_flag)
 
 (* ------------------------------------------------------------------ *)
-(* The regression-bench harness                                        *)
+(* The regression-bench harness ({!Tsg_bench.Bench}): its text tables  *)
 
-(* one timed analysis: wall-clock totals plus the per-phase wall times
-   read back from the Metrics registry (reset before every iteration,
-   so iterations don't bleed into each other) *)
-type bench_iter = {
-  bi_load : float;
-  bi_total : float;
-  bi_unfold : float;
-  bi_simulate : float;
-  bi_backtrack : float;
-}
+module Bench = Tsg_bench.Bench
 
-(* The serving-tier drills send one fixed mixed analyze/sweep request
-   set from 4 client threads to quiet TCP replicas spawned as
-   subprocesses.  The request set is deterministic so snapshots stay
-   comparable; byte-identity of the analyze responses across the two
-   passes of a drill is checked on every run (sweep responses embed
-   per-item wall clock, so they are excluded from the byte comparison,
-   not from the load). *)
-let load_client_threads = 4
-let load_replicas = 3
+let print_whatif ~title ~kind ~warm counts (w : Bench.whatif) =
+  let pad = String.length warm + 2 in
+  Fmt.pr "@.%s (gen-dense, %d %s scenarios, jobs=1)@." title w.scenarios kind;
+  Fmt.pr "  cold: %-*s%9.2f ms@." pad
+    (Printf.sprintf "%d independent analyses" w.scenarios)
+    w.cold_ms;
+  Fmt.pr "  warm: %-*s%9.2f ms  (%.2f + %.2f)@." pad warm (w.prepare_ms +. w.warm_ms)
+    w.prepare_ms w.warm_ms;
+  Fmt.pr "  speedup %.2fx; %s; reports byte-identical@."
+    (w.cold_ms /. (w.prepare_ms +. w.warm_ms))
+    counts
 
-(* (routing key, request line, is an analyze) *)
-let load_requests =
-  lazy
-    (let open Tsg_engine.Protocol in
-     let models = [| "fig1"; "ring5"; "stack" |] in
-     Array.init 48 (fun i ->
-         let path = models.(i mod Array.length models) in
-         let req =
-           if i land 1 = 0 then Analyze { path; periods = None; timeout_ms = None }
-           else
-             Sweep
-               {
-                 path;
-                 scenarios =
-                   [
-                     [
-                       Sw_delay
-                         {
-                           sw_arc = i mod 3;
-                           sw_delta = 0.25 +. (float_of_int (i mod 5) /. 8.);
-                         };
-                     ];
-                   ];
-                 periods = None;
-                 jobs = None;
-                 timeout_ms = None;
-               }
-         in
-         (Option.get (Service.routing_key req), request_to_string req, i land 1 = 0)))
+(* [detail] ends the header line; [base] and [test] label the passes *)
+let print_drill ~cores ~title ~detail ~base ~test ~ratio = function
+  | None -> ()
+  | Some (Error msg) -> Fmt.pr "@.%s: skipped (%s)@." title msg
+  | Some (Ok (d : Bench.drill)) ->
+    let rps ms = float_of_int d.requests /. (ms /. 1000.) in
+    Fmt.pr "@.%s (%d mixed analyze/sweep requests, %d client threads%s)@." title
+      d.requests d.client_threads (detail d);
+    Fmt.pr "  %s %9.2f ms  (%.0f req/s)@." base d.base_ms (rps d.base_ms);
+    Fmt.pr "  %s %9.2f ms  (%.0f req/s)@." (test d) d.test_ms (rps d.test_ms);
+    Fmt.pr "  %s on %d core%s; %d failed; %s@." (ratio d) cores
+      (if cores = 1 then "" else "s")
+      d.failed
+      (if d.identical then "analyze responses byte-identical"
+       else "ANALYZE RESPONSES DIFFER")
 
-(* [f endpoints] over [n] fresh replicas, torn down afterwards *)
-let with_replicas n f =
-  let members =
-    List.init n (fun _ ->
-        spawn_replica ~quiet:true ~cache_size:1024 ~host:"127.0.0.1" ~port:(free_port ()) ())
+let print_bench (s : Bench.snapshot) =
+  let width =
+    List.fold_left (fun w (e : Bench.entry) -> max w (String.length e.file)) 5 s.benchmarks
   in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun (pid, _) -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-        members;
-      List.iter
-        (fun (pid, _) -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        members)
-  @@ fun () ->
-  let endpoints = List.map snd members in
-  wait_fleet_ready endpoints;
-  f endpoints
-
-(* send the request set through [send key line] from the client
-   threads: (wall ms, responses by request index, failed count) *)
-let drive_load send =
-  let lines = Lazy.force load_requests in
-  let n = Array.length lines in
-  let idx = Atomic.make 0 in
-  let failed = Atomic.make 0 in
-  let responses = Array.make n "" in
-  let rec worker () =
-    let i = Atomic.fetch_and_add idx 1 in
-    if i < n then begin
-      let key, line, _ = lines.(i) in
-      (match send key line with
-      | Ok r -> responses.(i) <- r
-      | Error _ -> Atomic.incr failed);
-      worker ()
-    end
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init load_client_threads (fun _ -> Thread.create worker ()) in
-  List.iter Thread.join threads;
-  ((Unix.gettimeofday () -. t0) *. 1000., responses, Atomic.get failed)
-
-(* the request set through a client-side router over [n] replicas *)
-let direct_load n =
-  with_replicas n (fun endpoints ->
-      let router = Tsg_engine.Router.create ~retries:3 (List.map parse_ep endpoints) in
-      let r = drive_load (fun key line -> Tsg_engine.Router.route router ~key line) in
-      ignore (Tsg_engine.Router.broadcast router {|{"op":"shutdown"}|});
-      r)
-
-(* one drill's two passes over the request set: the baseline and the
-   configuration under test *)
-type load_drill = {
-  ld_requests : int;
-  ld_base_ms : float;
-  ld_test_ms : float;
-  ld_failed : int;  (** over both passes *)
-  ld_identical : bool;  (** analyze responses equal across the passes *)
-}
-
-let compare_passes (base_ms, base, base_failed) (test_ms, test, test_failed) =
-  let identical = ref true in
-  Array.iteri
-    (fun i (_, _, is_analyze) -> if is_analyze && base.(i) <> test.(i) then identical := false)
-    (Lazy.force load_requests);
-  {
-    ld_requests = Array.length base;
-    ld_base_ms = base_ms;
-    ld_test_ms = test_ms;
-    ld_failed = base_failed + test_failed;
-    ld_identical = !identical;
-  }
-
-(* the fleet drill: a 1-replica and then a 3-replica fleet, comparing
-   throughput *)
-let run_fleet_load () =
-  let single = direct_load 1 in
-  compare_passes single (direct_load load_replicas)
-
-(* the proxy-overhead drill: the request set once through a
-   client-side router over a 3-replica fleet and once through a
-   [tsa proxy] subprocess fronting an identical fresh fleet.  Both
-   passes start cold, so the walls are comparable; the headline is the
-   overhead of the extra loopback hop plus the proxy's
-   admission/breaker/budget bookkeeping, gated at 15% in CI. *)
-let run_proxy_load () =
-  let direct = direct_load load_replicas in
-  compare_passes direct
-    (with_replicas load_replicas (fun endpoints ->
-         let listen = Printf.sprintf "127.0.0.1:%d" (free_port ()) in
-         let pid = spawn_proxy ~quiet:true ~listen ~endpoints () in
-         Fun.protect
-           ~finally:(fun () ->
-             (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-             try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-         @@ fun () ->
-         wait_fleet_ready [ listen ];
-         let endpoint = parse_ep listen in
-         let r =
-           drive_load (fun _key line ->
-               match Tsg_engine.Server.call ~retries:3 ~endpoint [ line ] with
-               | [ response ] -> Ok response
-               | _ -> Error "response count mismatch"
-               | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-               | exception Failure msg -> Error msg)
-         in
-         (* a shutdown through the proxy drains the shards behind it,
-            then the proxy itself — the single-address teardown *)
-         (match Tsg_engine.Server.call ~endpoint [ {|{"op":"shutdown"}|} ] with
-         | _ -> ()
-         | exception Unix.Unix_error _ | exception Failure _ -> ());
-         r))
-
-(* the bench case that reads gen-10k from a file rather than
-   generating it *)
-let gen10k_file = "gen-10k-file"
+  Fmt.pr "%-*s  %8s  %10s  %8s  %8s  %9s  %9s@." width "model" "cycle" "total(ms)" "load"
+    "unfold" "simulate" "backtrack";
+  List.iter
+    (fun { Bench.file; outcome } ->
+      match outcome with
+      | Error (`Error msg) -> Fmt.pr "%-*s  ERROR: %s@." width file msg
+      | Error (`Not_applicable msg) -> Fmt.pr "%-*s  n/a: %s@." width file msg
+      | Ok m ->
+        Fmt.pr "%-*s  %8g  %10.2f  %8.2f  %8.2f  %9.2f  %9.2f@." width file m.cycle_time
+          m.total_mean_ms m.phases.load m.phases.unfold m.phases.simulate
+          m.phases.backtrack)
+    s.benchmarks;
+  Fmt.pr "@.jobs scaling (simulate-phase mean ms)@.";
+  Fmt.pr "%-*s" width "model";
+  List.iter (fun j -> Fmt.pr "  %9s" (Printf.sprintf "jobs=%d" j)) s.jobs_levels;
+  Fmt.pr "@.";
+  List.iter
+    (fun { Bench.file; outcome } ->
+      match outcome with
+      | Ok m when m.scaling <> [] ->
+        Fmt.pr "%-*s" width file;
+        List.iter (fun (l : Bench.level) -> Fmt.pr "  %9.2f" l.simulate_ms) m.scaling;
+        Fmt.pr "@."
+      | _ -> ())
+    s.benchmarks;
+  Option.iter
+    (fun (w : Bench.whatif) ->
+      print_whatif ~title:"what-if sweep" ~kind:"single-arc"
+        ~warm:(Printf.sprintf "prepare + %d re-analyses" w.scenarios)
+        (Printf.sprintf "reused %d, resimulated %d border simulations" w.reused
+           w.resimulated)
+        w)
+    s.whatif_sweep;
+  Option.iter
+    (fun (w : Bench.whatif) ->
+      print_whatif ~title:"structural what-if" ~kind:"arc-edit"
+        ~warm:(Printf.sprintf "prepare + %d patched repairs" w.scenarios)
+        (Printf.sprintf "%d/%d warm; spliced %d, dropped %d arc instances" w.warm_paths
+           w.scenarios w.spliced w.dropped)
+        w)
+    s.whatif_structural;
+  print_drill ~cores:s.cores ~title:"fleet load" ~detail:(fun _ -> "") ~base:"1 replica: "
+    ~test:(fun d -> Printf.sprintf "%d replicas:" d.replicas)
+    ~ratio:(fun d -> Printf.sprintf "speedup %.2fx" (d.base_ms /. d.test_ms))
+    s.fleet_load;
+  print_drill ~cores:s.cores ~title:"proxy load"
+    ~detail:(fun d -> Printf.sprintf ", %d replicas" d.replicas)
+    ~base:"direct router:"
+    ~test:(fun _ -> "via tsa proxy:")
+    ~ratio:(fun d -> Printf.sprintf "overhead %.1f%%" (((d.test_ms /. d.base_ms) -. 1.) *. 100.))
+    s.proxy_load
 
 let bench_cmd =
   let files_arg =
@@ -1363,535 +1112,32 @@ let bench_cmd =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"NAME[,NAME]" ~doc)
   in
   let run files iterations json out only =
-    let only_names =
+    let only =
       Option.map
-        (fun s ->
-          String.split_on_char ',' s |> List.map String.trim
-          |> List.filter (fun n -> n <> ""))
+        (fun s -> String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) ""))
         only
     in
-    let selected name =
-      match only_names with
-      | None -> true
-      | Some names ->
-        List.exists
-          (fun n ->
-            n = name
-            || n = Filename.basename name
-            || n = Filename.remove_extension (Filename.basename name))
-          names
-    in
     let files =
-      if files <> [] then files
-      else if Sys.file_exists "benchmarks" && Sys.is_directory "benchmarks" then
-        (Sys.readdir "benchmarks" |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".g")
-        |> List.sort compare
-        |> List.map (Filename.concat "benchmarks"))
-        (* plus the built-in synthetic workloads: gen-dense is large
-           enough that the simulate phase dominates the pipeline,
-           gen-10k is large enough that the jobs-scaling pass means
-           something, and gen-10k-file is gen-10k read back from its
-           export, so its load phase measures the parser *)
-        @ [ "gen-dense"; "gen-10k"; gen10k_file ]
-      else if only <> None then []
-      else begin
+      match (files, Bench.default_models ()) with
+      | _ :: _, _ -> files
+      | [], Some models -> models
+      | [], None when only <> None -> []
+      | [], None ->
         Fmt.epr "tsa: no models given and no benchmarks/ directory here@.";
         exit 2
-      end
     in
-    let files = List.filter selected files in
-    let iterations = max 1 iterations in
-    let wall f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, (Unix.gettimeofday () -. t0) *. 1000.)
-    in
-    (* gen-10k-file's text, exported once to a temporary .g *)
-    let exported =
-      lazy
-        (let path = Filename.temp_file "gen-10k" ".g" in
-         at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-         Tsg_io.Stg_format.write_file ~model:"gen-10k" path
-           (Option.get (Service.builtin "gen-10k"));
-         path)
-    in
-    let source file = if file = gen10k_file then Lazy.force exported else file in
-    let one_iter ~jobs file =
-      let path = source file in
-      Tsg_engine.Metrics.reset ();
-      match wall (fun () -> Service.load_model path) with
-      | Error msg, _ -> Error (`Error msg)
-      | Ok (name, g), bi_load -> (
-        match wall (fun () -> Cycle_time.analyze ~jobs g) with
-        | report, bi_total ->
-          Ok
-            ( name,
-              g,
-              report,
-              {
-                bi_load;
-                bi_total;
-                bi_unfold = Tsg_engine.Metrics.total_ms "analyze/unfold";
-                bi_simulate = Tsg_engine.Metrics.total_ms "analyze/simulate";
-                bi_backtrack = Tsg_engine.Metrics.total_ms "analyze/backtrack";
-              } )
-        (* a model the algorithm does not apply to (no cycles, dead
-           events) is not a benchmark failure — keep it in the snapshot
-           as not_applicable so its absence from the tables is
-           self-explaining *)
-        | exception Cycle_time.Not_analyzable msg -> Error (`Not_applicable msg))
-    in
-    (* a model that fails once would fail every time; stop at the first
-       error but keep benchmarking the remaining files *)
-    let bench_one ~jobs file =
-      let rec go i acc =
-        if i >= iterations then Ok (List.rev acc)
-        else
-          match one_iter ~jobs file with
-          | Error e -> if acc = [] then Error e else Ok (List.rev acc)
-          | Ok r -> go (i + 1) (r :: acc)
-      in
-      (file, go 0 [])
-    in
-    let results = List.map (bench_one ~jobs:1) files in
-    let mean sel rs = List.fold_left (fun s r -> s +. sel r) 0. rs /. float_of_int (List.length rs) in
-    let best sel rs = List.fold_left (fun m r -> Float.min m (sel r)) infinity rs in
-    (* jobs scaling: run every analyzable model at 2, 4 and the
-       recommended domain count (deduplicated) and record the
-       simulate-phase and total means per level; the jobs=1 row reuses
-       the primary pass above instead of re-running it *)
-    let job_levels =
-      List.sort_uniq compare [ 1; 2; 4; Tsg_engine.Pool.recommended () ]
-    in
-    let scaling =
-      List.map
-        (fun (file, outcome) ->
-          ( file,
-            match outcome with
-            | Error _ -> []
-            | Ok primary ->
-              List.filter_map
-                (fun jobs ->
-                  let runs =
-                    if jobs = 1 then Ok primary else snd (bench_one ~jobs file)
-                  in
-                  match runs with
-                  | Error _ -> None
-                  | Ok runs ->
-                    let iters = List.map (fun (_, _, _, it) -> it) runs in
-                    Some
-                      ( jobs,
-                        mean (fun i -> i.bi_simulate) iters,
-                        mean (fun i -> i.bi_total) iters ))
-                job_levels ))
-        results
-    in
-    (* what-if sweep workload: one warm-start base + 64 re-analyses vs
-       64 independent cold analyses of gen-dense with one delay edit
-       each.  The edits are deterministic — spread across the arc ids,
-       alternating signs, clamped so no delay goes negative — so
-       snapshots stay comparable across runs.  jobs=1 throughout: this
-       row measures the warm-start algorithm, not the pool. *)
-    let sweep_stats =
-      if not (selected "whatif_sweep") then None
-      else begin
-        let g = Option.get (Service.builtin "gen-dense") in
-        let arcs = Signal_graph.arc_count g in
-        let base, sw_prepare_ms = wall (fun () -> Whatif.prepare g) in
-        let scenarios =
-          Array.init 64 (fun i ->
-              let arc = i * 997 mod arcs in
-              let nominal = (Signal_graph.arc g arc).Signal_graph.delay in
-              let magnitude = 0.5 +. (float_of_int (i mod 7) /. 4.) in
-              let delta =
-                if i land 1 = 0 then magnitude else Float.max (-.nominal) (-.magnitude)
-              in
-              let delta = if delta = 0. then magnitude else delta in
-              [ { Whatif.arc; delta } ])
-        in
-        let periods = Whatif.periods base in
-        let cold, sw_cold_ms =
-          wall (fun () ->
-              Array.map
-                (fun edits ->
-                  Cycle_time.analyze ~periods (Whatif.edited_graph base edits))
-                scenarios)
-        in
-        let warm, sw_warm_ms =
-          wall (fun () ->
-              let scratch = Whatif.scratch base in
-              Array.map (fun edits -> Whatif.reanalyze ~scratch base edits) scenarios)
-        in
-        let sw_reused = Array.fold_left (fun s (_, st) -> s + st.Whatif.reused) 0 warm in
-        let sw_resim =
-          Array.fold_left (fun s (_, st) -> s + st.Whatif.resimulated) 0 warm
-        in
-        (* the headline guarantee, checked on every snapshot: warm
-           reports serialize byte-identically to the cold ones *)
-        let sw_identical =
-          Array.for_all2
-            (fun c (w, _) ->
-              Tsg_io.Json.to_string (Tsg_io.Json_report.analysis_obj g c)
-              = Tsg_io.Json.to_string (Tsg_io.Json_report.analysis_obj g w))
-            cold warm
-        in
-        Some (sw_prepare_ms, sw_cold_ms, sw_warm_ms, sw_reused, sw_resim, sw_identical)
-      end
-    in
-    (* structural what-if workload: 48 deterministic arc-level edits of
-       gen-dense (chord removals, forward chord insertions, and mixed
-       structural+delay scenarios), warm patch-and-repair vs 48
-       independent cold analyses.  Every scenario removes or adds only
-       unmarked chords, so the border never moves and the whole sweep
-       exercises the warm structural path.  Byte-identity here is a
-       hard check: a snapshot with diverging reports is worthless, so
-       the bench fails outright. *)
-    let structural_stats =
-      if not (selected "whatif_structural") then None
-      else begin
-        let g = Option.get (Service.builtin "gen-dense") in
-        let events = Signal_graph.event_count g in
-        let arcs = Signal_graph.arcs g in
-        let chords =
-          Array.of_list
-            (List.filter
-               (fun i -> not arcs.(i).Signal_graph.marked)
-               (List.init (Array.length arcs - events) (fun i -> events + i)))
-        in
-        let base, st_prepare_ms = wall (fun () -> Whatif.prepare g) in
-        let chord k = chords.(k * 131 mod Array.length chords) in
-        let add k =
-          (* forward, unmarked: src in the lower half of the ring, dst
-             in the upper — can never close a token-free cycle and
-             never touches the border *)
-          let src = k * 13 mod (events / 2) in
-          let dst = (events / 2) + (k * 29 mod (events / 2)) in
-          Whatif.Add_arc
-            { src; dst; delay = 1.0 +. float_of_int (k mod 5); marked = false }
-        in
-        let scenarios =
-          Array.init 48 (fun i ->
-              match i mod 3 with
-              | 0 -> [ Whatif.Remove_arc (chord i) ]
-              | 1 -> [ add i ]
-              | _ ->
-                [
-                  Whatif.Remove_arc (chord i);
-                  add (i + 7);
-                  Whatif.Delay
-                    { arc = i mod events; delta = 0.5 +. float_of_int (i mod 3) };
-                ])
-        in
-        let periods = Whatif.periods base in
-        let cold, st_cold_ms =
-          wall (fun () ->
-              Array.map
-                (fun cs ->
-                  let g' = Whatif.edited_graph_changes base cs in
-                  (g', Cycle_time.analyze ~periods g'))
-                scenarios)
-        in
-        Tsg_engine.Metrics.reset ();
-        let warm, st_warm_ms =
-          wall (fun () ->
-              let scratch = Whatif.scratch base in
-              Array.map (fun cs -> Whatif.reanalyze_changes ~scratch base cs) scenarios)
-        in
-        let st_spliced = Tsg_engine.Metrics.count "whatif/instances_spliced" in
-        let st_dropped = Tsg_engine.Metrics.count "whatif/instances_dropped" in
-        let st_warm_paths =
-          Array.fold_left
-            (fun n (_, st) -> n + if st.Whatif.path = Whatif.Warm then 1 else 0)
-            0 warm
-        in
-        let identical =
-          Array.for_all2
-            (fun (g', c) (w, _) ->
-              Tsg_io.Json.to_string (Tsg_io.Json_report.analysis_obj g' c)
-              = Tsg_io.Json.to_string (Tsg_io.Json_report.analysis_obj g' w))
-            cold warm
-        in
-        if not identical then begin
-          Fmt.epr
-            "tsa: BENCH FAILURE: structural warm reports differ from cold reports@.";
-          exit 1
-        end;
-        Some (st_prepare_ms, st_cold_ms, st_warm_ms, st_warm_paths, st_spliced, st_dropped)
-      end
-    in
-    let cores = Tsg_engine.Pool.recommended () in
-    (* the serving-tier workload is environment-dependent (subprocess
-       spawning, loopback TCP): a sandbox that forbids either yields
-       an error entry instead of killing the whole snapshot *)
-    let drill name run =
-      if not (selected name) then None
-      else Some (match run () with d -> Ok d | exception exn -> Error (Printexc.to_string exn))
-    in
-    let fleet_outcome = drill "fleet_load" run_fleet_load in
-    let proxy_outcome = drill "proxy_load" run_proxy_load in
-    let module J = Tsg_io.Json in
-    (* a drill's snapshot entry, its passes named [base] and [test].  On
-       a single core the replicas (and the proxy) share that core, so
-       neither the >=2x fleet speedup nor the proxy overhead means
-       anything; the status records it so CI can gate softly, like the
-       jobs-scaling gate *)
-    let drill_json ~base ~test ~ratio = function
-      | None -> J.Obj [ ("status", J.String "skipped") ]
-      | Some (Error msg) -> J.Obj [ ("status", J.String "error"); ("error", J.String msg) ]
-      | Some (Ok d) ->
-        let rps ms = float_of_int d.ld_requests /. (ms /. 1000.) in
-        J.Obj
-          [
-            ("status", J.String (if cores <= 1 then "single_core" else "ok"));
-            ("requests", J.Int d.ld_requests);
-            ("client_threads", J.Int load_client_threads);
-            ("replicas", J.Int load_replicas);
-            ("cores", J.Int cores);
-            (base ^ "_ms", J.Float d.ld_base_ms);
-            (test ^ "_ms", J.Float d.ld_test_ms);
-            (base ^ "_rps", J.Float (rps d.ld_base_ms));
-            (test ^ "_rps", J.Float (rps d.ld_test_ms));
-            ratio d;
-            ("failed", J.Int d.ld_failed);
-            ("byte_identical", J.Bool d.ld_identical);
-          ]
-    in
-    let fleet_json =
-      drill_json ~base:"single" ~test:"fleet"
-        ~ratio:(fun d -> ("speedup", J.Float (d.ld_base_ms /. d.ld_test_ms)))
-        fleet_outcome
-    in
-    let proxy_json =
-      drill_json ~base:"direct" ~test:"proxy"
-        ~ratio:(fun d -> ("overhead", J.Float ((d.ld_test_ms /. d.ld_base_ms) -. 1.)))
-        proxy_outcome
-    in
-    let entry_json (file, outcome) =
-      match outcome with
-      | Error (`Error msg) ->
-        J.Obj [ ("file", J.String file); ("status", J.String "error"); ("error", J.String msg) ]
-      | Error (`Not_applicable msg) ->
-        J.Obj
-          [
-            ("file", J.String file);
-            ("status", J.String "not_applicable");
-            ("reason", J.String msg);
-          ]
-      | Ok runs ->
-        let name, g, report, _ = List.hd runs in
-        let iters = List.map (fun (_, _, _, it) -> it) runs in
-        J.Obj
-          [
-            ("file", J.String file);
-            ("status", J.String "ok");
-            ("model", J.String name);
-            ("events", J.Int (Signal_graph.event_count g));
-            ("arcs", J.Int (Signal_graph.arc_count g));
-            ("border", J.Int (List.length report.Cycle_time.border));
-            ("cycle_time", J.Float report.Cycle_time.cycle_time);
-            ( "total_ms",
-              J.Obj
-                [
-                  ("mean", J.Float (mean (fun i -> i.bi_total) iters));
-                  ("min", J.Float (best (fun i -> i.bi_total) iters));
-                ] );
-            ( "phases_ms",
-              J.Obj
-                [
-                  ("load", J.Float (mean (fun i -> i.bi_load) iters));
-                  ("unfold", J.Float (mean (fun i -> i.bi_unfold) iters));
-                  ("simulate", J.Float (mean (fun i -> i.bi_simulate) iters));
-                  ("backtrack", J.Float (mean (fun i -> i.bi_backtrack) iters));
-                ] );
-            ( "jobs_scaling",
-              J.List
-                (match List.assoc_opt file scaling with
-                | None -> []
-                | Some levels ->
-                  List.map
-                    (fun (jobs, simulate_ms, total_ms) ->
-                      J.Obj
-                        [
-                          ("jobs", J.Int jobs);
-                          ("simulate_ms", J.Float simulate_ms);
-                          ("total_ms", J.Float total_ms);
-                        ])
-                    levels) );
-          ]
-    in
-    let date =
-      (* UTC, so snapshots taken around midnight name the same day on
-         every machine *)
-      let tm = Unix.gmtime (Unix.time ()) in
-      Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-        tm.Unix.tm_mday
-    in
-    let sweep_json =
-      match sweep_stats with
-      | None -> J.Obj [ ("status", J.String "skipped") ]
-      | Some (sw_prepare_ms, sw_cold_ms, sw_warm_ms, sw_reused, sw_resim, sw_identical)
-        ->
-        J.Obj
-          [
-            ("status", J.String "ok");
-            ("model", J.String "gen-dense");
-            ("scenarios", J.Int 64);
-            ("jobs", J.Int 1);
-            ("prepare_ms", J.Float sw_prepare_ms);
-            ("cold_total_ms", J.Float sw_cold_ms);
-            ("warm_reanalyze_ms", J.Float sw_warm_ms);
-            ("warm_total_ms", J.Float (sw_prepare_ms +. sw_warm_ms));
-            ("speedup", J.Float (sw_cold_ms /. (sw_prepare_ms +. sw_warm_ms)));
-            ("reused", J.Int sw_reused);
-            ("resimulated", J.Int sw_resim);
-            ("byte_identical", J.Bool sw_identical);
-          ]
-    in
-    let structural_json =
-      match structural_stats with
-      | None -> J.Obj [ ("status", J.String "skipped") ]
-      | Some (st_prepare_ms, st_cold_ms, st_warm_ms, st_warm_paths, st_spliced, st_dropped)
-        ->
-        J.Obj
-          [
-            (* a single core cannot show the full warm advantage when
-               the cold side benefits from cache-warm re-runs; CI gates
-               the speedup softly under single_core, like fleet_load *)
-            ("status", J.String (if cores <= 1 then "single_core" else "ok"));
-            ("model", J.String "gen-dense");
-            ("scenarios", J.Int 48);
-            ("jobs", J.Int 1);
-            ("prepare_ms", J.Float st_prepare_ms);
-            ("cold_total_ms", J.Float st_cold_ms);
-            ("warm_reanalyze_ms", J.Float st_warm_ms);
-            ("warm_total_ms", J.Float (st_prepare_ms +. st_warm_ms));
-            ("speedup", J.Float (st_cold_ms /. (st_prepare_ms +. st_warm_ms)));
-            ("warm_paths", J.Int st_warm_paths);
-            ("instances_spliced", J.Int st_spliced);
-            ("instances_dropped", J.Int st_dropped);
-            ("byte_identical", J.Bool true);
-          ]
-    in
-    let snapshot =
-      J.Obj
-        [
-          ("schema", J.String "tsa-bench/7");
-          ("date", J.String date);
-          ("iterations", J.Int iterations);
-          ("cores", J.Int cores);
-          ("jobs_levels", J.List (List.map (fun j -> J.Int j) job_levels));
-          ("benchmarks", J.List (List.map entry_json results));
-          ("whatif_sweep", sweep_json);
-          ("whatif_structural", structural_json);
-          ("fleet_load", fleet_json);
-          ("proxy_load", proxy_json);
-        ]
-    in
-    let rendered = J.to_string snapshot in
-    let path = Option.value out ~default:(Printf.sprintf "BENCH_%s.json" date) in
-    let oc = open_out path in
-    output_string oc rendered;
-    output_char oc '\n';
-    close_out oc;
-    if json then print_endline rendered
-    else begin
-      let width = List.fold_left (fun w f -> max w (String.length f)) 5 files in
-      Fmt.pr "%-*s  %8s  %10s  %8s  %8s  %9s  %9s@." width "model" "cycle" "total(ms)"
-        "load" "unfold" "simulate" "backtrack";
-      List.iter
-        (fun (file, outcome) ->
-          match outcome with
-          | Error (`Error msg) -> Fmt.pr "%-*s  ERROR: %s@." width file msg
-          | Error (`Not_applicable msg) -> Fmt.pr "%-*s  n/a: %s@." width file msg
-          | Ok runs ->
-            let report = (fun (_, _, r, _) -> r) (List.hd runs) in
-            let iters = List.map (fun (_, _, _, it) -> it) runs in
-            Fmt.pr "%-*s  %8g  %10.2f  %8.2f  %8.2f  %9.2f  %9.2f@." width file
-              report.Cycle_time.cycle_time
-              (mean (fun i -> i.bi_total) iters)
-              (mean (fun i -> i.bi_load) iters)
-              (mean (fun i -> i.bi_unfold) iters)
-              (mean (fun i -> i.bi_simulate) iters)
-              (mean (fun i -> i.bi_backtrack) iters))
-        results;
-      Fmt.pr "@.jobs scaling (simulate-phase mean ms)@.";
-      Fmt.pr "%-*s" width "model";
-      List.iter (fun j -> Fmt.pr "  %9s" (Printf.sprintf "jobs=%d" j)) job_levels;
-      Fmt.pr "@.";
-      List.iter
-        (fun (file, levels) ->
-          if levels <> [] then begin
-            Fmt.pr "%-*s" width file;
-            List.iter (fun (_, simulate_ms, _) -> Fmt.pr "  %9.2f" simulate_ms) levels;
-            Fmt.pr "@."
-          end)
-        scaling;
-      (match sweep_stats with
-      | None -> ()
-      | Some (sw_prepare_ms, sw_cold_ms, sw_warm_ms, sw_reused, sw_resim, sw_identical)
-        ->
-        Fmt.pr "@.what-if sweep (gen-dense, 64 single-arc scenarios, jobs=1)@.";
-        Fmt.pr "  cold: 64 independent analyses   %9.2f ms@." sw_cold_ms;
-        Fmt.pr "  warm: prepare + 64 re-analyses  %9.2f ms  (%.2f + %.2f)@."
-          (sw_prepare_ms +. sw_warm_ms) sw_prepare_ms sw_warm_ms;
-        Fmt.pr "  speedup %.2fx; reused %d, resimulated %d border simulations; %s@."
-          (sw_cold_ms /. (sw_prepare_ms +. sw_warm_ms))
-          sw_reused sw_resim
-          (if sw_identical then "reports byte-identical" else "REPORTS DIFFER"));
-      (match structural_stats with
-      | None -> ()
-      | Some (st_prepare_ms, st_cold_ms, st_warm_ms, st_warm_paths, st_spliced, st_dropped)
-        ->
-        Fmt.pr "@.structural what-if (gen-dense, 48 arc-edit scenarios, jobs=1)@.";
-        Fmt.pr "  cold: 48 independent analyses       %9.2f ms@." st_cold_ms;
-        Fmt.pr "  warm: prepare + 48 patched repairs  %9.2f ms  (%.2f + %.2f)@."
-          (st_prepare_ms +. st_warm_ms) st_prepare_ms st_warm_ms;
-        Fmt.pr
-          "  speedup %.2fx; %d/48 warm; spliced %d, dropped %d arc instances; \
-           reports byte-identical@."
-          (st_cold_ms /. (st_prepare_ms +. st_warm_ms))
-          st_warm_paths st_spliced st_dropped);
-      (match fleet_outcome with
-      | None -> ()
-      | Some (Error msg) -> Fmt.pr "@.fleet load: skipped (%s)@." msg
-      | Some (Ok fl) ->
-        let rps ms = float_of_int fl.ld_requests /. (ms /. 1000.) in
-        Fmt.pr "@.fleet load (%d mixed analyze/sweep requests, %d client threads)@."
-          fl.ld_requests load_client_threads;
-        Fmt.pr "  1 replica:  %9.2f ms  (%.0f req/s)@." fl.ld_base_ms
-          (rps fl.ld_base_ms);
-        Fmt.pr "  %d replicas: %9.2f ms  (%.0f req/s)@." load_replicas
-          fl.ld_test_ms (rps fl.ld_test_ms);
-        Fmt.pr "  speedup %.2fx on %d core%s; %d failed; %s@."
-          (fl.ld_base_ms /. fl.ld_test_ms)
-          cores
-          (if cores = 1 then "" else "s")
-          fl.ld_failed
-          (if fl.ld_identical then "analyze responses byte-identical"
-           else "ANALYZE RESPONSES DIFFER"));
-      (match proxy_outcome with
-      | None -> ()
-      | Some (Error msg) -> Fmt.pr "@.proxy load: skipped (%s)@." msg
-      | Some (Ok pl) ->
-        let rps ms = float_of_int pl.ld_requests /. (ms /. 1000.) in
-        Fmt.pr
-          "@.proxy load (%d mixed analyze/sweep requests, %d client threads, \
-           %d replicas)@."
-          pl.ld_requests load_client_threads load_replicas;
-        Fmt.pr "  direct router: %9.2f ms  (%.0f req/s)@." pl.ld_base_ms
-          (rps pl.ld_base_ms);
-        Fmt.pr "  via tsa proxy: %9.2f ms  (%.0f req/s)@." pl.ld_test_ms
-          (rps pl.ld_test_ms);
-        Fmt.pr "  overhead %.1f%% on %d core%s; %d failed; %s@."
-          (((pl.ld_test_ms /. pl.ld_base_ms) -. 1.) *. 100.)
-          cores
-          (if cores = 1 then "" else "s")
-          pl.ld_failed
-          (if pl.ld_identical then "analyze responses byte-identical"
-           else "ANALYZE RESPONSES DIFFER"))
-    end;
-    Fmt.epr "tsa: snapshot written to %s@." path
+    match Bench.run ~exe:Sys.executable_name ~iterations ?only files with
+    | Error msg ->
+      Fmt.epr "tsa: BENCH FAILURE: %s@." msg;
+      exit 1
+    | Ok snapshot ->
+      let rendered = Bench.to_json snapshot in
+      let path = Option.value out ~default:(Printf.sprintf "BENCH_%s.json" snapshot.date) in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc rendered;
+          output_char oc '\n');
+      if json then print_endline rendered else print_bench snapshot;
+      Fmt.epr "tsa: snapshot written to %s@." path
   in
   let doc =
     "Benchmark the analysis pipeline: time every model over N iterations with a \

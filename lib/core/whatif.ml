@@ -135,44 +135,6 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
 (* ------------------------------------------------------------------ *)
 (* Edits                                                               *)
 
-let edited_delays t edits =
-  let m = Array.length t.base_delays in
-  let delays = Array.copy t.base_delays in
-  let touched = Hashtbl.create 8 in
-  List.iter
-    (fun { arc; delta } ->
-      if arc < 0 || arc >= m then
-        invalid_arg
-          (Printf.sprintf "Whatif: arc id %d out of range (the graph has %d arcs)"
-             arc m);
-      if not (Float.is_finite delta) then
-        invalid_arg (Printf.sprintf "Whatif: arc %d: delta must be finite" arc);
-      delays.(arc) <- delays.(arc) +. delta;
-      Hashtbl.replace touched arc ())
-    edits;
-  (* duplicate edits of one arc fold into a single delta; a sum that
-     lands back on the base delay is no edit at all *)
-  let changed =
-    Hashtbl.fold
-      (fun a () acc ->
-        if delays.(a) <> t.base_delays.(a) then begin
-          if not (Float.is_finite delays.(a)) || delays.(a) < 0. then
-            invalid_arg
-              (Printf.sprintf
-                 "Whatif: arc %d: edited delay %g is invalid (delays must be \
-                  finite and >= 0)"
-                 a delays.(a));
-          a :: acc
-        end
-        else acc)
-      touched []
-  in
-  (delays, List.sort compare changed)
-
-let edited_graph t edits =
-  let delays, _ = edited_delays t edits in
-  Signal_graph.with_delays t.g delays
-
 (* A scenario of [change]s is classified once, up front, into either a
    pure delay re-spelling of the base graph (the existing warm kernel
    applies unchanged) or a structural edit carrying the edited graph
@@ -244,6 +206,8 @@ let apply_changes t changes =
   in
   Hashtbl.iter (fun a () -> check_alive a) touched;
   List.iter check_alive !mark_edits;
+  (* duplicate edits of one arc fold into a single delta; a sum that
+     lands back on the base delay is no edit at all *)
   let changed_delays =
     Hashtbl.fold
       (fun a () acc ->
@@ -606,9 +570,6 @@ let reanalyze_changes ?deadline ?scratch:sc t changes =
           warm_structural ~deadline sc t ~arc_map ~changed_delays g'
         end
     end
-
-let reanalyze ?deadline ?scratch t edits =
-  reanalyze_changes ?deadline ?scratch t (List.map (fun e -> Delay e) edits)
 
 (* ------------------------------------------------------------------ *)
 (* Sweeps                                                              *)

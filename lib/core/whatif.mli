@@ -52,7 +52,7 @@ type edit = { arc : int; delta : float }
     edits of one arc within a scenario fold into a single delta. *)
 
 type change =
-  | Delay of edit  (** nudge a delay, as {!reanalyze} has always done *)
+  | Delay of edit  (** nudge a delay *)
   | Add_arc of { src : int; dst : int; delay : float; marked : bool }
       (** a new arc between existing events, appended after the
           surviving arcs (its id in the edited graph is reported by
@@ -101,18 +101,15 @@ val periods : t -> int
 val digest : t -> string
 (** {!Signal_graph.digest} of the base graph — the short-circuit key. *)
 
-val edited_graph : t -> edit list -> Signal_graph.t
-(** The base graph with the edits applied (validated).
-    @raise Invalid_argument on an out-of-range arc id, a non-finite
-    delta, or an edited delay that is negative or non-finite. *)
-
 val edited_graph_changes : t -> change list -> Signal_graph.t
 (** The base graph with a structural scenario applied: surviving arcs
     keep their relative order (ids compact downward past removals),
     additions are appended in scenario order.  This is the cold-side
     reference for the byte-identity law.
-    @raise Invalid_argument as {!edited_graph}, plus on a dead or
-    duplicate arc reference and on invalid added-arc parameters.
+    @raise Invalid_argument on an out-of-range arc or event id, a
+    non-finite delta, an edited delay that is negative or non-finite,
+    a dead or duplicate arc reference, and invalid added-arc
+    parameters.
     @raise Cycle_time.Not_analyzable when the edited graph fails
     structural validation (disconnected repetitive part, token-free
     cycle, …) — with the same message {!reanalyze_changes} raises. *)
@@ -125,43 +122,27 @@ type scratch
 
 val scratch : t -> scratch
 
-val reanalyze :
-  ?deadline:Tsg_engine.Deadline.t ->
-  ?scratch:scratch ->
-  t ->
-  edit list ->
-  Cycle_time.report * stats
-(** The report of the edited graph, byte-identical (serialised) to
-    [Cycle_time.analyze ~periods:(periods t) (edited_graph t edits)].
-    Without [scratch] a fresh one is allocated.  [deadline] defaults
-    to the ambient {!Tsg_engine.Deadline.current}.
-
-    The warm path carries the ["whatif/warm"] failpoint: when armed
-    ({!Tsg_obs.Failpoint}), re-analysis falls back to a cold
-    {!Cycle_time.analyze} of the edited graph ([whatif/cold_fallbacks]
-    counts these) — same answer, no reuse.
-
-    @raise Invalid_argument as {!edited_graph}.
-    @raise Cycle_time.Not_analyzable as {!Cycle_time.analyze}.
-    @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
-
 val reanalyze_changes :
   ?deadline:Tsg_engine.Deadline.t ->
   ?scratch:scratch ->
   t ->
   change list ->
   Cycle_time.report * stats
-(** {!reanalyze} generalised to structural scenarios: byte-identical
-    (serialised) to
+(** The report of the edited graph, byte-identical (serialised) to
     [Cycle_time.analyze ~periods:(periods t) (edited_graph_changes t cs)].
+    Without [scratch] a fresh one is allocated; [deadline] defaults to
+    the ambient {!Tsg_engine.Deadline.current}.
+
     Delay-only scenarios repair over the base unfolding; structural
     ones patch it first and repair over the patched one
-    ([whatif/structural_warm],
-    [whatif/instances_spliced|dropped]), falling back to a cold
-    analysis only when the border set itself moves
-    ([whatif/structural_cold]) or the ["whatif/warm"] failpoint is
-    armed.  A scenario whose edited arc table is literally the base
-    one short-circuits.
+    ([whatif/structural_warm], [whatif/instances_spliced|dropped]),
+    falling back to a cold analysis only when the border set itself
+    moves ([whatif/structural_cold]).  A scenario whose edited arc
+    table is literally the base one short-circuits.  The warm path
+    carries the ["whatif/warm"] failpoint: when armed
+    ({!Tsg_obs.Failpoint}), re-analysis falls back to a cold
+    {!Cycle_time.analyze} of the edited graph ([whatif/cold_fallbacks]
+    counts these) — same answer, no reuse.
     @raise Invalid_argument and @raise Cycle_time.Not_analyzable as
     {!edited_graph_changes}.
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)

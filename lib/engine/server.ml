@@ -426,10 +426,10 @@ let call ?(retries = 0) ?(backoff_ms = 50.) ?timeout_s ~endpoint requests =
             | line -> line
             | exception End_of_file ->
               failwith "Server.call: connection closed before a response arrived"
-            | exception Sys_error msg ->
-              (* a SO_RCVTIMEO expiry surfaces as Sys_error through the
-                 channel layer; report it like any other call failure *)
-              failwith ("Server.call: " ^ msg))
+            | exception Sys_blocked_io ->
+              (* a SO_RCVTIMEO expiry: the channel layer reads EAGAIN *)
+              failwith "Server.call: read timed out"
+            | exception Sys_error msg -> failwith ("Server.call: " ^ msg))
           requests)
   in
   let rec go attempt_no delay_ms =

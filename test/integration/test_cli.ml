@@ -294,6 +294,118 @@ let test_error_handling () =
       Alcotest.(check bool) "invalid graph fails" true (code <> 0);
       check_contains "diagnostic" text "token-free cycle")
 
+(* ------------------------------------------------------------------ *)
+(* tsa fleet                                                           *)
+
+(* read [fd] into [buf] until it holds [needle]; fail after [timeout_s] *)
+let read_until ?(timeout_s = 30.) fd buf needle =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    if not (contains (Buffer.contents buf) needle) then begin
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then
+        Alcotest.failf "no %S within %.0f s; output so far: %S" needle timeout_s
+          (Buffer.contents buf);
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> go ()
+      | _ ->
+        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+        if n = 0 then Alcotest.failf "EOF before %S: %S" needle (Buffer.contents buf);
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    end
+  in
+  go ()
+
+let test_fleet_proxy_lifecycle () =
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Unix.create_process tsa [| "tsa"; "fleet"; "-n"; "2"; "--proxy" |] Unix.stdin out_w null
+  in
+  Unix.close out_w;
+  Unix.close null;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
+      Unix.close out_r)
+  @@ fun () ->
+  let buf = Buffer.create 256 in
+  read_until out_r buf "fleet: ready\n";
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  let field prefix line =
+    let n = String.length prefix in
+    if String.length line >= n && String.sub line 0 n = prefix then
+      Some (String.sub line n (String.length line - n))
+    else None
+  in
+  let replica i line =
+    match field (Printf.sprintf "replica %d: pid " i) line with
+    | Some rest -> (
+      match String.split_on_char ' ' rest with
+      | [ pid; ep ] when int_of_string_opt pid <> None -> ep
+      | _ -> Alcotest.failf "bad replica line %S" line)
+    | None -> Alcotest.failf "expected replica %d's line, got %S" i line
+  in
+  match lines with
+  | [ r0; r1; eps; proxy; "fleet: ready"; "" ] ->
+    let ep0 = replica 0 r0 and ep1 = replica 1 r1 in
+    Alcotest.(check (option string)) "endpoints line" (Some (ep0 ^ "," ^ ep1))
+      (field "fleet: endpoints " eps);
+    let via =
+      match field "fleet: proxy " proxy with
+      | Some via -> via
+      | None -> Alcotest.failf "expected the proxy line, got %S" proxy
+    in
+    let code, text = run [ "client"; "--via"; via; "fig1" ] in
+    Alcotest.(check int) "client --via exit 0" 0 code;
+    check_contains "client --via fig1" text {|"cycle_time":10|};
+    let code, _ = run [ "client"; "--via"; via; "--shutdown" ] in
+    Alcotest.(check int) "client --via --shutdown exit 0" 0 code;
+    read_until out_r buf "fleet: stopped\n";
+    reaped := true;
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "tsa fleet did not exit 0")
+  | _ -> Alcotest.failf "unexpected fleet announcement: %S" (Buffer.contents buf)
+
+(* port P held by this process (listening or only bound) while P+1 is
+   free: replica 0 of [tsa fleet -n 2 --base-port P] cannot start and
+   replica 1 can, so the fleet must fail fast and stop replica 1 *)
+let check_fleet_fails_fast ~listen () =
+  let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let rec hold tries =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind s (loopback 0);
+    let port = match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+    let probe = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let next_free = try Unix.bind probe (loopback (port + 1)); true with Unix.Unix_error _ -> false in
+    Unix.close probe;
+    if next_free || tries = 0 then (s, port) else (Unix.close s; hold (tries - 1))
+  in
+  let s, port = hold 20 in
+  if listen then Unix.listen s 8;
+  Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let code, text =
+    run_exe "timeout" [ "30"; tsa; "fleet"; "-n"; "2"; "--base-port"; string_of_int port ]
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "exit 1" 1 code;
+  check_contains "fleet" text "fleet failed to come up";
+  Alcotest.(check bool) (Printf.sprintf "gave up within 5 s (took %.1f s)" elapsed) true
+    (elapsed < 5.);
+  let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close c) @@ fun () ->
+  match Unix.connect c (loopback (port + 1)) with
+  | () -> Alcotest.fail "replica 1 was left running"
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
+
 let () =
   Alcotest.run "tsa-cli"
     [
@@ -323,5 +435,10 @@ let () =
           Alcotest.test_case "dialect sniffing ignores comments" `Quick
             test_dialect_sniffing_ignores_comments;
           Alcotest.test_case "error handling" `Quick test_error_handling;
+          Alcotest.test_case "fleet --proxy lifecycle" `Quick test_fleet_proxy_lifecycle;
+          Alcotest.test_case "fleet fails fast: port taken by a listener" `Quick
+            (check_fleet_fails_fast ~listen:true);
+          Alcotest.test_case "fleet fails fast: port bound, not listening" `Quick
+            (check_fleet_fails_fast ~listen:false);
         ] );
     ]

@@ -37,14 +37,6 @@ let reachable_oracle g src =
   done;
   reach
 
-let prop_reachability =
-  case ~name:"Traversal.reachable matches the closure oracle" (fun input ->
-      let g = build input in
-      let ok = ref true in
-      Digraph.iter_vertices g (fun v ->
-          if Traversal.reachable g v <> reachable_oracle g v then ok := false);
-      !ok)
-
 let prop_transpose_involution =
   case ~name:"transpose is an involution (up to arc order)" (fun input ->
       let g = build input in
@@ -195,7 +187,6 @@ let prop_positive_cycle_detection =
 
 let suite =
   [
-    prop_reachability;
     prop_transpose_involution;
     prop_scc_is_mutual_reachability;
     prop_topo_respects_arcs;

@@ -675,6 +675,23 @@ let test_call_fails_fast_on_a_peer_that_never_reads () =
     Alcotest.(check string) "the write timeout is the failure"
       "Server.call: write timed out" msg
 
+(* a peer that accepts and reads but never answers: the read times out
+   after [timeout_s] with a [Failure], like every other call failure *)
+let test_call_read_times_out_on_a_silent_peer () =
+  let socket = fresh_socket () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 4;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  match Server.call ~timeout_s:0.2 ~endpoint:(Server.Unix_socket socket) [ {|{"op":"stats"}|} ] with
+  | _ -> Alcotest.fail "a silent peer cannot answer"
+  | exception Failure msg ->
+    Alcotest.(check string) "the read timeout is the failure" "Server.call: read timed out" msg
+
 let suite =
   [
     Alcotest.test_case "deadline: none never trips" `Quick test_deadline_none_never_trips;
@@ -721,4 +738,6 @@ let suite =
       test_call_retries_until_daemon_appears;
     Alcotest.test_case "client: call fails fast on a peer that never reads" `Quick
       test_call_fails_fast_on_a_peer_that_never_reads;
+    Alcotest.test_case "client: call read times out on a silent peer" `Quick
+      test_call_read_times_out_on_a_silent_peer;
   ]

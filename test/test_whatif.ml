@@ -7,12 +7,17 @@ open Tsg
 
 let render g report = Tsg_io.Json.to_string (Tsg_io.Json_report.analysis_obj g report)
 
+(* delay-only scenarios *)
+let delays = List.map (fun e -> Whatif.Delay e)
+let reanalyze base edits = Whatif.reanalyze_changes base (delays edits)
+let edited_graph base edits = Whatif.edited_graph_changes base (delays edits)
+
 let cold_render base edits =
-  let g' = Whatif.edited_graph base edits in
+  let g' = edited_graph base edits in
   (g', render g' (Cycle_time.analyze ~periods:(Whatif.periods base) g'))
 
 let check_warm_equals_cold msg base edits =
-  let report, (stats : Whatif.stats) = Whatif.reanalyze base edits in
+  let report, (stats : Whatif.stats) = reanalyze base edits in
   let g', cold = cold_render base edits in
   Alcotest.(check string) (msg ^ ": bytes") cold (render g' report);
   Alcotest.(check int)
@@ -27,14 +32,14 @@ let fig1_base () = Whatif.prepare (Tsg_circuit.Circuit_library.fig1_tsg ())
 let sweep_delays ?budget_ms ~jobs base scenarios =
   Array.map fst
     (Whatif.sweep_changes ?budget_ms ~jobs base
-       (Array.map (List.map (fun e -> Whatif.Delay e)) scenarios))
+       (Array.map delays scenarios))
 
 (* ------------------------------------------------------------------ *)
 (* Short circuits                                                      *)
 
 let test_no_edits_short_circuit () =
   let base = fig1_base () in
-  let report, stats = Whatif.reanalyze base [] in
+  let report, stats = reanalyze base [] in
   Alcotest.(check bool) "base report returned" true (report == Whatif.base_report base);
   Alcotest.(check bool)
     "short-circuit path" true
@@ -43,7 +48,7 @@ let test_no_edits_short_circuit () =
 let test_cancelling_edits_short_circuit () =
   let base = fig1_base () in
   let edits = [ { Whatif.arc = 0; delta = 2.5 }; { Whatif.arc = 0; delta = -2.5 } ] in
-  let report, stats = Whatif.reanalyze base edits in
+  let report, stats = reanalyze base edits in
   Alcotest.(check bool) "base report returned" true (report == Whatif.base_report base);
   Alcotest.(check bool)
     "zero net delta short-circuits" true
@@ -376,11 +381,11 @@ let test_invalid_edits_rejected () =
   Alcotest.check_raises "out-of-range arc"
     (Invalid_argument
        (Printf.sprintf "Whatif: arc id %d out of range (the graph has %d arcs)" m m))
-    (fun () -> ignore (Whatif.reanalyze base [ { Whatif.arc = m; delta = 1. } ]));
-  (match Whatif.reanalyze base [ { Whatif.arc = 0; delta = -1e9 } ] with
+    (fun () -> ignore (reanalyze base [ { Whatif.arc = m; delta = 1. } ]));
+  (match reanalyze base [ { Whatif.arc = 0; delta = -1e9 } ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative edited delay accepted");
-  match Whatif.reanalyze base [ { Whatif.arc = 0; delta = Float.nan } ] with
+  match reanalyze base [ { Whatif.arc = 0; delta = Float.nan } ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "NaN delta accepted"
 
@@ -443,15 +448,15 @@ let test_deadline_mid_sweep_pool_reusable () =
 let test_failpoint_falls_back_to_cold () =
   let base = fig1_base () in
   let edits = [ { Whatif.arc = 1; delta = 4. } ] in
-  let warm_report, warm_stats = Whatif.reanalyze base edits in
+  let warm_report, warm_stats = reanalyze base edits in
   Alcotest.(check bool) "warm before arming" true (warm_stats.Whatif.path = Whatif.Warm);
   Tsg_obs.Failpoint.activate "whatif/warm";
   Fun.protect ~finally:(fun () -> Tsg_obs.Failpoint.deactivate "whatif/warm")
   @@ fun () ->
-  let cold_report, cold_stats = Whatif.reanalyze base edits in
+  let cold_report, cold_stats = reanalyze base edits in
   Alcotest.(check bool) "cold fallback path" true (cold_stats.Whatif.path = Whatif.Cold);
   Alcotest.(check int) "no reuse on the cold path" 0 cold_stats.Whatif.reused;
-  let g' = Whatif.edited_graph base edits in
+  let g' = edited_graph base edits in
   Alcotest.(check string) "cold fallback bytes = warm bytes" (render g' warm_report)
     (render g' cold_report)
 
@@ -463,7 +468,7 @@ let test_metrics_accounting () =
   let b = List.length (Whatif.border base) in
   Tsg_engine.Metrics.reset ();
   let _, (stats : Whatif.stats) =
-    Whatif.reanalyze base [ { Whatif.arc = 0; delta = 2. } ]
+    reanalyze base [ { Whatif.arc = 0; delta = 2. } ]
   in
   Alcotest.(check int) "whatif/reused counter" stats.Whatif.reused
     (Tsg_engine.Metrics.count "whatif/reused");
