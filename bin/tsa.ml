@@ -475,6 +475,13 @@ let serve_cmd =
       drain_timeout failpoints =
     let endpoint = resolve_serve_endpoint ~socket ~tcp in
     let jobs = Service.resolve_jobs jobs in
+    (* a replica holds prepared what-if bases and turns over a large
+       block per reply (the response buffer and string).  At the
+       default space_overhead (120) the major GC let a sweep-serving
+       replica peak at 255-355 MiB, bimodally, run to run; at 80 it
+       stays near 215 MiB, with no measurable latency or CPU cost on
+       cold, hot or sweep traffic *)
+    Gc.set { (Gc.get ()) with space_overhead = 80 };
     (match failpoints with
     | None -> ()
     | Some spec -> (
@@ -1018,8 +1025,8 @@ let print_drill ~cores ~title ~detail ~base ~test ~ratio = function
   | Some (Error msg) -> Fmt.pr "@.%s: skipped (%s)@." title msg
   | Some (Ok (d : Bench.drill)) ->
     let rps ms = float_of_int d.requests /. (ms /. 1000.) in
-    Fmt.pr "@.%s (%d mixed analyze/sweep requests, %d client threads%s)@." title
-      d.requests d.client_threads (detail d);
+    Fmt.pr "@.%s (%d mixed analyze/sweep requests, %d client threads%s; median of %d passes)@."
+      title d.requests d.client_threads (detail d) d.passes;
     Fmt.pr "  %s %9.2f ms  (%.0f req/s)@." base d.base_ms (rps d.base_ms);
     Fmt.pr "  %s %9.2f ms  (%.0f req/s)@." (test d) d.test_ms (rps d.test_ms);
     Fmt.pr "  %s on %d core%s; %d failed; %s@." (ratio d) cores
@@ -1032,17 +1039,17 @@ let print_bench (s : Bench.snapshot) =
   let width =
     List.fold_left (fun w (e : Bench.entry) -> max w (String.length e.file)) 5 s.benchmarks
   in
-  Fmt.pr "%-*s  %8s  %10s  %8s  %8s  %9s  %9s@." width "model" "cycle" "total(ms)" "load"
-    "unfold" "simulate" "backtrack";
+  Fmt.pr "%-*s  %8s  %10s  %8s  %8s  %9s  %9s  %8s@." width "model" "cycle" "total(ms)" "load"
+    "unfold" "simulate" "backtrack" "render";
   List.iter
     (fun { Bench.file; outcome } ->
       match outcome with
       | Error (`Error msg) -> Fmt.pr "%-*s  ERROR: %s@." width file msg
       | Error (`Not_applicable msg) -> Fmt.pr "%-*s  n/a: %s@." width file msg
       | Ok m ->
-        Fmt.pr "%-*s  %8g  %10.2f  %8.2f  %8.2f  %9.2f  %9.2f@." width file m.cycle_time
+        Fmt.pr "%-*s  %8g  %10.2f  %8.2f  %8.2f  %9.2f  %9.2f  %8.2f@." width file m.cycle_time
           m.total_mean_ms m.phases.load m.phases.unfold m.phases.simulate
-          m.phases.backtrack)
+          m.phases.backtrack m.phases.render)
     s.benchmarks;
   Fmt.pr "@.jobs scaling (simulate-phase mean ms)@.";
   Fmt.pr "%-*s" width "model";
@@ -1141,7 +1148,8 @@ let bench_cmd =
   in
   let doc =
     "Benchmark the analysis pipeline: time every model over N iterations with a \
-     per-phase breakdown (load/unfold/simulate/backtrack), a jobs-scaling pass, \
+     per-phase breakdown (load/unfold/simulate/backtrack, then render: the \
+     report serialised as a daemon response), a jobs-scaling pass, \
      a what-if sweep workload (warm-start vs cold re-analysis), a \
      whatif_structural workload (arc add/remove/mark edits repaired in the warm \
      path vs cold re-analysis), a fleet_load serving-tier workload (1 vs 3 \

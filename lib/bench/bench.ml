@@ -5,7 +5,7 @@ module Metrics = Tsg_engine.Metrics
 module Server = Tsg_engine.Server
 module Service = Tsg_io.Service
 
-type phases = { load : float; unfold : float; simulate : float; backtrack : float }
+type phases = { load : float; unfold : float; simulate : float; backtrack : float; render : float }
 type level = { jobs : int; simulate_ms : float; total_ms : float }
 
 type model = {
@@ -21,7 +21,7 @@ type whatif = {
 }
 
 type drill = {
-  requests : int; client_threads : int; replicas : int;
+  requests : int; client_threads : int; replicas : int; passes : int;
   base_ms : float; test_ms : float; failed : int; identical : bool;
 }
 
@@ -71,7 +71,8 @@ let exported =
 
 (* one timed analysis: wall-clock totals plus the per-phase wall times
    read back from the Metrics registry (reset before every iteration,
-   so iterations don't bleed into each other) *)
+   so iterations don't bleed into each other), then the serialisation
+   of the report as the daemon's analyze response *)
 let one_iter ~jobs file =
   let path = if file = gen10k_file then Lazy.force exported else file in
   Metrics.reset ();
@@ -81,11 +82,12 @@ let one_iter ~jobs file =
     match wall (fun () -> Cycle_time.analyze ~jobs g) with
     | report, total ->
       let ms = Metrics.total_ms in
+      let _, render = wall (fun () -> Tsg_io.Rpc.analyze_response ~model:name g report) in
       Ok
         ( (name, g, report),
           ( total,
             { load; unfold = ms "analyze/unfold"; simulate = ms "analyze/simulate";
-              backtrack = ms "analyze/backtrack" } ) )
+              backtrack = ms "analyze/backtrack"; render } ) )
     (* a model the algorithm does not apply to (no cycles, dead events)
        is not a benchmark failure — keep it in the snapshot as
        not_applicable so its absence from the tables is
@@ -134,7 +136,8 @@ let bench_models ~iterations ~levels files =
               total_min_ms = List.fold_left (fun m (t, _) -> Float.min m t) infinity iters;
               phases =
                 { load = phase (fun p -> p.load); unfold = phase (fun p -> p.unfold);
-                  simulate = phase (fun p -> p.simulate); backtrack = phase (fun p -> p.backtrack) };
+                  simulate = phase (fun p -> p.simulate); backtrack = phase (fun p -> p.backtrack);
+                  render = phase (fun p -> p.render) };
               scaling;
             })
           outcome
@@ -312,19 +315,39 @@ let via_proxy ~exe =
        with Unix.Unix_error _ | Failure _ -> ());
       r)
 
-let compare_passes (base_ms, base, base_failed) (test_ms, test, test_failed) =
-  let identical = ref true in
-  Array.iteri
-    (fun i (_, _, is_analyze) -> if is_analyze && base.(i) <> test.(i) then identical := false)
-    (Lazy.force load_requests);
+(* one 48-request pass takes tens of milliseconds, so a single pass
+   per side is timer and scheduling noise: run [drill_passes] of each,
+   interleaved (base, test, base, ...), each [base ()] or [test ()] on
+   a fresh fleet, and keep the median.  Every pass counts towards
+   [failed], and every pass's analyze responses must equal the first
+   base pass's *)
+let drill_passes = 5
+
+let compare_passes ~base ~test =
+  let runs = List.init drill_passes (fun _ -> let b = base () in (b, test ())) in
+  let passes = List.concat_map (fun (b, t) -> [ b; t ]) runs in
+  let _, reference, _ = fst (List.hd runs) in
+  let same (_, responses, _) =
+    let identical = ref true in
+    Array.iteri
+      (fun i (_, _, is_analyze) ->
+        if is_analyze && responses.(i) <> reference.(i) then identical := false)
+      (Lazy.force load_requests);
+    !identical
+  in
+  let median side =
+    let ms = List.sort compare (List.map (fun r -> let ms, _, _ = side r in ms) runs) in
+    List.nth ms (drill_passes / 2)
+  in
   {
-    requests = Array.length base;
+    requests = Array.length reference;
     client_threads;
     replicas = drill_replicas;
-    base_ms;
-    test_ms;
-    failed = base_failed + test_failed;
-    identical = !identical;
+    passes = drill_passes;
+    base_ms = median fst;
+    test_ms = median snd;
+    failed = List.fold_left (fun n (_, _, failed) -> n + failed) 0 passes;
+    identical = List.for_all same passes;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -356,13 +379,11 @@ let run ~exe ~iterations ?only files =
   @@ fun whatif_structural ->
   let fleet_load =
     drill "fleet_load" (fun () ->
-        let single = direct ~exe 1 in
-        compare_passes single (direct ~exe drill_replicas))
+        compare_passes ~base:(fun () -> direct ~exe 1) ~test:(fun () -> direct ~exe drill_replicas))
   in
   let proxy_load =
     drill "proxy_load" (fun () ->
-        let direct = direct ~exe drill_replicas in
-        compare_passes direct (via_proxy ~exe))
+        compare_passes ~base:(fun () -> direct ~exe drill_replicas) ~test:(fun () -> via_proxy ~exe))
   in
   let tm = Unix.gmtime (Unix.time ()) in
   Ok
@@ -381,7 +402,7 @@ let run ~exe ~iterations ?only files =
     }
 
 (* ------------------------------------------------------------------ *)
-(* The tsa-bench/7 document                                            *)
+(* The tsa-bench/8 document                                            *)
 
 let to_json s =
   let open Json in
@@ -406,7 +427,8 @@ let to_json s =
           ("total_ms", Obj [ ("mean", Float m.total_mean_ms); ("min", Float m.total_min_ms) ]);
           ( "phases_ms",
             Obj [ ("load", Float p.load); ("unfold", Float p.unfold);
-                  ("simulate", Float p.simulate); ("backtrack", Float p.backtrack) ] );
+                  ("simulate", Float p.simulate); ("backtrack", Float p.backtrack);
+                  ("render", Float p.render) ] );
           ("jobs_scaling", List (List.map level m.scaling));
         ]
   in
@@ -434,7 +456,8 @@ let to_json s =
         [
           ("status", multi_core); ("requests", Int d.requests);
           ("client_threads", Int d.client_threads); ("replicas", Int d.replicas);
-          ("cores", Int s.cores); (base ^ "_ms", Float d.base_ms); (test ^ "_ms", Float d.test_ms);
+          ("passes", Int d.passes); ("cores", Int s.cores);
+          (base ^ "_ms", Float d.base_ms); (test ^ "_ms", Float d.test_ms);
           (base ^ "_rps", rps d.base_ms); (test ^ "_rps", rps d.test_ms); ratio d;
           ("failed", Int d.failed); ("byte_identical", Bool d.identical);
         ]
@@ -442,7 +465,7 @@ let to_json s =
   to_string
     (Obj
        [
-         ("schema", String "tsa-bench/7"); ("date", String s.date);
+         ("schema", String "tsa-bench/8"); ("date", String s.date);
          ("iterations", Int s.iterations); ("cores", Int s.cores);
          ("jobs_levels", List (List.map (fun j -> Int j) s.jobs_levels));
          ("benchmarks", List (List.map entry s.benchmarks));

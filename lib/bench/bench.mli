@@ -1,12 +1,15 @@
 (** The [tsa bench] regression harness: the per-model timing passes,
     the two what-if workloads and the two serving drills, collected
     into one typed {!snapshot} whose only JSON spelling is {!to_json}
-    (schema [tsa-bench/7]). *)
+    (schema [tsa-bench/8]). *)
 
-type phases = { load : float; unfold : float; simulate : float; backtrack : float }
+type phases = { load : float; unfold : float; simulate : float; backtrack : float; render : float }
 (** Mean wall milliseconds per phase.  [load] is parsing (generation
-    for a built-in); the other three are read back from
-    {!Tsg_engine.Metrics}, reset before every iteration. *)
+    for a built-in); [unfold], [simulate] and [backtrack] are read
+    back from {!Tsg_engine.Metrics}, reset before every iteration;
+    [render] is {!Tsg_io.Rpc.analyze_response} of the report, timed
+    after the analysis.  Neither [load] nor [render] is part of the
+    model's total. *)
 
 type level = { jobs : int; simulate_ms : float; total_ms : float }
 (** One jobs-scaling level: simulate-phase and total means. *)
@@ -34,13 +37,15 @@ type whatif = {
 
 type drill = {
   requests : int; client_threads : int; replicas : int;
-  base_ms : float;  (** the baseline pass *)
-  test_ms : float;  (** the pass under test *)
-  failed : int;  (** over both passes *)
-  identical : bool;  (** analyze responses equal across the passes *)
+  passes : int;  (** per side *)
+  base_ms : float;  (** the median baseline pass *)
+  test_ms : float;  (** the median pass under test *)
+  failed : int;  (** over every pass *)
+  identical : bool;  (** analyze responses equal across every pass *)
 }
 (** A serving drill: one fixed mixed analyze/sweep request set sent
-    twice from client threads to fresh {!Tsg_io.Fleet}s. *)
+    from client threads to a fresh {!Tsg_io.Fleet} per pass, [passes]
+    times per side, the two sides interleaved. *)
 
 type snapshot = {
   date : string;  (** UTC, [yyyy-mm-dd] *)
@@ -70,6 +75,6 @@ val run : exe:string -> iterations:int -> ?only:string list -> string list -> (s
     is recorded as an error instead. *)
 
 val to_json : snapshot -> string
-(** The [tsa-bench/7] document, one line.  The [whatif_structural] and
+(** The [tsa-bench/8] document, one line.  The [whatif_structural] and
     drill entries read [status: "single_core"] on one core, where
     their speedups mean nothing. *)

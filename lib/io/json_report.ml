@@ -63,45 +63,53 @@ let histogram_obj name (s : Tsg_obs.Histogram.snapshot) =
 let histograms_obj () =
   List (List.map (fun (name, s) -> histogram_obj name s) (Tsg_engine.Metrics.histograms ()))
 
-let analysis_obj g (r : Cycle_time.report) =
-  Obj
-    [
-      ("cycle_time", Float r.Cycle_time.cycle_time);
-      ("border", List (List.map (event_name g) r.Cycle_time.border));
-      ("periods", Int r.Cycle_time.periods_simulated);
-      ( "critical",
-        Obj
-          [
-            ("event", event_name g r.Cycle_time.critical_event);
-            ("period", Int r.Cycle_time.critical_period);
-            ("cycles", List (List.map (cycle g) r.Cycle_time.critical_cycles));
-          ] );
-      ( "traces",
-        List
-          (List.map
-             (fun (t : Cycle_time.border_trace) ->
-               Obj
-                 [
-                   ("event", event_name g t.Cycle_time.border_event);
-                   ( "samples",
-                     List
-                       (List.map
-                          (fun (s : Cycle_time.sample) ->
-                            Obj
-                              [
-                                ("period", Int s.Cycle_time.period);
-                                ("time", Float s.Cycle_time.time);
-                                ("average", Float s.Cycle_time.average);
-                              ])
-                          t.Cycle_time.samples) );
-                 ])
-             r.Cycle_time.traces) );
-    ]
+(* the b x b sample table is the bulk of every report: written straight
+   into the output buffer, without a value per sample *)
+let samples (ss : Cycle_time.sample list) =
+  Writer
+    (fun buf ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i (s : Cycle_time.sample) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf {|{"period":|};
+          write buf (Int s.Cycle_time.period);
+          Buffer.add_string buf {|,"time":|};
+          write buf (Float s.Cycle_time.time);
+          Buffer.add_string buf {|,"average":|};
+          write buf (Float s.Cycle_time.average);
+          Buffer.add_char buf '}')
+        ss;
+      Buffer.add_char buf ']')
 
-let analysis g (r : Cycle_time.report) =
-  match analysis_obj g r with
-  | Obj fields -> to_string (Obj (fields @ [ ("metrics", metrics_obj ()) ]))
-  | _ -> assert false
+let analysis_fields g (r : Cycle_time.report) =
+  [
+    ("cycle_time", Float r.Cycle_time.cycle_time);
+    ("border", List (List.map (event_name g) r.Cycle_time.border));
+    ("periods", Int r.Cycle_time.periods_simulated);
+    ( "critical",
+      Obj
+        [
+          ("event", event_name g r.Cycle_time.critical_event);
+          ("period", Int r.Cycle_time.critical_period);
+          ("cycles", List (List.map (cycle g) r.Cycle_time.critical_cycles));
+        ] );
+    ( "traces",
+      List
+        (List.map
+           (fun (t : Cycle_time.border_trace) ->
+             Obj
+               [
+                 ("event", event_name g t.Cycle_time.border_event);
+                 ("samples", samples t.Cycle_time.samples);
+               ])
+           r.Cycle_time.traces) );
+  ]
+
+let analysis_obj g r = Obj (analysis_fields g r)
+
+let analysis g r =
+  to_string (Obj (analysis_fields g r @ [ ("metrics", metrics_obj ()) ]))
 
 let batch_items (entries : (string * Signal_graph.t * Cycle_time.report) Tsg_engine.Batch.entry list) =
   let item (e : _ Tsg_engine.Batch.entry) =

@@ -1,5 +1,5 @@
 (* The bench harness's typed snapshot (Tsg_bench.Bench) and the fleet
-   supervisor's restart policy (Tsg_io.Fleet): the tsa-bench/7 bytes
+   supervisor's restart policy (Tsg_io.Fleet): the tsa-bench/8 bytes
    for hand-built snapshots covering every status, and the pure
    restart backoff. *)
 
@@ -9,7 +9,7 @@ let model =
   {
     Bench.name = "a"; events = 4; arcs = 5; border = 2; cycle_time = 10.;
     total_mean_ms = 1.5; total_min_ms = 1.25;
-    phases = { load = 0.5; unfold = 0.25; simulate = 0.75; backtrack = 0.125 };
+    phases = { load = 0.5; unfold = 0.25; simulate = 0.75; backtrack = 0.125; render = 0.0625 };
     scaling = [ { jobs = 1; simulate_ms = 0.75; total_ms = 1.5 }; { jobs = 2; simulate_ms = 0.5; total_ms = 1. } ];
   }
 
@@ -18,7 +18,7 @@ let whatif ~scenarios ~prepare_ms ~cold_ms ~warm_ms =
     warm_paths = scenarios; spliced = 12; dropped = 10 }
 
 let drill ~base_ms ~test_ms ~failed =
-  { Bench.requests = 8; client_threads = 2; replicas = 3; base_ms; test_ms; failed;
+  { Bench.requests = 8; client_threads = 2; replicas = 3; passes = 5; base_ms; test_ms; failed;
     identical = failed = 0 }
 
 (* one core: ok, not_applicable and error models, both what-if shapes
@@ -41,11 +41,11 @@ let test_to_json_single_core () =
     }
   in
   Alcotest.(check string)
-    "tsa-bench/7 bytes"
-    ({|{"schema":"tsa-bench/7","date":"2026-01-02","iterations":2,"cores":1,"jobs_levels":[1,2],|}
+    "tsa-bench/8 bytes"
+    ({|{"schema":"tsa-bench/8","date":"2026-01-02","iterations":2,"cores":1,"jobs_levels":[1,2],|}
     ^ {|"benchmarks":[{"file":"a.g","status":"ok","model":"a","events":4,"arcs":5,"border":2,|}
     ^ {|"cycle_time":10,"total_ms":{"mean":1.5,"min":1.25},|}
-    ^ {|"phases_ms":{"load":0.5,"unfold":0.25,"simulate":0.75,"backtrack":0.125},|}
+    ^ {|"phases_ms":{"load":0.5,"unfold":0.25,"simulate":0.75,"backtrack":0.125,"render":0.0625},|}
     ^ {|"jobs_scaling":[{"jobs":1,"simulate_ms":0.75,"total_ms":1.5},{"jobs":2,"simulate_ms":0.5,"total_ms":1}]},|}
     ^ {|{"file":"p.g","status":"not_applicable","reason":"acyclic"},|}
     ^ {|{"file":"bad.g","status":"error","error":"parse error"}],|}
@@ -55,7 +55,7 @@ let test_to_json_single_core () =
     ^ {|"whatif_structural":{"status":"single_core","model":"gen-dense","scenarios":3,"jobs":1,|}
     ^ {|"prepare_ms":0.5,"cold_total_ms":6,"warm_reanalyze_ms":2.5,"warm_total_ms":3,"speedup":2,|}
     ^ {|"warm_paths":3,"instances_spliced":12,"instances_dropped":10,"byte_identical":true},|}
-    ^ {|"fleet_load":{"status":"single_core","requests":8,"client_threads":2,"replicas":3,"cores":1,|}
+    ^ {|"fleet_load":{"status":"single_core","requests":8,"client_threads":2,"replicas":3,"passes":5,"cores":1,|}
     ^ {|"single_ms":500,"fleet_ms":250,"single_rps":16,"fleet_rps":32,"speedup":2,"failed":0,|}
     ^ {|"byte_identical":true},"proxy_load":{"status":"skipped"}}|})
     (Bench.to_json s)
@@ -71,11 +71,11 @@ let test_to_json_multi_core () =
     }
   in
   Alcotest.(check string)
-    "tsa-bench/7 bytes"
-    ({|{"schema":"tsa-bench/7","date":"2026-01-02","iterations":1,"cores":2,"jobs_levels":[1,2,4],|}
+    "tsa-bench/8 bytes"
+    ({|{"schema":"tsa-bench/8","date":"2026-01-02","iterations":1,"cores":2,"jobs_levels":[1,2,4],|}
     ^ {|"benchmarks":[],"whatif_sweep":{"status":"skipped"},"whatif_structural":{"status":"skipped"},|}
     ^ {|"fleet_load":{"status":"error","error":"fleet failed to come up"},|}
-    ^ {|"proxy_load":{"status":"ok","requests":8,"client_threads":2,"replicas":3,"cores":2,|}
+    ^ {|"proxy_load":{"status":"ok","requests":8,"client_threads":2,"replicas":3,"passes":5,"cores":2,|}
     ^ {|"direct_ms":250,"proxy_ms":500,"direct_rps":32,"proxy_rps":16,"overhead":1,"failed":1,|}
     ^ {|"byte_identical":false}}|})
     (Bench.to_json s)

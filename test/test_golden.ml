@@ -111,6 +111,22 @@ let golden =
             [ add ~marked:true 200 20 1.0 ];
           ]),
       "d05dc246fc8c0e2dee7fd4b49fa60b13" );
+    (* fleetbench's dense sweep base shape: b = 79 of 100 events, so
+       each report carries 79 x 79 samples, many of them non-integral
+       after the delay and marking edits (a 1 MiB reply).  The digest
+       was recorded with the printf-based float writer, so it pins
+       that spelling *)
+    ( "dense sweep",
+      (fun () ->
+        sweep_bytes ~model:"dense"
+          (Tsg_circuit.Generators.random_live_tsg ~seed:7 ~events:100 ~extra_arcs:200 ())
+          [
+            [ delay 17 1.5 ];
+            [ add ~marked:true 42 4 3.0 ];
+            [ Sw_remove 153 ];
+            [ Sw_mark { sw_arc = 3; sw_marked = true } ];
+          ]),
+      "87b369f57ebb6b2bef907aa18cd86a78" );
   ]
 
 let suite =
