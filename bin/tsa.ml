@@ -712,7 +712,7 @@ let client_cmd =
             | Ok response -> print_endline response
             | Error e ->
               incr failures;
-              print_endline (Tsg_io.Rpc.error_response ~code:"unavailable" e))
+              print_endline (Tsg_engine.Protocol.error_line ~code:"unavailable" e))
           | None ->
             List.iter
               (fun (ep, outcome) ->
@@ -721,7 +721,7 @@ let client_cmd =
                 | Error e ->
                   incr failures;
                   print_endline
-                    (Tsg_io.Rpc.error_response ~code:"unavailable"
+                    (Tsg_engine.Protocol.error_line ~code:"unavailable"
                        (Printf.sprintf "%s: %s"
                           (Tsg_engine.Server.endpoint_to_string ep)
                           e)))

@@ -1,7 +1,8 @@
 open Tsg
 module Fleet = Tsg_io.Fleet
-module Json = Tsg_io.Json
+module Json = Tsg_obs.Json
 module Metrics = Tsg_engine.Metrics
+module Protocol = Tsg_engine.Protocol
 module Server = Tsg_engine.Server
 module Service = Tsg_io.Service
 
@@ -245,7 +246,7 @@ let drill_replicas = 3
    snapshots stay comparable *)
 let load_requests =
   lazy
-    (let open Tsg_engine.Protocol in
+    (let open Protocol in
      let models = [| "fig1"; "ring5"; "stack" |] in
      Array.init 48 (fun i ->
          let path = models.(i mod Array.length models) in
@@ -295,7 +296,7 @@ let direct ~exe n =
         Tsg_engine.Router.create ~retries:3 (List.map (fun (_, ep) -> parse ep) (Fleet.replicas fleet))
       in
       let r = drive (fun key line -> Tsg_engine.Router.route router ~key line) in
-      ignore (Tsg_engine.Router.broadcast router {|{"op":"shutdown"}|});
+      ignore (Tsg_engine.Router.broadcast router (Protocol.request_to_string Shutdown));
       r)
 
 (* the request set through a [tsa proxy] fronting a fresh fleet; a
@@ -311,7 +312,7 @@ let via_proxy ~exe =
             | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
             | exception Failure msg -> Error msg)
       in
-      (try ignore (Server.call ~endpoint [ {|{"op":"shutdown"}|} ])
+      (try ignore (Server.call ~endpoint [ Protocol.request_to_string Shutdown ])
        with Unix.Unix_error _ | Failure _ -> ());
       r)
 

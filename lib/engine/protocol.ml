@@ -1,3 +1,5 @@
+module Json = Tsg_obs.Json
+
 type json =
   | Null
   | Bool of bool
@@ -269,10 +271,15 @@ type request =
   | Stats
   | Shutdown
 
+(* a wire integer is integral with [|n| <= 2^53]: every such double
+   is an exact OCaml int, while [int_of_float] of a larger one is
+   unspecified (0 on amd64 for 1e19), which would silently edit arc 0 *)
+let wire_int f = Float.is_integer f && Float.abs f <= 0x1p53
+
 let int_field name j =
   match member name j with
   | None | Some Null -> Ok None
-  | Some (Number f) when Float.is_integer f -> Ok (Some (int_of_float f))
+  | Some (Number f) when wire_int f -> Ok (Some (int_of_float f))
   | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
 
 (* timeouts arrive as milliseconds; zero, negative, NaN or infinite
@@ -298,12 +305,12 @@ let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
    the wire layer) but must be finite *)
 let arc_field o =
   match member "arc" o with
-  | Some (Number f) when Float.is_integer f -> Ok (int_of_float f)
+  | Some (Number f) when wire_int f -> Ok (int_of_float f)
   | _ -> Error "each sweep edit must carry an integer \"arc\""
 
 let ev_field name o =
   match member name o with
-  | Some (Number f) when Float.is_integer f -> Ok (Ev_id (int_of_float f))
+  | Some (Number f) when wire_int f -> Ok (Ev_id (int_of_float f))
   | Some (String s) -> Ok (Ev_name s)
   | _ ->
     Error
@@ -421,78 +428,62 @@ let parse_request line =
   | op -> Error (Printf.sprintf "unknown op %S" op)
 
 (* ------------------------------------------------------------------ *)
-(* Rendering (the client side); kept tiny — full reports are encoded
-   by Tsg_io.Rpc, which owns the response direction. *)
+(* Rendering: request and error lines through the shared writer, so
+   they keep the replies' number and string contract. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let ev_json = function Ev_id i -> Json.Int i | Ev_name n -> Json.String n
 
-let timeout_suffix = function
-  | None -> ""
-  | Some t when Float.is_integer t ->
-    Printf.sprintf {|,"timeout_ms":%d|} (int_of_float t)
-  | Some t -> Printf.sprintf {|,"timeout_ms":%g|} t
+(* delay edits keep the tsa-rpc/3 wire shape so old daemons still
+   answer delay-only sweeps from a new client *)
+let edit_json edit =
+  Json.(
+    match edit with
+    | Sw_delay { sw_arc; sw_delta } -> Obj [ ("arc", Int sw_arc); ("delta", Float sw_delta) ]
+    | Sw_add { sw_src; sw_dst; sw_delay; sw_marked } ->
+      Obj
+        [
+          ("op", String "add");
+          ("src", ev_json sw_src);
+          ("dst", ev_json sw_dst);
+          ("delay", Float sw_delay);
+          ("marked", Bool sw_marked);
+        ]
+    | Sw_remove arc -> Obj [ ("op", String "remove"); ("arc", Int arc) ]
+    | Sw_mark { sw_arc; sw_marked } ->
+      Obj [ ("op", String "mark"); ("arc", Int sw_arc); ("marked", Bool sw_marked) ])
 
-let request_to_string = function
-  | Analyze { path; periods; timeout_ms } ->
-    let periods =
-      match periods with None -> "" | Some n -> Printf.sprintf ",\"periods\":%d" n
+(* the optional fields, in wire order; absent ones are omitted *)
+let options ?jobs ~periods ~timeout_ms () =
+  Json.(
+    List.filter_map Fun.id
+      [
+        Option.map (fun n -> ("periods", Int n)) periods;
+        Option.map (fun n -> ("jobs", Int n)) jobs;
+        Option.map (fun t -> ("timeout_ms", Float t)) timeout_ms;
+      ])
+
+let request_to_string r =
+  Json.(
+    let op name = ("op", String name) in
+    let fields =
+      match r with
+      | Analyze { path; periods; timeout_ms } ->
+        op "analyze" :: ("path", String path) :: options ~periods ~timeout_ms ()
+      | Batch { paths; periods; jobs; timeout_ms } ->
+        op "batch"
+        :: ("paths", List (List.map (fun p -> String p) paths))
+        :: options ?jobs ~periods ~timeout_ms ()
+      | Sweep { path; scenarios; periods; jobs; timeout_ms } ->
+        op "sweep"
+        :: ("path", String path)
+        :: ("deltas", List (List.map (fun s -> List (List.map edit_json s)) scenarios))
+        :: options ?jobs ~periods ~timeout_ms ()
+      | Stats -> [ op "stats" ]
+      | Shutdown -> [ op "shutdown" ]
     in
-    Printf.sprintf {|{"op":"analyze","path":"%s"%s%s}|} (escape path) periods
-      (timeout_suffix timeout_ms)
-  | Batch { paths; periods; jobs; timeout_ms } ->
-    let paths =
-      String.concat "," (List.map (fun p -> "\"" ^ escape p ^ "\"") paths)
-    in
-    let periods =
-      match periods with None -> "" | Some n -> Printf.sprintf ",\"periods\":%d" n
-    in
-    let jobs = match jobs with None -> "" | Some n -> Printf.sprintf ",\"jobs\":%d" n in
-    Printf.sprintf {|{"op":"batch","paths":[%s]%s%s%s}|} paths periods jobs
-      (timeout_suffix timeout_ms)
-  | Sweep { path; scenarios; periods; jobs; timeout_ms } ->
-    let number f =
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.sprintf "%d" (int_of_float f)
-      else Printf.sprintf "%.17g" f
-    in
-    let ev = function
-      | Ev_id i -> Printf.sprintf "%d" i
-      | Ev_name n -> "\"" ^ escape n ^ "\""
-    in
-    (* delay edits keep the tsa-rpc/3 wire shape so old daemons still
-       answer delay-only sweeps from a new client *)
-    let edit = function
-      | Sw_delay { sw_arc; sw_delta } ->
-        Printf.sprintf {|{"arc":%d,"delta":%s}|} sw_arc (number sw_delta)
-      | Sw_add { sw_src; sw_dst; sw_delay; sw_marked } ->
-        Printf.sprintf {|{"op":"add","src":%s,"dst":%s,"delay":%s,"marked":%b}|}
-          (ev sw_src) (ev sw_dst) (number sw_delay) sw_marked
-      | Sw_remove arc -> Printf.sprintf {|{"op":"remove","arc":%d}|} arc
-      | Sw_mark { sw_arc; sw_marked } ->
-        Printf.sprintf {|{"op":"mark","arc":%d,"marked":%b}|} sw_arc sw_marked
-    in
-    let scenario s = "[" ^ String.concat "," (List.map edit s) ^ "]" in
-    let deltas = String.concat "," (List.map scenario scenarios) in
-    let periods =
-      match periods with None -> "" | Some n -> Printf.sprintf ",\"periods\":%d" n
-    in
-    let jobs = match jobs with None -> "" | Some n -> Printf.sprintf ",\"jobs\":%d" n in
-    Printf.sprintf {|{"op":"sweep","path":"%s","deltas":[%s]%s%s%s}|} (escape path)
-      deltas periods jobs
-      (timeout_suffix timeout_ms)
-  | Stats -> {|{"op":"stats"}|}
-  | Shutdown -> {|{"op":"shutdown"}|}
+    to_string (Obj fields))
+
+let error_line ?code msg =
+  Json.(
+    let code = match code with Some c -> [ ("code", String c) ] | None -> [] in
+    to_string (Obj ((("status", String "error") :: code) @ [ ("error", String msg) ])))

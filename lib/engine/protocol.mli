@@ -3,9 +3,9 @@
     Requests travel over the socket as {e newline-delimited JSON}: one
     request object per line, one response object per line, in order.
     This module owns the request side — a self-contained JSON parser
-    (the engine sits below {!Tsg_io} in the library stack, so it
-    cannot borrow the reporting encoders) and the request grammar.
-    Responses are rendered by [Tsg_io.Rpc].
+    and the request grammar — and the error line.  Requests and errors
+    are written with the shared [Tsg_obs.Json] writer; responses are
+    rendered by [Tsg_io.Rpc].
 
     The five requests:
 
@@ -118,11 +118,24 @@ type request =
 val parse_request : string -> (request, string) result
 (** Parse one request line.  Errors are human-readable and safe to
     echo back to the client: malformed JSON, a missing or mistyped
-    field, an unknown ["op"], a non-positive or non-finite
-    [timeout_ms], or nesting deeper than 256 levels (the parser is
+    field, an integer field that is not integral with [|n| <= 2^53],
+    an unknown ["op"], a non-positive or non-finite [timeout_ms], or
+    nesting deeper than 256 levels (the parser is
     recursive; the cap keeps hostile input from exhausting the
     stack). *)
 
 val request_to_string : request -> string
 (** Render a request as its single-line JSON wire form (used by the
-    [tsa client] side and by tests; [parse_request] inverts it). *)
+    [tsa client] side and by tests; [parse_request] inverts it).
+    Numbers and strings follow the replies' contract ([Tsg_obs.Json]). *)
+
+(** {1 Errors} *)
+
+val error_line : ?code:string -> string -> string
+(** [{"status":"error","code":...,"error":...}]: the one rendering of
+    an error reply, for load failures, unanalyzable models, malformed
+    requests and the daemon's own rejections.  [code] is the
+    machine-readable member of the error taxonomy (see
+    {!page-operations}): [bad_request], [deadline_exceeded],
+    [overloaded], [too_large], [timeout], [internal], [unavailable];
+    omitted for plain analysis failures. *)

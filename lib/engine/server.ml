@@ -1,32 +1,10 @@
 type reply = Reply of string | Final of string
 
-(* last-resort rendering for handler exceptions and transport-level
-   rejections; the real encoders live in Tsg_io.Rpc, above this
-   library.  The [code] field is the machine-readable half of the
-   error taxonomy (doc/operations.mld): clients branch on it, humans
-   read [error]. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let error_line ~code msg =
-  Printf.sprintf {|{"status":"error","code":"%s","error":"%s"}|} (escape code)
-    (escape msg)
-
+(* last-resort rendering for handler exceptions; the [code] field is
+   the machine-readable half of the error taxonomy
+   (doc/operations.mld): clients branch on it, humans read [error]. *)
 let internal_error exn =
-  error_line ~code:"internal" ("internal error: " ^ Printexc.to_string exn)
+  Protocol.error_line ~code:"internal" ("internal error: " ^ Printexc.to_string exn)
 
 (* ------------------------------------------------------------------ *)
 (* Transport endpoints.  The protocol is newline-JSON either way; the
@@ -230,13 +208,13 @@ let handle_connection ~stop ~active ~handler ~max_request_bytes conns id fd =
       (* the slow (or absent) client gets one structured goodbye; if
          even that write stalls, just drop the connection *)
       Metrics.incr "server/timeouts";
-      (try send (error_line ~code:"timeout" "connection idle past the read timeout")
+      (try send (Protocol.error_line ~code:"timeout" "connection idle past the read timeout")
        with Write_timeout | Unix.Unix_error _ -> ())
     | Too_long ->
       Metrics.incr "server/rejected";
       (try
          send
-           (error_line ~code:"too_large"
+           (Protocol.error_line ~code:"too_large"
               (Printf.sprintf "request exceeds %d bytes" max_request_bytes))
        with Write_timeout | Unix.Unix_error _ -> ())
     (* a reader unblocked by shutdown ends the connection quietly *)
@@ -312,7 +290,7 @@ let serve ?(backlog = 16) ?(max_connections = 64) ?(max_request_bytes = 1 lsl 20
     Metrics.incr "server/rejected";
     (try
        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.;
-       write_all fd (error_line ~code:"overloaded" "server is at its connection limit");
+       write_all fd (Protocol.error_line ~code:"overloaded" "server is at its connection limit");
        write_all fd "\n"
      with Write_timeout | Unix.Unix_error _ -> ());
     try Unix.close fd with Unix.Unix_error _ -> ()

@@ -1,3 +1,4 @@
+module Protocol = Tsg_engine.Protocol
 module Server = Tsg_engine.Server
 
 let free_port () =
@@ -62,7 +63,7 @@ let answers ep =
   match Server.endpoint_of_string ep with
   | Error _ -> false
   | Ok endpoint -> (
-    match Server.call ~timeout_s:1. ~endpoint [ {|{"op":"stats"}|} ] with
+    match Server.call ~timeout_s:1. ~endpoint [ Protocol.request_to_string Stats ] with
     | _ -> true
     | exception (Unix.Unix_error _ | Failure _) -> false)
 

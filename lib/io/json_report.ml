@@ -1,5 +1,5 @@
 open Tsg
-open Json
+open Tsg_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Encoders                                                            *)

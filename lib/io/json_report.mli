@@ -1,6 +1,6 @@
 (** JSON rendering of analysis results, for downstream tooling
     (dashboards, regression trackers, CI gates).  All encoders build
-    {!Json} values — full float precision, proper string escaping, no
+    {!Tsg_obs.Json} values — full float precision, proper string escaping, no
     newlines — so every rendered report is also a valid line of the
     [tsa serve] wire protocol. *)
 
@@ -17,8 +17,8 @@ val analysis : Tsg.Signal_graph.t -> Tsg.Cycle_time.report -> string
     (graphs analyzed, simulations run, unfolding instances built, wall
     time per phase). *)
 
-val analysis_obj : Tsg.Signal_graph.t -> Tsg.Cycle_time.report -> Json.t
-(** The same report as a {!Json} value, {e without} the [metrics]
+val analysis_obj : Tsg.Signal_graph.t -> Tsg.Cycle_time.report -> Tsg_obs.Json.t
+(** The same report as a {!Tsg_obs.Json} value, {e without} the [metrics]
     field — a pure function of the graph and report, so equal reports
     render to byte-identical strings.  {!Rpc} builds the [tsa serve]
     responses out of it. *)
@@ -33,18 +33,18 @@ val batch :
 
 val batch_items :
   (string * Tsg.Signal_graph.t * Tsg.Cycle_time.report) Tsg_engine.Batch.entry list ->
-  Json.t * Json.t
-(** The [(items, summary)] pair of {!batch} as {!Json} values, for
+  Tsg_obs.Json.t * Tsg_obs.Json.t
+(** The [(items, summary)] pair of {!batch} as {!Tsg_obs.Json} values, for
     embedding in other envelopes (the [tsa serve] batch response). *)
 
 val metrics : unit -> string
 (** Just the {!Tsg_engine.Metrics} snapshot:
     [{"metrics": [ { "name": ..., "count": ..., "total_ms": ... } ]}]. *)
 
-val metrics_obj : unit -> Json.t
+val metrics_obj : unit -> Tsg_obs.Json.t
 (** The snapshot array itself, for embedding. *)
 
-val histogram_obj : string -> Tsg_obs.Histogram.snapshot -> Json.t
+val histogram_obj : string -> Tsg_obs.Histogram.snapshot -> Tsg_obs.Json.t
 (** One latency histogram:
     {v { "name": ..., "count": ..., "mean_ms": ..., "min_ms": ...,
   "max_ms": ..., "p50_ms": ..., "p95_ms": ..., "p99_ms": ...,
@@ -53,7 +53,7 @@ val histogram_obj : string -> Tsg_obs.Histogram.snapshot -> Json.t
     Statistics of an empty histogram render as [null] (JSON has no
     NaN); empty buckets are omitted. *)
 
-val histograms_obj : unit -> Json.t
+val histograms_obj : unit -> Tsg_obs.Json.t
 (** Every {!Tsg_engine.Metrics.histograms} series as a list of
     {!histogram_obj} — the [latency] block of the daemon's [stats]
     response. *)

@@ -1,4 +1,4 @@
-open Json
+open Tsg_obs.Json
 
 let ok fields = to_string (Obj (("status", String "ok") :: fields))
 
@@ -186,10 +186,3 @@ let sweep_response ~model g items =
     ]
 
 let shutdown_response () = ok [ ("stopping", Bool true) ]
-
-let error_response ?code msg =
-  to_string
-    (Obj
-       (("status", String "error")
-       :: (match code with Some c -> [ ("code", String c) ] | None -> [])
-       @ [ ("error", String msg) ]))

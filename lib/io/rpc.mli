@@ -85,14 +85,6 @@ val sweep_response : model:string -> Tsg.Signal_graph.t -> sweep_item list -> st
 val shutdown_response : unit -> string
 (** [{"status":"ok","stopping":true}]. *)
 
-val error_response : ?code:string -> string -> string
-(** [{"status":"error","code":...,"error":...}] — load failures,
-    unanalyzable models, malformed requests.  [code] is the
-    machine-readable member of the error taxonomy (see
-    {!page-operations}): [bad_request], [deadline_exceeded],
-    [overloaded], [too_large], [timeout], [internal].  Omitted for
-    legacy free-form errors. *)
-
-val cache_stats_obj : Tsg_engine.Cache.stats -> Json.t
+val cache_stats_obj : Tsg_engine.Cache.stats -> Tsg_obs.Json.t
 (** The [{"capacity":...,"length":...,"hits":...,"misses":...,
     "evictions":...}] block used by {!stats_response}. *)

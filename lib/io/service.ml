@@ -150,7 +150,7 @@ let budgeted timeout_ms f =
   match Deadline.with_deadline d f with
   | r -> Ok r
   | exception Deadline.Deadline_exceeded ->
-    Error (Rpc.error_response ~code:"deadline_exceeded" (Deadline.error_message d))
+    Error (Protocol.error_line ~code:"deadline_exceeded" (Deadline.error_message d))
 
 (* the analyze op's read path through both tiers: memory (triples,
    shared with batch) then disk (rendered response lines).  A disk
@@ -161,12 +161,12 @@ let budgeted timeout_ms f =
    re-derive and not content-addressed facts). *)
 let analyze_response ~cache ~disk_cache ?periods path =
   match load_model path with
-  | Error msg -> Rpc.error_response msg
+  | Error msg -> Protocol.error_line msg
   | Ok (name, g) -> (
     let key = cache_key ?periods name g in
     match Cache.find cache key with
     | Some (Ok (name, g, report)) -> Rpc.analyze_response ~model:name g report
-    | Some (Error msg) -> Rpc.error_response msg
+    | Some (Error msg) -> Protocol.error_line msg
     | None -> (
       match Option.bind disk_cache (fun dc -> Disk_cache.find dc key) with
       | Some response -> response
@@ -179,7 +179,7 @@ let analyze_response ~cache ~disk_cache ?periods path =
           response
         | exception Cycle_time.Not_analyzable msg ->
           Cache.add cache key (Error msg);
-          Rpc.error_response msg)))
+          Protocol.error_line msg)))
 
 (* re-analysis never modifies a prepared base, so its entry stays
    valid across sweeps of the same model *)
@@ -196,7 +196,7 @@ let replica_handler ~cache ~disk_cache ~whatif_cache ~max_sweep ~jobs ~shard ~en
     line =
   let jobs_of = function Some j -> resolve_jobs j | None -> jobs in
   match Protocol.parse_request line with
-  | Error msg -> Server.Reply (Rpc.error_response ~code:"bad_request" msg)
+  | Error msg -> Server.Reply (Protocol.error_line ~code:"bad_request" msg)
   | Ok (Analyze { path; periods; timeout_ms }) ->
     Server.Reply
       (Result.fold ~ok:Fun.id ~error:Fun.id
@@ -210,7 +210,7 @@ let replica_handler ~cache ~disk_cache ~whatif_cache ~max_sweep ~jobs ~shard ~en
   | Ok (Sweep { path; scenarios; periods; jobs = req_jobs; timeout_ms }) ->
     Server.Reply
       (if List.length scenarios > max_sweep then
-         Rpc.error_response ~code:"too_large"
+         Protocol.error_line ~code:"too_large"
            (Printf.sprintf "sweep of %d scenarios exceeds --max-sweep %d"
               (List.length scenarios) max_sweep)
        else
@@ -218,7 +218,7 @@ let replica_handler ~cache ~disk_cache ~whatif_cache ~max_sweep ~jobs ~shard ~en
             times out is never cached, exactly like an analysis *)
          match budgeted timeout_ms (fun () -> prepared_base ~whatif_cache ?periods path) with
          | Error response -> response
-         | Ok (Error msg) -> Rpc.error_response msg
+         | Ok (Error msg) -> Protocol.error_line msg
          | Ok (Ok (name, base)) ->
            let items =
              sweep ?budget_ms:timeout_ms ~jobs:(jobs_of req_jobs) base (Array.of_list scenarios)
@@ -236,7 +236,7 @@ let replica_handler ~cache ~disk_cache ~whatif_cache ~max_sweep ~jobs ~shard ~en
 
 let proxy_handler ~router ~proxy ~stale ~endpoint line =
   match Protocol.parse_request line with
-  | Error msg -> Server.Reply (Rpc.error_response ~code:"bad_request" msg)
+  | Error msg -> Server.Reply (Protocol.error_line ~code:"bad_request" msg)
   | Ok Stats ->
     let ep = endpoint () in
     Server.Reply
@@ -261,5 +261,5 @@ let proxy_handler ~router ~proxy ~stale ~endpoint line =
       (match Proxy.forward proxy ?key ?cache_key ?deadline_at line with
       | Proxy.Fresh response -> response
       | Proxy.Degraded (payload, _age) -> Proxy.mark_degraded payload
-      | Proxy.Shed (code, msg) -> Rpc.error_response ~code msg
-      | Proxy.Failed msg -> Rpc.error_response ~code:"unavailable" msg)
+      | Proxy.Shed (code, msg) -> Protocol.error_line ~code msg
+      | Proxy.Failed msg -> Protocol.error_line ~code:"unavailable" msg)

@@ -1,6 +1,8 @@
-(** A minimal JSON value and its compact writer, shared by
-    {!Json_report} (file-oriented reports) and {!Rpc} (the [tsa serve]
-    wire format).
+(** A minimal JSON value and its compact writer: the one spelling of
+    every JSON byte the repo emits — reports ([Tsg_io.Json_report]),
+    replies ([Tsg_io.Rpc]), request and error lines
+    ([Tsg_engine.Protocol]) and Chrome trace exports ({!Trace}).  It
+    lives in this leaf library so that every layer above can use it.
 
     The writer emits no newlines, so every rendered value is a valid
     line of a newline-delimited JSON stream.  Floats are printed with

@@ -130,60 +130,41 @@ let durations evs =
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
-(* Chrome trace-event export.  Self-contained escaping: this library
-   sits below timesim.io, so it cannot use the shared Json writer. *)
+(* Chrome trace-event export.  Names, cats and args go through the
+   shared writer; timestamps keep three decimals and counter values
+   six significant digits. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let printed fmt x = Json.Writer (fun buf -> Printf.bprintf buf fmt x)
 
-let add_args buf args =
-  Buffer.add_string buf "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf {|"%s":"%s"|} (escape k) (escape v)))
-    args;
-  Buffer.add_string buf "}"
+let event_json pid ev =
+  Json.(
+    let args = Obj (List.map (fun (k, v) -> (k, String v)) ev.args) in
+    let common =
+      [
+        ("name", String ev.name);
+        ("cat", String ev.cat);
+        ("ts", printed "%.3f" ev.ts_us);
+        ("pid", Int pid);
+        ("tid", Int ev.tid);
+      ]
+    in
+    Obj
+      (common
+      @
+      match ev.kind with
+      | Span { dur_us; _ } -> [ ("ph", String "X"); ("dur", printed "%.3f" dur_us); ("args", args) ]
+      | Instant -> [ ("ph", String "i"); ("s", String "t"); ("args", args) ]
+      | Counter v -> [ ("ph", String "C"); ("args", Obj [ ("value", printed "%.6g" v) ]) ]))
 
 let to_chrome_json ?pid evs =
   let pid = match pid with Some p -> p | None -> Unix.getpid () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf {|{"traceEvents":[|};
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",";
-      let common =
-        Printf.sprintf {|"name":"%s","cat":"%s","ts":%.3f,"pid":%d,"tid":%d|}
-          (escape ev.name) (escape ev.cat) ev.ts_us pid ev.tid
-      in
-      match ev.kind with
-      | Span { dur_us; _ } ->
-        Buffer.add_string buf (Printf.sprintf {|{%s,"ph":"X","dur":%.3f,"args":|} common dur_us);
-        add_args buf ev.args;
-        Buffer.add_string buf "}"
-      | Instant ->
-        Buffer.add_string buf (Printf.sprintf {|{%s,"ph":"i","s":"t","args":|} common);
-        add_args buf ev.args;
-        Buffer.add_string buf "}"
-      | Counter v ->
-        Buffer.add_string buf
-          (Printf.sprintf {|{%s,"ph":"C","args":{"value":%.6g}}|} common v))
-    evs;
-  Buffer.add_string buf {|],"displayTimeUnit":"ms"}|};
-  Buffer.contents buf
+  Json.(
+    to_string
+      (Obj
+         [
+           ("traceEvents", List (List.map (event_json pid) evs));
+           ("displayTimeUnit", String "ms");
+         ]))
 
 let write_chrome_json ?pid ~path evs =
   Out_channel.with_open_text path (fun oc ->

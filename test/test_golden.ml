@@ -13,7 +13,7 @@ let benchmarks_dir = try Sys.getenv "BENCHMARKS" with Not_found -> "../benchmark
 let analyze_bytes ~model g =
   match Cycle_time.analyze g with
   | report -> Tsg_io.Rpc.analyze_response ~model g report
-  | exception Cycle_time.Not_analyzable msg -> Tsg_io.Rpc.error_response msg
+  | exception Cycle_time.Not_analyzable msg -> Tsg_engine.Protocol.error_line msg
 
 let segmented () =
   Tsg_circuit.Generators.segmented_live_tsg ~seed:3 ~events:300 ~tokens:5 ~extra_arcs:450 ()
@@ -54,7 +54,7 @@ let golden =
   let file f () =
     match Tsg_io.Loader.load_file (Filename.concat benchmarks_dir f) with
     | Ok m -> analyze_bytes ~model:m.Tsg_io.Loader.name m.Tsg_io.Loader.graph
-    | Error msg -> Tsg_io.Rpc.error_response msg
+    | Error msg -> Tsg_engine.Protocol.error_line msg
   in
   [
     ("fifo2.g", file "fifo2.g", "f6c557e485a7ae2224e663b4a9036593");
@@ -129,9 +129,82 @@ let golden =
       "87b369f57ebb6b2bef907aa18cd86a78" );
   ]
 
+(* Request lines as [tsa client] writes them, recorded from the
+   printf-based request writer before it moved onto the shared Json
+   writer: every shape kept its bytes but the two marked below. *)
+let request_golden =
+  let open Tsg_engine.Protocol in
+  [
+    ( "analyze",
+      Analyze { path = "benchmarks/fig1.g"; periods = None; timeout_ms = None },
+      {|{"op":"analyze","path":"benchmarks/fig1.g"}|} );
+    ( "analyze with periods and timeout",
+      Analyze { path = "benchmarks/fig1.g"; periods = Some 4; timeout_ms = Some 500. },
+      {|{"op":"analyze","path":"benchmarks/fig1.g","periods":4,"timeout_ms":500}|} );
+    (* changed: a fractional timeout was spelled with [%g] (1234.57),
+       which [parse_request] could not invert; it now has the writer's
+       float spelling *)
+    ( "analyze with a fractional timeout",
+      Analyze { path = "m.g"; periods = None; timeout_ms = Some 1234.5678 },
+      {|{"op":"analyze","path":"m.g","timeout_ms":1234.5678}|} );
+    ( "batch",
+      Batch
+        { paths = [ "a.g"; {|b "q".g|} ]; periods = Some 4; jobs = Some 2; timeout_ms = Some 500. },
+      {|{"op":"batch","paths":["a.g","b \"q\".g"],"periods":4,"jobs":2,"timeout_ms":500}|} );
+    ( "batch without options",
+      Batch { paths = []; periods = None; jobs = None; timeout_ms = None },
+      {|{"op":"batch","paths":[]}|} );
+    ( "sweep with every edit op",
+      Sweep
+        {
+          path = "dir\\a \"b\"\001.g";
+          scenarios =
+            [
+              [ Sw_delay { sw_arc = 0; sw_delta = 1.5 } ];
+              [ Sw_delay { sw_arc = 3; sw_delta = -0.5 }; Sw_remove 246 ];
+              [ Sw_add { sw_src = Ev_id 3; sw_dst = Ev_name "b+"; sw_delay = 2.0; sw_marked = false } ];
+              [
+                Sw_add
+                  { sw_src = Ev_name "x\"\\\n"; sw_dst = Ev_id 0; sw_delay = 0.1; sw_marked = true };
+              ];
+              [ Sw_mark { sw_arc = 119; sw_marked = true } ];
+            ];
+          periods = Some 4;
+          jobs = Some 2;
+          timeout_ms = Some 500.;
+        },
+      {|{"op":"sweep","path":"dir\\a \"b\"\u0001.g","deltas":[[{"arc":0,"delta":1.5}],[{"arc":3,"delta":-0.5},{"op":"remove","arc":246}],[{"op":"add","src":3,"dst":"b+","delay":2,"marked":false}],[{"op":"add","src":"x\"\\\n","dst":0,"delay":0.10000000000000001,"marked":true}],[{"op":"mark","arc":119,"marked":true}]],"periods":4,"jobs":2,"timeout_ms":500}|}
+    );
+    (* changed: a [-0.] delta or delay was spelled [0]; it is now
+       [-0], as replies spell it *)
+    ( "sweep with negative zeros",
+      Sweep
+        {
+          path = "fig1.g";
+          scenarios =
+            [
+              [ Sw_delay { sw_arc = 1; sw_delta = -0. } ];
+              [ Sw_add { sw_src = Ev_id 1; sw_dst = Ev_id 2; sw_delay = -0.; sw_marked = false } ];
+            ];
+          periods = None;
+          jobs = None;
+          timeout_ms = None;
+        },
+      {|{"op":"sweep","path":"fig1.g","deltas":[[{"arc":1,"delta":-0}],[{"op":"add","src":1,"dst":2,"delay":-0,"marked":false}]]}|}
+    );
+    ("stats", Stats, {|{"op":"stats"}|});
+    ("shutdown", Shutdown, {|{"op":"shutdown"}|});
+  ]
+
 let suite =
   List.map
     (fun (name, bytes, digest) ->
       Alcotest.test_case name `Quick (fun () ->
           Alcotest.(check string) (name ^ ": response MD5") digest (md5 (bytes ()))))
     golden
+  @ List.map
+      (fun (name, request, line) ->
+        Alcotest.test_case ("request: " ^ name) `Quick (fun () ->
+            Alcotest.(check string) (name ^ ": request line") line
+              (Tsg_engine.Protocol.request_to_string request)))
+      request_golden

@@ -1,9 +1,9 @@
-(* The JSON writer's spelling laws.  Tsg_io.Json prints numbers and
+(* The JSON writer's spelling laws.  Tsg_obs.Json prints numbers and
    strings without printf, but its bytes are a wire contract (golden
    digests, disk-cached responses), so each fast path is checked
    against the printf-based spelling it replaced, over a fixed seed. *)
 
-module Json = Tsg_io.Json
+module Json = Tsg_obs.Json
 
 (* the float spelling the writer must keep: integral below 1e15 with
    no fraction, everything else %.17g *)

@@ -90,7 +90,7 @@ let prop_reports_byte_identical =
       let render jobs =
         (* analysis_obj, not analysis: the latter appends live
            wall-clock metrics, which are never byte-stable *)
-        Tsg_io.Json.to_string (Tsg_io.Json_report.analysis_obj g (Cycle_time.analyze ~jobs g))
+        Tsg_obs.Json.to_string (Tsg_io.Json_report.analysis_obj g (Cycle_time.analyze ~jobs g))
       in
       let reference = render 1 in
       List.for_all

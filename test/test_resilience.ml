@@ -334,6 +334,83 @@ let fuzz_deep_nesting () =
   | Error msg -> Alcotest.(check bool) "depth error" true (contains msg "nesting")
 
 (* ------------------------------------------------------------------ *)
+(* Request lines: the wire integer range and the round trip            *)
+
+(* a wire integer is integral with |n| <= 2^53; beyond that
+   [int_of_float] is unspecified (1e19 used to read as arc 0) *)
+let test_wire_integer_range () =
+  let sweep edit = Printf.sprintf {|{"op":"sweep","path":"m.g","deltas":[%s]}|} edit in
+  let ev_error name =
+    Printf.sprintf "field %S must be an event id (integer) or event name (string)" name
+  in
+  let arc_error = {|each sweep edit must carry an integer "arc"|} in
+  List.iter
+    (fun (line, expected) ->
+      match Protocol.parse_request line with
+      | Ok _ -> Alcotest.failf "accepted %s" line
+      | Error msg -> Alcotest.(check string) line expected msg)
+    [
+      (sweep {|{"arc":1e19,"delta":1.5}|}, arc_error);
+      (sweep {|{"op":"remove","arc":-1e19}|}, arc_error);
+      (sweep {|{"op":"mark","arc":9007199254740994,"marked":true}|}, arc_error);
+      (sweep {|{"op":"add","src":1e19,"dst":0,"delay":1}|}, ev_error "src");
+      (sweep {|{"op":"add","src":0,"dst":1e19,"delay":1}|}, ev_error "dst");
+      ({|{"op":"analyze","path":"m.g","periods":1e300}|}, {|field "periods" must be an integer|});
+      ({|{"op":"batch","paths":[],"jobs":1e300}|}, {|field "jobs" must be an integer|});
+      ( {|{"op":"sweep","path":"m.g","deltas":[],"jobs":-1e300}|},
+        {|field "jobs" must be an integer|} );
+    ];
+  let two53 = 1 lsl 53 in
+  (match Protocol.parse_request {|{"op":"analyze","path":"m.g","periods":9007199254740992}|} with
+  | Ok (Analyze { periods = Some n; _ }) -> Alcotest.(check int) "periods 2^53" two53 n
+  | _ -> Alcotest.fail "periods 2^53 rejected");
+  match
+    Protocol.parse_request
+      (sweep {|{"op":"add","src":-9007199254740992,"dst":9007199254740992,"delay":1}|})
+  with
+  | Ok (Sweep { scenarios = [ [ Sw_add { sw_src = Ev_id s; sw_dst = Ev_id d; _ } ] ]; _ }) ->
+    Alcotest.(check (pair int int)) "src and dst 2^53" (-two53, two53) (s, d)
+  | _ -> Alcotest.fail "event ids of 2^53 rejected"
+
+let request_gen =
+  let open QCheck2.Gen in
+  let open Protocol in
+  let wire_int = oneof [ int_range (-1000) 100_000; oneofl [ 1 lsl 53; -(1 lsl 53) ] ] in
+  let special = oneofl [ 0.; -0.; 0.1; 1234.5678; 1e15; 1e300; 5e-324 ] in
+  let finite = oneof [ float_range (-1e6) 1e6; special; map Float.neg special ] in
+  let non_negative = map Float.abs finite in
+  let positive = oneof [ float_range 1e-3 1e7; oneofl [ 1234.5678; 0.1; 1e300 ] ] in
+  let text = string_size ~gen:char (int_range 0 12) in
+  let ev = oneof [ map (fun i -> Ev_id i) wire_int; map (fun n -> Ev_name n) text ] in
+  let edit =
+    oneof
+      [
+        map2 (fun sw_arc sw_delta -> Sw_delay { sw_arc; sw_delta }) wire_int finite;
+        (let* sw_src = ev and* sw_dst = ev and* sw_delay = non_negative and* sw_marked = bool in
+         return (Sw_add { sw_src; sw_dst; sw_delay; sw_marked }));
+        map (fun a -> Sw_remove a) wire_int;
+        map2 (fun sw_arc sw_marked -> Sw_mark { sw_arc; sw_marked }) wire_int bool;
+      ]
+  in
+  let* periods = opt wire_int and* jobs = opt wire_int and* timeout_ms = opt positive in
+  oneof
+    [
+      map (fun path -> Analyze { path; periods; timeout_ms }) text;
+      map (fun paths -> Batch { paths; periods; jobs; timeout_ms }) (small_list text);
+      map2
+        (fun path scenarios -> Sweep { path; scenarios; periods; jobs; timeout_ms })
+        text
+        (small_list (small_list edit));
+      oneofl [ Stats; Shutdown ];
+    ]
+
+let law_request_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"parse_request inverts request_to_string" ~count:500
+       ~print:Protocol.request_to_string request_gen (fun r ->
+         Protocol.parse_request (Protocol.request_to_string r) = Ok r))
+
+(* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 
 let with_failpoints f =
@@ -715,6 +792,9 @@ let suite =
     fuzz_parse_request;
     fuzz_loader;
     Alcotest.test_case "fuzz: pathological JSON nesting" `Quick fuzz_deep_nesting;
+    Alcotest.test_case "protocol: wire integers stay within 2^53" `Quick
+      test_wire_integer_range;
+    law_request_round_trip;
     Alcotest.test_case "failpoint: pool survives a worker death" `Quick
       test_pool_survives_worker_death;
     Alcotest.test_case "failpoint: batch isolates a loader fault" `Quick

@@ -103,25 +103,22 @@ let test_chrome_json_golden () =
   in
   Alcotest.(check string) "golden Chrome trace" expected (Trace.to_chrome_json ~pid:1 evs)
 
+(* every string field must come back from the parser as it went in *)
 let test_chrome_json_escapes () =
-  let evs =
-    [
-      {
-        Trace.name = {|a"b\c|};
-        cat = "t\nab";
-        ts_us = 1.;
-        tid = 0;
-        args = [ ("k\"", "v\\") ];
-        kind = Trace.Instant;
-      };
-    ]
-  in
-  let s = Trace.to_chrome_json ~pid:1 evs in
-  (match Tsg_engine.Protocol.json_of_string s with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "escaped trace does not parse: %s" msg);
-  Alcotest.(check bool) "no raw quote leaks" true
-    (not (String.length s = 0))
+  let name = {|a"b\c|} ^ "\001" and cat = "t\nab\001" in
+  let key = "k\"\001" and value = "v\\\t" in
+  let evs = [ { Trace.name; cat; ts_us = 1.; tid = 0; args = [ (key, value) ]; kind = Trace.Instant } ] in
+  let open Tsg_engine.Protocol in
+  match json_of_string (Trace.to_chrome_json ~pid:1 evs) with
+  | Error msg -> Alcotest.failf "escaped trace does not parse: %s" msg
+  | Ok j -> (
+    match member "traceEvents" j with
+    | Some (List [ ev ]) ->
+      let str k = match member k ev with Some (String s) -> s | _ -> Alcotest.failf "no %S" k in
+      Alcotest.(check string) "name" name (str "name");
+      Alcotest.(check string) "cat" cat (str "cat");
+      Alcotest.(check bool) "args" true (member "args" ev = Some (Obj [ (key, String value) ]))
+    | _ -> Alcotest.fail "expected one trace event")
 
 (* trace a real analysis and validate the export through the shared
    JSON reader: one span per pipeline phase, one longest-paths span

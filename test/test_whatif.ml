@@ -5,7 +5,7 @@ open Tsg
    as bytes, which is the same yardstick the daemon's cached responses
    are held to. *)
 
-let render g report = Tsg_io.Json.to_string (Tsg_io.Json_report.analysis_obj g report)
+let render g report = Tsg_obs.Json.to_string (Tsg_io.Json_report.analysis_obj g report)
 
 (* delay-only scenarios *)
 let delays = List.map (fun e -> Whatif.Delay e)
