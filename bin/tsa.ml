@@ -21,7 +21,8 @@ let input_arg =
   let doc =
     "Input model: a .g file, or one of the built-ins $(b,fig1) (the paper's \
      C-element oscillator), $(b,ring5) (the 5-stage Muller ring), $(b,stack) \
-     (the 66-event stack controller), or the generated bench workloads \
+     (the 66-event stack controller), $(b,muller-128) (a 128-stage Muller \
+     ring, the bench's worst case), or the generated bench workloads \
      $(b,gen-dense), $(b,gen-10k), $(b,gen-100k)."
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL" ~doc)

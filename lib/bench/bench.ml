@@ -57,10 +57,11 @@ let default_models () =
        |> List.map (Filename.concat "benchmarks"))
       (* plus the built-in synthetic workloads: gen-dense is large
          enough that the simulate phase dominates the pipeline,
+         muller-128 is the paper's worst case (b close to n),
          gen-10k is large enough that the jobs-scaling pass means
          something, and gen-10k-file is gen-10k read back from its
          export, so its load phase measures the parser *)
-      @ [ "gen-dense"; "gen-10k"; gen10k_file ])
+      @ [ "gen-dense"; "muller-128"; "gen-10k"; gen10k_file ])
 
 (* gen-10k-file's text, exported once to a temporary .g *)
 let exported =

@@ -58,14 +58,13 @@ let finish ?(deadline = Tsg_engine.Deadline.none) ?delays g u ~border ~periods ~
     Tsg_engine.Metrics.time "analyze/backtrack" @@ fun () ->
     (* backtrack the longest path that realised the maximum; the
        samples were read out of recycled arenas, so re-run the one
-       critical simulation (1/b of the simulate phase) to recover the
-       predecessor arrays *)
-    let sim =
-      Timing_sim.simulate_initiated ~deadline ?delays u
+       critical simulation (1/b of the simulate phase) and walk its
+       predecessors inside the arena *)
+    let path =
+      Timing_sim.backtrack ~deadline ?delays u
         ~at:(Unfolding.instance u ~event:critical_event ~period:0)
+        ~instance:(Unfolding.instance u ~event:critical_event ~period:critical_period)
     in
-    let target = Unfolding.instance u ~event:critical_event ~period:critical_period in
-    let path = Timing_sim.critical_path u sim ~instance:target in
     let critical_walk = List.filter_map snd path in
     let decomposition = Cycles.decompose_closed_walk g critical_walk in
     let best_ratio =

@@ -12,20 +12,15 @@ let run_once u rng ~sampler =
   let n = Unfolding.instance_count u in
   let time = Array.make n 0. in
   let has_pred = Array.make n false in
-  let topo = Unfolding.topological_order u in
-  let starts, srcs, arc_ids = Unfolding.in_adjacency u in
-  for k = 0 to Array.length topo - 1 do
-    let v = topo.(k) in
-    for j = starts.(v) to starts.(v + 1) - 1 do
-      let delay = sampler arc_ids.(j) rng in
-      if delay < 0. then invalid_arg "Monte_carlo: sampler returned a negative delay";
-      let d = time.(srcs.(j)) +. delay in
-      if (not has_pred.(v)) || d > time.(v) then begin
-        time.(v) <- d;
-        has_pred.(v) <- true
-      end
-    done
-  done;
+  Unfolding.iter_topological u (fun v ->
+      Unfolding.iter_in u v (fun src aid ->
+          let delay = sampler aid rng in
+          if delay < 0. then invalid_arg "Monte_carlo: sampler returned a negative delay";
+          let d = time.(src) +. delay in
+          if (not has_pred.(v)) || d > time.(v) then begin
+            time.(v) <- d;
+            has_pred.(v) <- true
+          end));
   time
 
 let estimate ?(seed = 42) ?(runs = 30) ?(periods = 60) ?(jobs = 1) g ~sampler =

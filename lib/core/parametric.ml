@@ -7,21 +7,14 @@ let initiated_without u ~at ~skip_arc =
   let n = Unfolding.instance_count u in
   let time = Array.make n neg_infinity in
   time.(at) <- 0.;
-  let topo = Unfolding.topological_order u in
-  let starts, srcs, arc_ids = Unfolding.in_adjacency u in
   let delays = Unfolding.delays u in
-  for k = 0 to Array.length topo - 1 do
-    let v = topo.(k) in
-    if v <> at then
-      for j = starts.(v) to starts.(v + 1) - 1 do
-        let src = srcs.(j) in
-        let aid = arc_ids.(j) in
-        if aid <> skip_arc && time.(src) > neg_infinity then begin
-          let d = time.(src) +. delays.(aid) in
-          if d > time.(v) then time.(v) <- d
-        end
-      done
-  done;
+  Unfolding.iter_topological u (fun v ->
+      if v <> at then
+        Unfolding.iter_in u v (fun src aid ->
+            if aid <> skip_arc && time.(src) > neg_infinity then begin
+              let d = time.(src) +. delays.(aid) in
+              if d > time.(v) then time.(v) <- d
+            end));
   time
 
 (* best cycle ratio among cycles avoiding one arc: the paper's own

@@ -26,24 +26,20 @@ let analyze g =
   in
   (* backward pass: the latest time each event may finish without
      moving the makespan *)
-  let starts, dsts, aids = Unfolding.out_adjacency u in
   let delays = Unfolding.delays u in
   let latest = Array.make n makespan in
-  let order = Unfolding.topological_order u in
+  let order = Unfolding.period_order u 0 in
   for k = Array.length order - 1 downto 0 do
     let v = order.(k) in
-    for j = starts.(v) to starts.(v + 1) - 1 do
-      let slack_bound = latest.(dsts.(j)) -. delays.(aids.(j)) in
-      if slack_bound < latest.(v) then latest.(v) <- slack_bound
-    done
+    Unfolding.iter_out u v (fun dst aid ->
+        let slack_bound = latest.(dst) -. delays.(aid) in
+        if slack_bound < latest.(v) then latest.(v) <- slack_bound)
   done;
   let arc_floats = Array.make (Signal_graph.arc_count g) infinity in
   for src = 0 to n - 1 do
-    for j = starts.(src) to starts.(src + 1) - 1 do
-      let aid = aids.(j) in
-      let f = latest.(dsts.(j)) -. finish_times.(src) -. delays.(aid) in
-      if f < arc_floats.(aid) then arc_floats.(aid) <- Float.max 0. f
-    done
+    Unfolding.iter_out u src (fun dst aid ->
+        let f = latest.(dst) -. finish_times.(src) -. delays.(aid) in
+        if f < arc_floats.(aid) then arc_floats.(aid) <- Float.max 0. f)
   done;
   { finish_times; makespan; critical_path; arc_floats }
 

@@ -487,6 +487,7 @@ let row_list (starts, ids) v =
   !l
 
 let out_arc_ids g v = row_list g.out_rows v
+let out_arc_rows g = g.out_rows
 let in_arc_ids g v = row_list g.in_rows v
 let events_of g = g.events
 let repetitive_events g = g.repetitive

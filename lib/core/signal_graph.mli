@@ -174,6 +174,11 @@ val out_arc_ids : t -> int -> int list
     built from the graph's compressed rows on each call, in time
     linear in the event's out-degree. *)
 
+val out_arc_rows : t -> int array * int array
+(** [(starts, ids)]: the arcs leaving event [e] are
+    [ids.(starts.(e)) .. ids.(starts.(e+1) - 1)], arc id ascending —
+    the compressed rows {!out_arc_ids} reads (do not mutate). *)
+
 val in_arc_ids : t -> int -> int list
 (** Ids of arcs entering the event, in insertion order; built like
     {!out_arc_ids}. *)

@@ -157,7 +157,12 @@ end
    scanned, which also gives the root test for free: only roots are
    stamped before their own visit.  Tie-breaking matches the old
    kernel exactly (first in-arc establishes, later arcs must strictly
-   improve), so results are byte-identical. *)
+   improve), so results are byte-identical.
+
+   The suffix is walked period by period ({!Unfolding.period_order}),
+   reading each instance's row of its period's in-slice template plus
+   the period's id shift: the template is O(events + arcs), so it
+   stays cache-resident however many periods the unfolding has. *)
 (* cancellation granularity: the scan pauses for a deadline check
    every [check_block] topo positions, so the inner relaxation loop
    stays branch-free and the check cost is amortised to nothing *)
@@ -165,12 +170,13 @@ let check_block = 4096
 
 let kernel ?(deadline = Tsg_engine.Deadline.none) ?delays (ws : Workspace.t) u ~roots
     ~from_pos =
-  let topo = Unfolding.topological_order u in
-  let starts, srcs, arc_ids = Unfolding.in_adjacency u in
   (* [delays] overrides the per-arc delays (same indexing: Signal-Graph
      arc id) without touching the unfolding — what-if re-analysis runs
      the kernel over the {e base} unfolding with edited delays *)
   let delays = match delays with Some d -> d | None -> Unfolding.delays u in
+  (* the scan below reads [delays] unchecked *)
+  if Array.length delays < Signal_graph.arc_count (Unfolding.signal_graph u) then
+    invalid_arg "Timing_sim: delays is shorter than the arc table";
   ws.Workspace.epoch <- ws.Workspace.epoch + 1;
   let epoch = ws.Workspace.epoch in
   let time = ws.Workspace.time in
@@ -184,28 +190,53 @@ let kernel ?(deadline = Tsg_engine.Deadline.none) ?delays (ws : Workspace.t) u ~
       pred.(r) <- -1;
       parc.(r) <- -1)
     roots;
-  let len = Array.length topo in
-  let k0 = ref from_pos in
-  while !k0 < len do
-    Tsg_engine.Deadline.check deadline;
-    let hi = min len (!k0 + check_block) in
-    for k = !k0 to hi - 1 do
-      let v = topo.(k) in
-      if stamp.(v) <> epoch then
-        for j = starts.(v) to starts.(v + 1) - 1 do
-          let src = srcs.(j) in
-          if stamp.(src) = epoch then begin
-            let d = time.(src) +. delays.(arc_ids.(j)) in
-            if stamp.(v) <> epoch || d > time.(v) then begin
-              time.(v) <- d;
-              pred.(v) <- src;
-              parc.(v) <- arc_ids.(j);
-              stamp.(v) <- epoch
+  let p0, k0 = if from_pos = 0 then (0, 0) else Unfolding.split u from_pos in
+  let until_check = ref 0 in
+  for p = p0 to Unfolding.periods u - 1 do
+    let order = Unfolding.period_order u p and base = Unfolding.period_base u p in
+    let s = Unfolding.in_slices u p in
+    let shift = Unfolding.shift u s p in
+    let starts = s.Unfolding.starts and ids = s.Unfolding.ids and arcs = s.Unfolding.arcs in
+    let len = Array.length order in
+    let k0 = ref (if p = p0 then k0 else 0) in
+    while !k0 < len do
+      if !until_check <= 0 then begin
+        Tsg_engine.Deadline.check deadline;
+        until_check := check_block
+      end;
+      let hi = min len (!k0 + !until_check) in
+      until_check := !until_check - (hi - !k0);
+      (* every index is in bounds by construction (templates and
+         orders over one period, the arena sized to the unfolding), so
+         the scan reads unchecked; the running maximum lives in
+         registers and is stored once per instance *)
+      for k = !k0 to hi - 1 do
+        let li = Array.unsafe_get order k in
+        let v = base + li in
+        if Array.unsafe_get stamp v <> epoch then begin
+          let best = ref 0. and bp = ref (-1) and ba = ref (-1) in
+          for j = Array.unsafe_get starts li to Array.unsafe_get starts (li + 1) - 1 do
+            let src = Array.unsafe_get ids j + shift in
+            if Array.unsafe_get stamp src = epoch then begin
+              let a = Array.unsafe_get arcs j in
+              let d = Array.unsafe_get time src +. Array.unsafe_get delays a in
+              if !bp < 0 || d > !best then begin
+                best := d;
+                bp := src;
+                ba := a
+              end
             end
+          done;
+          if !bp >= 0 then begin
+            Array.unsafe_set time v !best;
+            Array.unsafe_set pred v !bp;
+            Array.unsafe_set parc v !ba;
+            Array.unsafe_set stamp v epoch
           end
-        done
-    done;
-    k0 := hi
+        end
+      done;
+      k0 := hi
+    done
   done
 
 (* copy the arena out into a caller-owned [result]; unreached
@@ -275,8 +306,13 @@ let simulate ?deadline u =
   kernel ?deadline ws u ~roots:(Unfolding.initial_instances u) ~from_pos:0;
   materialise ws u
 
+let check_instance u what i =
+  if i < 0 || i >= Unfolding.instance_count u then
+    invalid_arg (Printf.sprintf "Timing_sim: %s %d is not an instance" what i)
+
 let initiated_into ?deadline ?delays ws u ~at =
-  let from_pos = (Unfolding.topo_position u).(at) in
+  check_instance u "at" at;
+  let from_pos = Unfolding.topo_position u at in
   Tsg_engine.Metrics.incr "simulations/initiated";
   observe_window u ~from_pos;
   Tsg_obs.Trace.with_span "longest_paths" ~args:(span_args u ~at ~from_pos)
@@ -286,6 +322,20 @@ let simulate_initiated ?deadline ?delays u ~at =
   Workspace.with_arena (Unfolding.instance_count u) @@ fun ws ->
   initiated_into ?deadline ?delays ws u ~at;
   materialise ws u
+
+(* the predecessor chain read straight out of the arena: nothing the
+   size of the unfolding is copied for one path *)
+let backtrack ?deadline ?delays u ~at ~instance =
+  check_instance u "instance" instance;
+  Workspace.with_arena (Unfolding.instance_count u) @@ fun ws ->
+  initiated_into ?deadline ?delays ws u ~at;
+  let reached v = ws.Workspace.stamp.(v) = ws.Workspace.epoch in
+  let rec back v acc =
+    let p = if reached v then ws.Workspace.pred_instance.(v) else -1 in
+    if p < 0 then (v, None) :: acc
+    else back p ((v, Some ws.Workspace.pred_arc.(v)) :: acc)
+  in
+  back instance []
 
 let simulate_many ?deadline ?(jobs = 1) u ~roots ~f =
   let nroots = Array.length roots in
@@ -303,11 +353,11 @@ let simulate_many ?deadline ?(jobs = 1) u ~roots ~f =
     let order =
       if jobs <= 1 || nroots <= 1 then None
       else begin
-        let pos = Unfolding.topo_position u in
+        let pos = Array.map (Unfolding.topo_position u) roots in
         let idx = Array.init nroots Fun.id in
         Array.sort
           (fun a b ->
-            let c = compare pos.(roots.(a)) pos.(roots.(b)) in
+            let c = compare pos.(a) pos.(b) in
             if c <> 0 then c else compare a b)
           idx;
         Some idx

@@ -73,7 +73,7 @@ val view_reached : view -> int -> bool
 
 val simulate : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> result
 (** The timing simulation [t] of the whole unfolding.  The topological
-    order and compact adjacency are built with the unfolding, so
+    order and slice templates are built with the unfolding, so
     repeated simulations of the same unfolding (as the cycle-time
     algorithm performs, once per border event) pay the set-up cost
     once.
@@ -108,7 +108,24 @@ val simulate_initiated :
     instances provably cannot be reached from [g].  Reachability is
     decided during the relaxation itself (no separate DFS): an
     instance is reached iff it is the root or an in-arc from a reached
-    instance feeds it. *)
+    instance feeds it.
+
+    @raise Invalid_argument if [g] is not an instance of [u] or
+    [delays] has fewer entries than the graph has arcs. *)
+
+val backtrack :
+  ?deadline:Tsg_engine.Deadline.t ->
+  ?delays:float array ->
+  Unfolding.t ->
+  at:int ->
+  instance:int ->
+  (int * int option) list
+(** [backtrack u ~at ~instance] is
+    [critical_path u (simulate_initiated u ~at) ~instance], read off
+    the arena's predecessor arrays in place: one initiated simulation
+    and one walk, with nothing the size of the unfolding copied.
+    @raise Invalid_argument as {!simulate_initiated} does, or if
+    [instance] is not an instance of [u]. *)
 
 val simulate_many :
   ?deadline:Tsg_engine.Deadline.t ->

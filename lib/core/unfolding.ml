@@ -1,5 +1,3 @@
-type csr = { starts : int array; neighbors : int array; arc_ids : int array }
-
 (* the instance space: everything an instance id depends on *)
 type layout = {
   sg : Signal_graph.t;
@@ -10,150 +8,205 @@ type layout = {
   rep_ids : int array; (* dense repetitive index -> event id *)
 }
 
-(* every view is built once, by [make] or [patch], and never mutated,
-   so an unfolding can be shared across domains as it is.  The compact
-   adjacency and the topological order feed the hot loops of the
-   timing simulation. *)
+(* the in- or out-slices of one period's instances: row [li] belongs to
+   the instance with period-local index [li], and [ids] are instance
+   ids as they read in period [home] *)
+type slices = { starts : int array; ids : int array; arcs : int array; home : int }
+
+(* built once, by [make] or [patch], never mutated (so shared across
+   domains as it is), and nothing in it grows with the period count *)
 type t = {
   l : layout;
-  in_csr : csr;
-  out_csr : csr;
-  topo : int array;
-  topo_pos : int array;
+  in0 : slices;
+  in1 : slices;
+  in_steady : slices; (* home 2 *)
+  out0 : slices;
+  out_steady : slices; (* home 1, for 1 <= p <= k - 2 *)
+  out_last : slices; (* home k - 1 *)
+  order0 : int array; (* period 0's canonical order, period-local *)
+  order1 : int array; (* period 1's, shared by every p >= 1 *)
+  pos0 : int array; (* the inverses of the two orders *)
+  pos1 : int array;
   delays : float array;
 }
 
-let instance_id l ~event ~period =
-  if period = 0 then event
-  else l.n_events + ((period - 1) * Array.length l.rep_ids) + l.rep_index.(event)
+(* Instance ids are period-major: period 0 holds every event at its
+   own id, period p >= 1 the repetitive events at n + (p-1)*r + their
+   period-local index, the repetitive index. *)
+let reps l = Array.length l.rep_ids
+let base_of l p = if p = 0 then 0 else l.n_events + ((p - 1) * reps l)
+let width l p = if p = 0 then l.n_events else reps l
+let local l e p = if p = 0 then e else l.rep_index.(e)
+let instance_id l ~event ~period = base_of l period + local l event period
 
-(* enumerate the (src instance, dst instance) pairs an arc induces in
-   the unfolding, period ascending — the construction enumerates them
-   arc id ascending, and [patch] also uses it to diff instance sets.
-   The pairs depend only on the arc's endpoints, marking and
-   disengageability plus the event classes, never on the rest of the
-   arc table. *)
-let iter_arc_instances l (a : Signal_graph.arc) f =
-  let sg = l.sg in
-  let periods = l.k in
-  let once = a.disengageable || not (Signal_graph.is_repetitive sg a.arc_src) in
-  let m = if a.marked then 1 else 0 in
-  if once then begin
-    (* single constraint u_0 -> v_m, when the destination instance exists *)
-    let dst_exists =
-      m = 0 || (m < periods && Signal_graph.is_repetitive sg a.arc_dst)
-    in
-    if dst_exists then
-      f (instance_id l ~event:a.arc_src ~period:0) (instance_id l ~event:a.arc_dst ~period:m)
-  end
-  else begin
-    let dst_periods = if Signal_graph.is_repetitive sg a.arc_dst then periods else 1 in
-    for i = m to dst_periods - 1 do
-      f (instance_id l ~event:a.arc_src ~period:(i - m)) (instance_id l ~event:a.arc_dst ~period:i)
-    done
-  end
+(* Arc [u -> v] with marking [m] induces [u_(i-m) -> v_i] for [i] in
+   [m, last l a]: every period of [v], or only [i = m] when the arc is
+   disengageable or [u] is non-repetitive (none if [v_m] does not
+   exist).  This depends only on the arc's endpoints, marking and
+   disengageability plus the event classes and the period count. *)
+let marking (a : Signal_graph.arc) = if a.marked then 1 else 0
 
-(* The one construction, shared by [make] and [patch].  The slice
-   order is fixed by definition: arc instances in generation order
-   (arc id ascending, then period ascending), stably counting-sorted
-   by source for the out-CSR, and that sequence stably counting-sorted
-   by destination for the in-CSR.  Backtracking breaks longest-path
-   ties by adjacency order, so this order is what makes a patched
-   unfolding's reports serialise byte for byte like a fresh one's.
-   [O(periods * arcs)], with amortised deadline checks in every pass
-   so a pathological (huge-period) unfolding stays within its
-   budget. *)
-let synthesize_csrs ~deadline l =
-  let check i = if i land 8191 = 0 then Tsg_engine.Deadline.check deadline in
-  let n = l.n_instances in
-  let arcs = Signal_graph.arcs l.sg in
-  (* pass 1: per-instance out- and in-degrees *)
-  let out_starts = Array.make (n + 1) 0 and in_starts = Array.make (n + 1) 0 in
-  let m = ref 0 in
-  Array.iter
-    (fun a ->
-      iter_arc_instances l a (fun src dst ->
-          check !m;
-          incr m;
-          out_starts.(src + 1) <- out_starts.(src + 1) + 1;
-          in_starts.(dst + 1) <- in_starts.(dst + 1) + 1))
-    arcs;
-  for v = 1 to n do
-    out_starts.(v) <- out_starts.(v) + out_starts.(v - 1);
-    in_starts.(v) <- in_starts.(v) + in_starts.(v - 1)
-  done;
-  let m = !m in
-  (* pass 2, the sort by source: regenerate in generation order and
-     drop each instance into its source's next free slot *)
-  let dsts = Array.make (max m 1) 0 and out_aids = Array.make (max m 1) 0 in
-  let fill = Array.copy out_starts in
-  let k = ref 0 in
+let last l (a : Signal_graph.arc) =
+  let m = marking a in
+  let dst_periods = if Signal_graph.is_repetitive l.sg a.arc_dst then l.k else 1 in
+  if a.disengageable || not (Signal_graph.is_repetitive l.sg a.arc_src) then
+    if m < dst_periods then m else m - 1
+  else dst_periods - 1
+
+let iter_arc_instances_of l (a : Signal_graph.arc) f =
+  let m = marking a in
+  for i = m to last l a do
+    f (instance_id l ~event:a.arc_src ~period:(i - m)) (instance_id l ~event:a.arc_dst ~period:i)
+  done
+
+(* The slice order is fixed (unfolding.mli): out-slices list arc id
+   ascending, in-slices by source id, then arc id; it breaks
+   longest-path ties.  Both are read off the graph's out-arcs in row
+   order (source, then arc id), copied once into flat arrays so that
+   every template pass reads memory sequentially. *)
+type arc_rows = {
+  first : int array; (* event -> its first entry; [first.(n)] ends the rows *)
+  aid : int array;
+  dst : int array; (* destination event *)
+  mark : int array; (* marking, 0 or 1 *)
+  upto : int array; (* [last] of the arc *)
+}
+
+let arc_rows l =
+  let first, aid = Signal_graph.out_arc_rows l.sg in
+  let m = Array.length aid in
+  let rows = { first; aid; dst = Array.make m 0; mark = Array.make m 0; upto = Array.make m 0 } in
   Array.iteri
-    (fun aid a ->
-      iter_arc_instances l a (fun src dst ->
-          check !k;
-          incr k;
-          let p = fill.(src) in
-          fill.(src) <- p + 1;
-          dsts.(p) <- dst;
-          out_aids.(p) <- aid))
-    arcs;
-  (* the sort of that sequence by destination *)
-  let srcs = Array.make (max m 1) 0 and in_aids = Array.make (max m 1) 0 in
-  let fill = Array.copy in_starts in
-  for v = 0 to n - 1 do
-    check v;
-    for p = out_starts.(v) to out_starts.(v + 1) - 1 do
-      let q = fill.(dsts.(p)) in
-      fill.(dsts.(p)) <- q + 1;
-      srcs.(q) <- v;
-      in_aids.(q) <- out_aids.(p)
+    (fun j id ->
+      let a = Signal_graph.arc l.sg id in
+      rows.dst.(j) <- a.arc_dst;
+      rows.mark.(j) <- marking a;
+      rows.upto.(j) <- last l a)
+    aid;
+  rows
+
+(* [f li j] over period [sp]'s instances in id order and their out-arc
+   entries, checking [deadline] every 1024 instances *)
+let scan ~deadline l rows sp f =
+  for li = 0 to width l sp - 1 do
+    if li land 1023 = 0 then Tsg_engine.Deadline.check deadline;
+    let e = if sp = 0 then li else l.rep_ids.(li) in
+    for j = rows.first.(e) to rows.first.(e + 1) - 1 do
+      f li j
     done
+  done
+
+(* a stable counting sort into rows [0, w): each lists the entries
+   [iter] hands it, in the order [iter] calls [f row id arc] *)
+let template ~home w iter =
+  let starts = Array.make (w + 1) 0 in
+  iter (fun row _ _ -> starts.(row + 1) <- starts.(row + 1) + 1);
+  for i = 1 to w do
+    starts.(i) <- starts.(i) + starts.(i - 1)
   done;
-  ( { starts = in_starts; neighbors = srcs; arc_ids = in_aids },
-    { starts = out_starts; neighbors = dsts; arc_ids = out_aids } )
+  let ids = Array.make starts.(w) 0 and arcs = Array.make starts.(w) 0 in
+  let fill = Array.sub starts 0 w in
+  iter (fun row id arc ->
+      let j = fill.(row) in
+      fill.(row) <- j + 1;
+      ids.(j) <- id;
+      arcs.(j) <- arc);
+  { starts; ids; arcs; home }
+
+let out_template ~deadline l rows q =
+  template ~home:q (width l q) (fun f ->
+      scan ~deadline l rows q (fun li j ->
+          let m = rows.mark.(j) in
+          if q + m <= rows.upto.(j) then
+            f li (instance_id l ~event:rows.dst.(j) ~period:(q + m)) rows.aid.(j)))
+
+(* sources read id ascending: source period q - m (m = 1 first), then
+   event, then arc id *)
+let in_template ~deadline l rows q =
+  template ~home:q (width l q) (fun f ->
+      for sp = max 0 (q - 1) to q do
+        scan ~deadline l rows sp (fun li j ->
+            if q - rows.mark.(j) = sp && q <= rows.upto.(j) then
+              f (local l rows.dst.(j) q) (base_of l sp + li) rows.aid.(j))
+      done)
+
+(* The canonical order of every instance — {!Tsg_graph.Topo.sort}'s
+   min-id Kahn order — is period-major, and period p >= 2 repeats
+   period 1's order shifted by (p - 1) * r:
+
+   - Arcs never lead to an earlier period (u_(i-m) -> v_i, m in {0,1},
+     or u_0 -> v_m), and every period-p id is below every
+     period-(p+1) id.
+   - Suppose periods < p are emitted and some period-p instance is
+     not.  The arcs among period-p instances are the unmarked ones,
+     acyclic in an unfolding, so some unemitted period-p instance has
+     every in-arc from an emitted instance: it is available, and
+     every available instance of a later period has a larger id.  So
+     Kahn emits all of period p before any later instance.
+   - While it does, the earlier periods impose nothing more, so the
+     period-p suffix is the min-id Kahn order of the arcs inside
+     period p.  For p >= 1 those are the same arcs between repetitive
+     events (u_p -> v_p for unmarked arcs that re-fire), and ids keep
+     their rank under the shift.
+
+   So two one-period sorts give the whole order. *)
+let period_order ~deadline l outs q =
+  let base = base_of l q and w = width l q and sh = (q - outs.home) * reps l in
+  let succ v f =
+    for j = outs.starts.(v) to outs.starts.(v + 1) - 1 do
+      let d = outs.ids.(j) + sh - base in
+      if d >= 0 && d < w then f d
+    done
+  in
+  match
+    Tsg_graph.Topo.sort_succ ~check:(fun () -> Tsg_engine.Deadline.check deadline) w succ
+  with
+  | Some order -> order
+  | None -> invalid_arg "Unfolding: the unfolding has a cycle"
 
 let inverse order =
   let pos = Array.make (Array.length order) 0 in
   Array.iteri (fun k v -> pos.(v) <- k) order;
   pos
 
-(* the canonical order of {!Tsg_graph.Topo.sort} (smallest id first) *)
-let sort_topo ~deadline out_csr =
-  match
-    Tsg_graph.Topo.sort_csr
-      ~check:(fun () -> Tsg_engine.Deadline.check deadline)
-      ~starts:out_csr.starts ~targets:out_csr.neighbors
-  with
-  | Some order -> order
-  | None -> invalid_arg "Unfolding: the unfolding has a cycle"
-
-let views l (in_csr, out_csr) topo topo_pos =
-  let delays = Array.map (fun (a : Signal_graph.arc) -> a.delay) (Signal_graph.arcs l.sg) in
-  { l; in_csr; out_csr; topo; topo_pos; delays }
+(* O(events + arcs), whatever the period count: in-templates of
+   periods 0, 1 and 2, out-templates of periods 0, 1 and k - 1 (a
+   small [k] leaves some empty or unread) and two one-period sorts *)
+let build ~deadline sg ~periods =
+  let n_events = Signal_graph.event_count sg in
+  let rep_ids = Array.of_list (Signal_graph.repetitive_events sg) in
+  let rep_index = Array.make n_events (-1) in
+  Array.iteri (fun i e -> rep_index.(e) <- i) rep_ids;
+  let n_instances = n_events + ((periods - 1) * Array.length rep_ids) in
+  let l = { sg; k = periods; n_events; n_instances; rep_index; rep_ids } in
+  let rows = arc_rows l in
+  let in_t = in_template ~deadline l rows and out_t = out_template ~deadline l rows in
+  let out0 = out_t 0 and out_steady = out_t 1 in
+  let order0 = period_order ~deadline l out0 0 in
+  let order1 = period_order ~deadline l out_steady 1 in
+  {
+    l;
+    in0 = in_t 0;
+    in1 = in_t 1;
+    in_steady = in_t 2;
+    out0;
+    out_steady;
+    out_last = out_t (max 1 (periods - 1));
+    order0;
+    order1;
+    pos0 = inverse order0;
+    pos1 = inverse order1;
+    delays = Array.map (fun (a : Signal_graph.arc) -> a.delay) (Signal_graph.arcs sg);
+  }
 
 let make ?(deadline = Tsg_engine.Deadline.none) sg ~periods =
   if periods < 1 then invalid_arg "Unfolding.make: periods must be >= 1";
   Tsg_obs.Trace.with_span "unfolding/make" ~args:[ ("periods", string_of_int periods) ]
   @@ fun () ->
-  let n_events = Signal_graph.event_count sg in
-  let rep_list = Signal_graph.repetitive_events sg in
-  let r = List.length rep_list in
-  let rep_index = Array.make (max n_events 1) (-1) in
-  let rep_ids = Array.make (max r 1) 0 in
-  List.iteri
-    (fun i e ->
-      rep_index.(e) <- i;
-      rep_ids.(i) <- e)
-    rep_list;
-  let rep_ids = Array.sub rep_ids 0 r in
-  let total = n_events + ((periods - 1) * r) in
-  let l = { sg; k = periods; n_events; n_instances = total; rep_index; rep_ids } in
-  let ((_, out_csr) as csrs) = synthesize_csrs ~deadline l in
-  let topo = sort_topo ~deadline out_csr in
+  let t = build ~deadline sg ~periods in
   Tsg_engine.Metrics.incr "unfolding/built";
-  Tsg_engine.Metrics.incr ~by:total "unfolding/instances";
-  views l csrs topo (inverse topo)
+  Tsg_engine.Metrics.incr ~by:t.l.n_instances "unfolding/instances";
+  t
 
 let signal_graph t = t.l.sg
 let periods t = t.l.k
@@ -173,32 +226,57 @@ let instance t ~event ~period =
       (Printf.sprintf "Unfolding.instance: no instance of event %d in period %d" event
          period)
 
+let split t i =
+  let n = t.l.n_events and r = reps t.l in
+  if i < n then (0, i) else (1 + ((i - n) / r), (i - n) mod r)
+
 let event_of_instance t i =
-  let l = t.l in
-  if i < l.n_events then (i, 0)
-  else begin
-    let r = Array.length l.rep_ids in
-    let off = i - l.n_events in
-    (l.rep_ids.(off mod r), 1 + (off / r))
-  end
+  let p, li = split t i in
+  ((if p = 0 then li else t.l.rep_ids.(li)), p)
 
 (* ------------------------------------------------------------------ *)
-(* Compact views                                                       *)
+(* Periodic views                                                      *)
 
-let in_adjacency t = (t.in_csr.starts, t.in_csr.neighbors, t.in_csr.arc_ids)
-let out_adjacency t = (t.out_csr.starts, t.out_csr.neighbors, t.out_csr.arc_ids)
+let period_base t p = base_of t.l p
+let period_order t p = if p = 0 then t.order0 else t.order1
+let in_slices t p = if p = 0 then t.in0 else if p = 1 then t.in1 else t.in_steady
 
+let out_slices t p =
+  if p = 0 then t.out0 else if p = t.l.k - 1 then t.out_last else t.out_steady
+
+let shift t s p = (p - s.home) * reps t.l
+
+let topo_position t i =
+  let p, li = split t i in
+  base_of t.l p + if p = 0 then t.pos0.(li) else t.pos1.(li)
+
+let iter_topological t f =
+  for p = 0 to t.l.k - 1 do
+    let base = base_of t.l p in
+    Array.iter (fun li -> f (base + li)) (period_order t p)
+  done
+
+let iter_row t slices_of v f =
+  let p, li = split t v in
+  let s = slices_of t p in
+  let sh = shift t s p in
+  for j = s.starts.(li) to s.starts.(li + 1) - 1 do
+    f (s.ids.(j) + sh) s.arcs.(j)
+  done
+
+let iter_in t v f = iter_row t in_slices v f
+let iter_out t v f = iter_row t out_slices v f
+let iter_arc_instances t aid f = iter_arc_instances_of t.l (Signal_graph.arc t.l.sg aid) f
+
+(* an instance is initial iff its in-slice is empty *)
 let initial_instances t =
-  (* an instance is initial iff its slice of the in-CSR is empty *)
-  let starts = t.in_csr.starts in
-  let result = ref [] in
-  for i = instance_count t - 1 downto 0 do
-    if starts.(i + 1) = starts.(i) then result := i :: !result
-  done;
-  !result
+  List.filter
+    (fun v ->
+      let p, li = split t v in
+      let s = in_slices t p in
+      s.starts.(li) = s.starts.(li + 1))
+    (List.init t.l.n_instances Fun.id)
 
-let topological_order t = t.topo
-let topo_position t = t.topo_pos
 let delays t = t.delays
 let warm_caches (_ : t) = ()
 
@@ -210,80 +288,9 @@ type patch_delta = {
   pd_dropped : (int * int) array;
 }
 
-(* Bounded position-shift repair of [t]'s topological order for the
-   patched CSRs: let W be the contiguous position window [lo, hi]
-   spanning every spliced arc that runs backwards (lo = min position
-   of a violating dst, hi = max position of a violating src).  Any
-   new-dag arc with at most one endpoint in W is already satisfied by
-   the base positions (a kept or forward spliced arc crossing the
-   window boundary cannot invert inside it), so re-ranking the members
-   of W among themselves — a local Kahn scan over the new dag
-   restricted to W, emitting into positions lo..hi — yields a valid
-   order for the whole dag without touching the other [n - |W|]
-   positions.  [None] when the window holds a cycle. *)
-let shift_window ~deadline t (in_csr, out_csr) spliced =
-  let base_topo = t.topo and base_pos = t.topo_pos in
-  let lo = ref max_int and hi = ref (-1) in
-  Array.iter
-    (fun (s, d) ->
-      if base_pos.(s) > base_pos.(d) then begin
-        if base_pos.(d) < !lo then lo := base_pos.(d);
-        if base_pos.(s) > !hi then hi := base_pos.(s)
-      end)
-    spliced;
-  let lo = !lo and hi = !hi in
-  let topo = Array.copy base_topo in
-  let pos = Array.copy base_pos in
-  let in_window v =
-    let p = base_pos.(v) in
-    p >= lo && p <= hi
-  in
-  let in_starts = in_csr.starts and in_srcs = in_csr.neighbors in
-  let out_starts = out_csr.starts and out_dsts = out_csr.neighbors in
-  let indeg = Array.make (instance_count t) 0 in
-  for p = lo to hi do
-    let v = base_topo.(p) in
-    let cnt = ref 0 in
-    for j = in_starts.(v) to in_starts.(v + 1) - 1 do
-      if in_window in_srcs.(j) then incr cnt
-    done;
-    indeg.(v) <- !cnt
-  done;
-  let q = Queue.create () in
-  for p = lo to hi do
-    let v = base_topo.(p) in
-    if indeg.(v) = 0 then Queue.add v q
-  done;
-  let next = ref lo in
-  while not (Queue.is_empty q) do
-    if !next land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-    let v = Queue.pop q in
-    topo.(!next) <- v;
-    pos.(v) <- !next;
-    incr next;
-    for j = out_starts.(v) to out_starts.(v + 1) - 1 do
-      let w = out_dsts.(j) in
-      if in_window w then begin
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w q
-      end
-    done
-  done;
-  if !next = hi + 1 then begin
-    Tsg_engine.Metrics.incr "unfolding/topo_shifted";
-    Tsg_engine.Metrics.incr ~by:(hi - lo + 1) "unfolding/topo_window";
-    Some (topo, pos)
-  end
-  else None
-
-(* The load-bearing simplification: [instance_id] depends only on the
-   event set, the event classes and the period count — never on the
-   arc table.  An arc-level edit (add/remove/marking flip) therefore
-   keeps every instance id stable; only the DAG's arcs change, and
-   the same [synthesize_csrs] as [make] rebuilds them.  Only the
-   topological order may differ from a fresh build's, and any valid
-   order is equivalent for the simulation (occurrence times are
-   order-independent maxima). *)
+(* Instance ids never depend on the arc table, so the patched
+   unfolding is the edited graph's own build, plus the instance pairs
+   that changed. *)
 let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
   if Signal_graph.event_count g' <> t.l.n_events then
     invalid_arg "Unfolding.patch: the edited graph has a different event set";
@@ -296,20 +303,17 @@ let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
   if Array.length arc_map <> Array.length arcs_old then
     invalid_arg "Unfolding.patch: arc_map length differs from the base arc count";
   Tsg_obs.Trace.with_span "unfolding/patch" @@ fun () ->
-  let l = t.l in
-  let l' = { l with sg = g' } in
-  let ((_, out_csr') as csrs) = synthesize_csrs ~deadline l' in
-  (* diff the instance sets through [arc_map]: a surviving arc with
-     unchanged marking/disengageability instantiates identically; a
-     flipped one regenerates (old instances dropped, new spliced); an
-     unmapped base arc drops its cone seeds; a new arc with no
-     preimage splices fresh instances *)
+  let t' = build ~deadline g' ~periods:t.l.k in
+  (* through [arc_map]: a surviving arc instantiates identically unless
+     its marking or disengageability flipped (drop the old instances,
+     splice the new); a removed arc drops its instances, an added one
+     splices them *)
   let dropped = ref [] and spliced = ref [] in
-  let note acc l0 a = iter_arc_instances l0 a (fun s d -> acc := (s, d) :: !acc) in
+  let note acc l0 a = iter_arc_instances_of l0 a (fun s d -> acc := (s, d) :: !acc) in
   let mapped = Array.make (max (Array.length arcs_new) 1) false in
   Array.iteri
     (fun a a' ->
-      if a' < 0 then note dropped l arcs_old.(a)
+      if a' < 0 then note dropped t.l arcs_old.(a)
       else begin
         let old_a = arcs_old.(a) and new_a = arcs_new.(a') in
         if old_a.Signal_graph.arc_src <> new_a.Signal_graph.arc_src
@@ -319,33 +323,14 @@ let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
         if old_a.Signal_graph.marked <> new_a.Signal_graph.marked
            || old_a.Signal_graph.disengageable <> new_a.Signal_graph.disengageable
         then begin
-          note dropped l old_a;
-          note spliced l' new_a
+          note dropped t.l old_a;
+          note spliced t'.l new_a
         end
       end)
     arc_map;
-  Array.iteri (fun a' arc -> if not mapped.(a') then note spliced l' arc) arcs_new;
-  let spliced = Array.of_list !spliced and dropped = Array.of_list !dropped in
-  (* topological-order repair.  Removing arcs can never invalidate a
-     valid order; only a spliced arc that runs {e backwards} against
-     the base positions can.  When none does, the base order (and its
-     position array) is reused as-is. *)
-  let topo, topo_pos =
-    if not (Array.exists (fun (s, d) -> t.topo_pos.(s) > t.topo_pos.(d)) spliced) then begin
-      Tsg_engine.Metrics.incr "unfolding/topo_reused";
-      (t.topo, t.topo_pos)
-    end
-    else
-      match shift_window ~deadline t csrs spliced with
-      | Some order_and_pos -> order_and_pos
-      | None ->
-        (* a cycle inside the window — impossible for a validated TSG,
-           but a full re-sort is always a sound answer *)
-        let topo = sort_topo ~deadline out_csr' in
-        (topo, inverse topo)
-  in
+  Array.iteri (fun a' arc -> if not mapped.(a') then note spliced t'.l arc) arcs_new;
   Tsg_engine.Metrics.incr "unfolding/patched";
-  (views l' csrs topo topo_pos, { pd_spliced = spliced; pd_dropped = dropped })
+  (t', { pd_spliced = Array.of_list !spliced; pd_dropped = Array.of_list !dropped })
 
 let pp_instance t ppf i =
   let e, p = event_of_instance t i in

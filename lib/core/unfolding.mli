@@ -11,22 +11,32 @@
     single arc [u_0 -> v_m].  Arcs with [i - m < 0] impose no
     constraint: their token is part of the initial activity.
 
-    Instances are addressed by dense integer ids.  The set [I_u] of
-    initial events of the unfolding (the events from [I] plus the
-    events whose in-arcs are all initially active) coincides with the
-    set of instances that have no in-arc.
+    Instances are addressed by dense integer ids, period-major: period
+    0 holds every event at its own id, period [p >= 1] the [r]
+    repetitive events at [n + (p-1)*r + j] ([j] the event's rank among
+    the repetitive ones).  The set [I_u] of initial events of the
+    unfolding (the events from [I] plus the events whose in-arcs are
+    all initially active) coincides with the set of instances that
+    have no in-arc.
 
-    One construction builds every view at once — both CSR adjacency
-    arrays, the topological order, its inverse and the delay table —
-    and nothing is computed later, so an unfolding is immutable once
-    built and safe to read from several domains at once. *)
+    The unfolding is periodic and is stored that way: nothing in it
+    grows with the period count.  Every period [p >= 2] has the arcs of
+    period 2 with every id shifted by [(p-2)*r], so one construction
+    builds {e slice templates} — the in-slices of periods 0, 1 and the
+    steady state, the out-slices of period 0, the steady state and the
+    last period — plus the canonical orders of periods 0 and 1, from
+    which the whole topological order follows.  Nothing is computed
+    later, so an unfolding is immutable once built and safe to read
+    from several domains at once. *)
 
 type t
 
 val make : ?deadline:Tsg_engine.Deadline.t -> Signal_graph.t -> periods:int -> t
-(** [make g ~periods:k] materialises periods [0 .. k-1] with all the
-    views below, in [O(k * arcs)] plus a heap-ordered topological
-    sort.  [deadline] is checked at amortised intervals throughout.
+(** [make g ~periods:k] unfolds periods [0 .. k-1] in
+    [O(events + arcs)] time and memory, independent of [k]: at most six
+    slice templates and two one-period topological sorts.  [deadline]
+    is checked every 1024 rows of every template pass and every 8192
+    instances of each sort.
     @raise Invalid_argument if [k < 1].
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
 
@@ -49,37 +59,42 @@ val event_of_instance : t -> int -> int * int
 val initial_instances : t -> int list
 (** The instances of [I_u]: those with no in-arcs, ascending. *)
 
-(** {1 Views}
+(** {1 Slices}
 
-    Arrays built once per unfolding and shared (do not mutate them).
-    They are what keeps the O(b^2 m) algorithm's constant factor
-    small. *)
-
-val in_adjacency : t -> int array * int array * int array
-(** [(starts, srcs, arc_ids)] in CSR form: the in-arcs of instance [v]
-    are the entries [starts.(v) .. starts.(v+1) - 1]; each carries the
-    id of the Signal-Graph arc it instantiates.  Slice order is fixed:
-    enumerate the arc instances arc id ascending, then period
-    ascending, and sort them stably by source; the in-slices list that
-    sequence's entries stably by destination.  Longest-path ties are
+    Instance [v]'s in-slice lists its in-arcs as [(source, arc id)]
+    pairs, its out-slice its out-arcs as [(destination, arc id)].
+    Slice order is fixed: an out-slice lists its arcs arc id ascending
+    (an arc has at most one instance per source); an in-slice lists
+    them by source id, then arc id — the order of enumerating the arc
+    instances arc id ascending, then period ascending, sorted stably by
+    source and then stably by destination.  Longest-path ties are
     broken in this order, so it is part of every report's bytes. *)
 
-val out_adjacency : t -> int array * int array * int array
-(** Same, for out-arcs: [(starts, dsts, arc_ids)]; a source's slice
-    lists its arcs in the enumeration order above. *)
+val iter_in : t -> int -> (int -> int -> unit) -> unit
+(** [iter_in u v f] calls [f src arc] over [v]'s in-slice, in order. *)
 
-val topological_order : t -> int array
-(** A topological order of the instances.  For {!make} it is the
-    canonical order of {!Tsg_graph.Topo.sort} (smallest available id
-    first); a {!patch}ed unfolding may carry another valid order. *)
+val iter_out : t -> int -> (int -> int -> unit) -> unit
+(** [iter_out u v f] calls [f dst arc] over [v]'s out-slice, in order. *)
 
-val topo_position : t -> int array
-(** The inverse permutation of {!topological_order}:
-    [topo_position u.(v)] is the index of instance [v] in the order.
-    An instance can only reach instances at strictly larger positions,
-    which is what lets a [g]-initiated simulation skip the whole
-    prefix before [g]'s position (the windowed kernel of
-    {!Timing_sim}). *)
+val iter_arc_instances : t -> int -> (int -> int -> unit) -> unit
+(** [iter_arc_instances u a f] calls [f src dst] for every unfolding
+    arc that instantiates Signal-Graph arc [a], period ascending. *)
+
+val iter_topological : t -> (int -> unit) -> unit
+(** Every instance in the canonical topological order of
+    {!Tsg_graph.Topo.sort} (smallest available id first).  That order
+    is period-major: period 0's order, then period 1's order once per
+    later period, shifted by [r] ids a period (the argument is in
+    [unfolding.ml]). *)
+
+val topo_position : t -> int -> int
+(** [topo_position u v] is the index of instance [v] in the order of
+    {!iter_topological}.  An instance can only reach instances at
+    strictly larger positions, which is what lets a [g]-initiated
+    simulation skip the whole prefix before [g]'s position (the
+    windowed kernel of {!Timing_sim}).  Positions share the period
+    layout of ids: period [p] occupies positions
+    [period_base u p ..] as it occupies those ids. *)
 
 val delays : t -> float array
 (** Delay per Signal-Graph arc id. *)
@@ -89,16 +104,52 @@ val warm_caches : t -> unit
     for source compatibility with callers written when the views were
     lazy. *)
 
+(** {1 Periodic views}
+
+    What the hot kernels read: they walk the periods in order, each
+    period's instances in {!period_order}, and read the instance's row
+    of the period's template, adding the template's id shift.  Rows
+    are indexed by the {e period-local} index: the event id in period
+    0, the rank among the repetitive events after, so instance
+    [period_base u p + li] owns row [li].  Do not mutate the arrays. *)
+
+type slices = private {
+  starts : int array;  (** row [li] is [starts.(li) .. starts.(li+1) - 1] *)
+  ids : int array;  (** neighbour instance ids, as in period [home] *)
+  arcs : int array;  (** the Signal-Graph arc each entry instantiates *)
+  home : int;
+}
+
+val period_base : t -> int -> int
+(** The id (and topological position) of period [p]'s first instance. *)
+
+val period_order : t -> int -> int array
+(** Period [p]'s instances in canonical topological order, as
+    period-local indices.  Every [p >= 1] shares one array. *)
+
+val in_slices : t -> int -> slices
+(** The in-slice template of period [p]. *)
+
+val out_slices : t -> int -> slices
+(** The out-slice template of period [p]. *)
+
+val shift : t -> slices -> int -> int
+(** [shift u s p]: what to add to [s]'s ids to read them in period
+    [p]. *)
+
+val split : t -> int -> int * int
+(** [split u x] is the period of an instance id, or of a topological
+    position, and its offset within the period (the period-local index
+    of an id, the index into {!period_order} of a position). *)
+
 (** {1 Structural patching}
 
     Instance ids depend only on the event set, the event classes and
     the period count — never on the arc table.  An arc-level edit
     (add, remove, marking or disengageability flip) therefore keeps
-    every instance id stable, and the unfolding can be {e patched} in
-    place of a full re-unfold: rebuild the CSR adjacency views from
-    the edited arc table with {!make}'s own construction, and repair
-    the topological order only inside the position window disturbed
-    by the spliced arcs. *)
+    every instance id stable, and the unfolding can be {e patched}:
+    the edited graph's own [O(events + arcs)] build, plus the diff of
+    the instance sets a warm re-analysis seeds from. *)
 
 type patch_delta = {
   pd_spliced : (int * int) array;
@@ -115,20 +166,15 @@ val patch :
   Signal_graph.t ->
   arc_map:int array ->
   t * patch_delta
-(** [patch u g' ~arc_map] is a fresh unfolding of [g'] over the same
+(** [patch u g' ~arc_map] is an unfolding of [g'] over the same
     periods and instance space as [u], plus the instance-level diff.
     [arc_map.(a)] is the arc id of base arc [a] in [g'], or [-1] if it
     was removed; mapped arcs must keep their endpoints (delay, marking
     and disengageability may change), surviving ids must be assigned
     in increasing order, and [g']'s remaining arcs are treated as
-    additions.  The patched CSR views are bit-identical to those of a
-    cold [make g'] (one construction builds both, which also pins
-    longest-path tie-breaking); the topological order is the base
-    order when no spliced arc runs backwards against it, repaired by a
-    bounded local re-rank otherwise, and in either case a valid order
-    of the patched dag.  The base unfolding is not mutated; the two
-    share the base topo arrays when reuse is possible (both treat them
-    as read-only).
+    additions.  The patched unfolding is the one [make g'] builds:
+    same slices (which pins longest-path tie-breaking), same canonical
+    order.  The base unfolding is not mutated.
     @raise Invalid_argument if [g'] changes the event set or classes,
     or [arc_map] is inconsistent with the two arc tables. *)
 

@@ -28,11 +28,6 @@ type t = {
      k of width w holds root (k * lanes + r)'s time of instance v at
      [v * w + r], [neg_infinity] where the root never reached v *)
   base_blocks : float array array;
-  (* unfolding instantiations of each Signal-Graph arc, grouped by arc
-     id as parallel (src instance, dst instance) arrays — the seed set
-     of the dirty propagation *)
-  arc_inst_srcs : int array array;
-  arc_inst_dsts : int array array;
 }
 
 let signal_graph t = t.g
@@ -99,23 +94,6 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
     Cycle_time.Internal.finish ~deadline g u ~border ~periods
       ~traces:(Array.to_list base_traces)
   in
-  (* group the unfolding's arcs by the Signal-Graph arc they instantiate *)
-  let starts, dsts, arc_ids = Unfolding.out_adjacency u in
-  let m = Signal_graph.arc_count g in
-  let counts = Array.make m 0 in
-  Array.iter (fun a -> counts.(a) <- counts.(a) + 1) arc_ids;
-  let arc_inst_srcs = Array.init m (fun a -> Array.make counts.(a) 0) in
-  let arc_inst_dsts = Array.init m (fun a -> Array.make counts.(a) 0) in
-  let fill = Array.make m 0 in
-  for v = 0 to n - 1 do
-    for j = starts.(v) to starts.(v + 1) - 1 do
-      let a = arc_ids.(j) in
-      let k = fill.(a) in
-      arc_inst_srcs.(a).(k) <- v;
-      arc_inst_dsts.(a).(k) <- dsts.(j);
-      fill.(a) <- k + 1
-    done
-  done;
   {
     g;
     digest = Signal_graph.digest g;
@@ -128,8 +106,6 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
     base_traces;
     base_delays = Array.copy (Unfolding.delays u);
     base_blocks;
-    arc_inst_srcs;
-    arc_inst_dsts;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -300,7 +276,7 @@ type scratch = {
   mutable s_epoch : int;
   s_stamp : int array;  (* instance -> epoch its repaired row belongs to *)
   s_row : int array;  (* instance -> row in [s_rows], valid where stamped *)
-  s_dirty : int array;  (* topo position -> epoch it was marked dirty *)
+  s_dirty : int array;  (* instance -> epoch it was marked dirty *)
   mutable s_rows : float array;  (* repaired rows, [row * width + lane] *)
 }
 
@@ -314,24 +290,32 @@ let scratch t =
     s_rows = Array.make (64 * lanes) 0.;
   }
 
-(* dst.(o + r) <- max dst.(o + r) (src.(so + r) + d) for every lane r;
-   a function of its own so the lane loop keeps its operands in
-   registers *)
-let relax (dst : float array) o (src : float array) so d w =
+(* dst.(o + r) <- max dst.(o + r) (src.(so + r) + d) for every lane r,
+   with [d] the delay of arc [a]; functions of their own so the lane
+   loop keeps its operands in registers (and [d] unboxed) *)
+let relax (dst : float array) o (src : float array) so (delays : float array) a w =
+  let d = Array.unsafe_get delays a in
   for r = 0 to w - 1 do
     let c = Array.unsafe_get src (so + r) +. d in
     if c > Array.unsafe_get dst (o + r) then Array.unsafe_set dst (o + r) c
   done
 
+(* the first in-arc's sums seed the row: the same values a max
+   against [neg_infinity] would give *)
+let seed (dst : float array) o (src : float array) so (delays : float array) a w =
+  let d = Array.unsafe_get delays a in
+  for r = 0 to w - 1 do
+    Array.unsafe_set dst (o + r) (Array.unsafe_get src (so + r) +. d)
+  done
+
 (* repair block [blk] over the dag [u] with per-arc [delays];
-   afterwards {!repaired_times} reads the block's times *)
+   afterwards {!repaired_times} reads the block's times.  The scan
+   walks the periods from the smallest dirty position, each through
+   its canonical order, and reads the period's slice templates plus
+   their id shifts, as the cold kernel does. *)
 let repair ~deadline t sc ~u ~delays ~seeds blk =
   let w = block_width t blk in
   let base = t.base_blocks.(blk) in
-  let topo = Unfolding.topological_order u in
-  let pos = Unfolding.topo_position u in
-  let in_starts, in_srcs, in_arcs = Unfolding.in_adjacency u in
-  let out_starts, out_dsts, _ = Unfolding.out_adjacency u in
   sc.s_epoch <- sc.s_epoch + 1;
   let epoch = sc.s_epoch in
   let stamp = sc.s_stamp and row = sc.s_row and dirty = sc.s_dirty in
@@ -341,68 +325,81 @@ let repair ~deadline t sc ~u ~delays ~seeds blk =
   let lo = ref max_int in
   Array.iter
     (fun (_, d) ->
-      let p = pos.(d) in
-      if dirty.(p) <> epoch then begin
-        dirty.(p) <- epoch;
+      if dirty.(d) <> epoch then begin
+        dirty.(d) <- epoch;
         incr pending;
-        if p < !lo then lo := p
+        lo := min !lo (Unfolding.topo_position u d)
       end)
     seeds;
-  (* The indices below are structurally in-bounds (CSR arrays and
-     permutations built by Unfolding over [0, n), rows of width [w]),
-     so the hot loop reads unchecked. *)
-  let steps = ref 0 in
-  let k = ref !lo in
+  (* The indices below are structurally in-bounds (templates and
+     orders built by Unfolding over [0, n), rows of width [w]), so the
+     hot loop reads unchecked. *)
+  let steps = ref 0 and scanned = ref 0 in
+  let p0, k0 = if !pending > 0 then Unfolding.split u !lo else (0, 0) in
+  let p = ref p0 and k = ref k0 in
   while !pending > 0 do
-    if !k land 8191 = 0 then Tsg_engine.Deadline.check deadline;
-    (if Array.unsafe_get dirty !k = epoch then begin
-       decr pending;
-       incr steps;
-       let v = Array.unsafe_get topo !k in
-       (* recompute v straight into the next free row, which is kept
-          only if it differs from the base row *)
-       if (!rows_used + 1) * w > Array.length sc.s_rows then begin
-         let grown = Array.make (2 * Array.length sc.s_rows) 0. in
-         Array.blit sc.s_rows 0 grown 0 (!rows_used * w);
-         sc.s_rows <- grown
-       end;
-       let rows = sc.s_rows and o = !rows_used * w in
-       for r = 0 to w - 1 do
-         Array.unsafe_set rows (o + r) neg_infinity
-       done;
-       for j = Array.unsafe_get in_starts v to Array.unsafe_get in_starts (v + 1) - 1 do
-         let s = Array.unsafe_get in_srcs j in
-         let d = Array.unsafe_get delays (Array.unsafe_get in_arcs j) in
-         if Array.unsafe_get stamp s = epoch then
-           relax rows o rows (Array.unsafe_get row s * w) d w
-         else relax rows o base (s * w) d w
-       done;
-       (* a root (a period-0 instance, id < event count) is anchored
-          at time 0 in its own lane *)
-       if v < n_events then
-         for r = 0 to w - 1 do
-           if t.roots.((blk * lanes) + r) = v then Array.unsafe_set rows (o + r) 0.
-         done;
-       let changed = ref false in
-       for r = 0 to w - 1 do
-         if Array.unsafe_get rows (o + r) <> Array.unsafe_get base ((v * w) + r) then
-           changed := true
-       done;
-       if !changed then begin
-         Array.unsafe_set stamp v epoch;
-         Array.unsafe_set row v !rows_used;
-         incr rows_used;
-         let j1 = Array.unsafe_get out_starts (v + 1) - 1 in
-         for j = Array.unsafe_get out_starts v to j1 do
-           let p = Array.unsafe_get pos (Array.unsafe_get out_dsts j) in
-           if Array.unsafe_get dirty p <> epoch then begin
-             Array.unsafe_set dirty p epoch;
-             incr pending
-           end
-         done
-       end
-     end);
-    incr k
+    let order = Unfolding.period_order u !p and vbase = Unfolding.period_base u !p in
+    let ins = Unfolding.in_slices u !p and outs = Unfolding.out_slices u !p in
+    let in_shift = Unfolding.shift u ins !p and out_shift = Unfolding.shift u outs !p in
+    let in_starts = ins.Unfolding.starts and in_srcs = ins.Unfolding.ids in
+    let in_arcs = ins.Unfolding.arcs in
+    let out_starts = outs.Unfolding.starts and out_dsts = outs.Unfolding.ids in
+    while !pending > 0 && !k < Array.length order do
+      if !scanned land 8191 = 0 then Tsg_engine.Deadline.check deadline;
+      incr scanned;
+      let li = Array.unsafe_get order !k in
+      let v = vbase + li in
+      if Array.unsafe_get dirty v = epoch then begin
+        decr pending;
+        incr steps;
+        (* recompute v straight into the next free row, which is kept
+           only if it differs from the base row *)
+        if (!rows_used + 1) * w > Array.length sc.s_rows then begin
+          let grown = Array.make (2 * Array.length sc.s_rows) 0. in
+          Array.blit sc.s_rows 0 grown 0 (!rows_used * w);
+          sc.s_rows <- grown
+        end;
+        let rows = sc.s_rows and o = !rows_used * w in
+        let j0 = Array.unsafe_get in_starts li and j1 = Array.unsafe_get in_starts (li + 1) in
+        if j0 = j1 then
+          for r = 0 to w - 1 do
+            Array.unsafe_set rows (o + r) neg_infinity
+          done;
+        for j = j0 to j1 - 1 do
+          let s = Array.unsafe_get in_srcs j + in_shift in
+          let a = Array.unsafe_get in_arcs j in
+          let src = if Array.unsafe_get stamp s = epoch then rows else base in
+          let so = if src == rows then Array.unsafe_get row s * w else s * w in
+          if j = j0 then seed rows o src so delays a w else relax rows o src so delays a w
+        done;
+        (* a root (a period-0 instance, id < event count) is anchored
+           at time 0 in its own lane *)
+        if v < n_events then
+          for r = 0 to w - 1 do
+            if t.roots.((blk * lanes) + r) = v then Array.unsafe_set rows (o + r) 0.
+          done;
+        let changed = ref false in
+        for r = 0 to w - 1 do
+          if Array.unsafe_get rows (o + r) <> Array.unsafe_get base ((v * w) + r) then
+            changed := true
+        done;
+        if !changed then begin
+          Array.unsafe_set stamp v epoch;
+          Array.unsafe_set row v !rows_used;
+          incr rows_used;
+          for j = Array.unsafe_get out_starts li to Array.unsafe_get out_starts (li + 1) - 1 do
+            let x = Array.unsafe_get out_dsts j + out_shift in
+            if Array.unsafe_get dirty x <> epoch then begin
+              Array.unsafe_set dirty x epoch;
+              incr pending
+            end
+          done
+        end
+      end;
+      incr k
+    done;
+    incr p;
+    k := 0
   done;
   Tsg_engine.Metrics.incr ~by:!steps "whatif/instances_repaired"
 
@@ -483,12 +480,12 @@ let warm ~deadline sc t ~u ~delays ~seeds finish =
   Tsg_engine.Metrics.incr ~by:resimulated "whatif/resimulated";
   (finish (Array.to_list traces), { reused; resimulated; path = Warm })
 
-(* the (src, dst) instance pairs of base arcs [arcs] *)
+(* the (src, dst) instance pairs of base arcs [arcs], enumerated from
+   each arc and the period count *)
 let arc_instances t arcs =
-  Array.concat
-    (List.map
-       (fun a -> Array.map2 (fun s d -> (s, d)) t.arc_inst_srcs.(a) t.arc_inst_dsts.(a))
-       arcs)
+  let acc = ref [] in
+  List.iter (fun a -> Unfolding.iter_arc_instances t.u a (fun s d -> acc := (s, d) :: !acc)) arcs;
+  Array.of_list (List.rev !acc)
 
 let warm_delay ~deadline sc t ~delays ~changed g' =
   warm ~deadline sc t ~u:t.u ~delays ~seeds:(arc_instances t changed) (fun traces ->

@@ -27,9 +27,8 @@
     {b Structural edits} (arc add/remove, marking flips) are warm too
     ({!change}): instance ids depend only on the event set, classes and
     period count, so the unfolding is {e patched} in place
-    ({!Unfolding.patch}) — the instance DAG is rebuilt by the same
-    construction loop (bit-identical CSR views), the topological order
-    is repaired only inside the window disturbed by spliced arcs, and
+    ({!Unfolding.patch}) — the edited graph's own [O(events + arcs)]
+    unfolding, with the slices and canonical order a cold one has — and
     the same repair covers times {e and reachability} at once (an
     unreached instance carries [neg_infinity], which no sum lifts),
     seeded at the spliced, dropped and delay-edited arc instances

@@ -48,10 +48,8 @@ module Int_heap = struct
   let is_empty h = h.size = 0
 end
 
-(* the one Kahn loop behind both entry points, over the vertices
-   [0 .. n-1] and their successors [iter_succ v f]: the order, or
-   [None] when a cycle leaves some vertex unemitted *)
-let kahn ~check n iter_succ =
+(* the one Kahn loop behind both entry points *)
+let sort_succ ~check n iter_succ =
   let in_deg = Array.make n 0 in
   let count w = in_deg.(w) <- in_deg.(w) + 1 in
   for v = 0 to n - 1 do
@@ -76,15 +74,9 @@ let kahn ~check n iter_succ =
   done;
   if !emitted = n then Some order else None
 
-let sort_csr ~check ~starts ~targets =
-  kahn ~check (Array.length starts - 1) (fun v f ->
-      for j = starts.(v) to starts.(v + 1) - 1 do
-        f targets.(j)
-      done)
-
 let sort g =
   let n = Digraph.vertex_count g in
-  match kahn ~check:ignore n (fun v f -> Digraph.iter_out g v (fun w _ -> f w)) with
+  match sort_succ ~check:ignore n (fun v f -> Digraph.iter_out g v (fun w _ -> f w)) with
   | Some order -> Ok (Array.to_list order)
   | None ->
     (* every vertex never emitted has residual in-degree > 0: it lies on

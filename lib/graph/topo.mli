@@ -7,15 +7,16 @@ val sort : 'a Digraph.t -> (int list, int list) result
     on cycles (in increasing id order) otherwise.  Kahn's algorithm;
     ties are broken by smallest vertex id, so the order is canonical. *)
 
-val sort_csr : check:(unit -> unit) -> starts:int array -> targets:int array -> int array option
-(** {!sort} over a graph in compressed sparse row form: the out-arcs
-    of vertex [v] go to [targets.(starts.(v)) .. targets.(starts.(v+1) - 1)],
-    over the vertices [0 .. Array.length starts - 2].  [Some order]
-    is the same canonical order {!sort} yields for the same arcs (the
-    order does not depend on how a vertex's arcs are ordered), [None]
-    when the graph has a cycle.  [check] is called once per 8192
-    emitted vertices, so a caller can abort a long sort by raising
-    from it (a deadline check, say; [ignore] otherwise). *)
+val sort_succ : check:(unit -> unit) -> int -> (int -> (int -> unit) -> unit) -> int array option
+(** [sort_succ ~check n iter_succ] is {!sort} over the vertices
+    [0 .. n-1] whose out-arcs [iter_succ v f] hands to [f] one
+    successor at a time, for a caller that keeps its arcs in its own
+    arrays.  [Some order] is the same canonical order {!sort} yields
+    for the same arcs (the order does not depend on the order in which
+    a vertex's successors are handed over), [None] when the graph has
+    a cycle.  [check] is called once per 8192 emitted vertices, so a
+    caller can abort a long sort by raising from it (a deadline check,
+    say; [ignore] otherwise). *)
 
 val is_dag : 'a Digraph.t -> bool
 (** [true] iff the graph has no directed cycle. *)

@@ -15,6 +15,11 @@ let builtin = function
     (* synthetic bench workload: big enough that the simulate phase
        dominates and kernel-level wins show above timer noise *)
     Some (Tsg_circuit.Generators.random_live_tsg ~seed:7 ~events:120 ~extra_arcs:240 ())
+  | "muller-128" ->
+    (* the paper's worst case: a Muller ring's border holds nearly
+       every event (b = 127 here), so its b simulations each scan
+       b periods of the whole ring *)
+    Some (Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:128 ())
   | "gen-10k" ->
     (* scaling workloads: tens/hundreds of thousands of unfolding
        instances but a fixed, small border (the segment-token count),

@@ -2,7 +2,7 @@ open Tsg
 
 (* Golden wire bytes.  The MD5 of every response below was recorded
    from the digraph-based unfolding build; any construction of the
-   unfolding must reproduce it.  CSR slice order decides longest-path
+   unfolding must reproduce it.  Slice order decides longest-path
    tie-breaking, and so the critical cycles and traces in a report:
    a change in construction order shows up here as a changed digest,
    even where the cycle time stays the same. *)

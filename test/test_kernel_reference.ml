@@ -16,29 +16,22 @@ let ref_longest_paths u ~roots ~restrict =
   let pred_arc = Array.make n (-1) in
   let is_root = Array.make n false in
   List.iter (fun v -> is_root.(v) <- true) roots;
-  let topo = Unfolding.topological_order u in
-  let starts, srcs, arc_ids = Unfolding.in_adjacency u in
   let delays = Unfolding.delays u in
-  for k = 0 to Array.length topo - 1 do
-    let v = topo.(k) in
-    if restrict.(v) && not is_root.(v) then
-      for j = starts.(v) to starts.(v + 1) - 1 do
-        let src = srcs.(j) in
-        if restrict.(src) then begin
-          let d = time.(src) +. delays.(arc_ids.(j)) in
-          if pred_instance.(v) < 0 || d > time.(v) then begin
-            time.(v) <- d;
-            pred_instance.(v) <- src;
-            pred_arc.(v) <- arc_ids.(j)
-          end
-        end
-      done
-  done;
+  Unfolding.iter_topological u (fun v ->
+      if restrict.(v) && not is_root.(v) then
+        Unfolding.iter_in u v (fun src aid ->
+            if restrict.(src) then begin
+              let d = time.(src) +. delays.(aid) in
+              if pred_instance.(v) < 0 || d > time.(v) then begin
+                time.(v) <- d;
+                pred_instance.(v) <- src;
+                pred_arc.(v) <- aid
+              end
+            end));
   (time, pred_instance, pred_arc, restrict)
 
 let ref_reachable_from u at =
   let n = Unfolding.instance_count u in
-  let starts, dsts, _ = Unfolding.out_adjacency u in
   let seen = Array.make n false in
   let stack = Array.make n 0 in
   let top = ref 0 in
@@ -48,14 +41,12 @@ let ref_reachable_from u at =
   while !top > 0 do
     decr top;
     let v = stack.(!top) in
-    for j = starts.(v) to starts.(v + 1) - 1 do
-      let w = dsts.(j) in
-      if not seen.(w) then begin
-        seen.(w) <- true;
-        stack.(!top) <- w;
-        incr top
-      end
-    done
+    Unfolding.iter_out u v (fun w _ ->
+        if not seen.(w) then begin
+          seen.(w) <- true;
+          stack.(!top) <- w;
+          incr top
+        end)
   done;
   seen
 
@@ -165,10 +156,18 @@ let sims_agree g =
   List.iter
     (fun g0 ->
       let at = Unfolding.instance u ~event:g0 ~period:0 in
+      let sim = Timing_sim.simulate_initiated u ~at in
       check_same_result
         (Printf.sprintf "initiated at instance %d" at)
-        (ref_simulate_initiated u ~at)
-        (Timing_sim.simulate_initiated u ~at))
+        (ref_simulate_initiated u ~at) sim;
+      (* the in-arena backtrack walks the same predecessors *)
+      for period = 0 to b do
+        let instance = Unfolding.instance u ~event:g0 ~period in
+        Alcotest.(check (list (pair int (option int))))
+          (Printf.sprintf "backtrack from %d to %d" at instance)
+          (Timing_sim.critical_path u sim ~instance)
+          (Timing_sim.backtrack u ~at ~instance)
+      done)
     (Cut_set.border g);
   true
 

@@ -110,8 +110,9 @@ let test_critical_path_backtracking () =
   (* the path must start at a source and its delays must sum to t *)
   (match path with
   | (root, None) :: _ ->
-    let starts, _, _ = Unfolding.in_adjacency u in
-    Alcotest.(check int) "root has no in-constraint" 0 (starts.(root + 1) - starts.(root))
+    let degree = ref 0 in
+    Unfolding.iter_in u root (fun _ _ -> incr degree);
+    Alcotest.(check int) "root has no in-constraint" 0 !degree
   | _ -> Alcotest.fail "path must start with a root");
   let total =
     List.fold_left
@@ -251,6 +252,43 @@ let test_arena_retained_capacity () =
       Alcotest.(check bool) "trimmed after release" true
         (Timing_sim.Workspace.capacity ws <= Timing_sim.Workspace.retained_capacity))
 
+let raises_invalid msg f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no Invalid_argument" msg
+  | exception Invalid_argument _ -> ()
+
+(* the kernel reads the arena, the templates and [delays] unchecked,
+   so its entry points check what a caller hands them *)
+let test_rejects_bad_arguments () =
+  let g = fig1 () in
+  (* a larger unfolding first, so the domain's arena is longer than
+     [u] and an id past [u]'s end would not trip an array bound *)
+  ignore (Timing_sim.simulate (Unfolding.make g ~periods:6));
+  let u = Unfolding.make g ~periods:2 in
+  let n = Unfolding.instance_count u in
+  List.iter
+    (fun at ->
+      raises_invalid (Printf.sprintf "at %d" at) (fun () ->
+          Timing_sim.simulate_initiated u ~at);
+      raises_invalid (Printf.sprintf "backtrack at %d" at) (fun () ->
+          Timing_sim.backtrack u ~at ~instance:0);
+      raises_invalid (Printf.sprintf "simulate_many root %d" at) (fun () ->
+          Timing_sim.simulate_many u ~roots:[| at |] ~f:(fun _ _ -> ())))
+    [ n; n + 3; -1 ];
+  List.iter
+    (fun instance ->
+      raises_invalid (Printf.sprintf "backtrack to %d" instance) (fun () ->
+          Timing_sim.backtrack u ~at:0 ~instance))
+    [ n; -1 ];
+  let m = Signal_graph.arc_count g in
+  raises_invalid "short delays" (fun () ->
+      Timing_sim.simulate_initiated ~delays:(Array.make (m - 1) 1.) u ~at:0);
+  raises_invalid "short delays (backtrack)" (fun () ->
+      Timing_sim.backtrack ~delays:[||] u ~at:0 ~instance:1);
+  (* the boundaries themselves are accepted *)
+  ignore (Timing_sim.simulate_initiated ~delays:(Array.make m 1.) u ~at:(n - 1));
+  ignore (Timing_sim.backtrack u ~at:0 ~instance:(n - 1))
+
 let suite =
   [
     Alcotest.test_case "Example 3 (timing simulation table)" `Quick test_example3_table;
@@ -274,4 +312,6 @@ let suite =
     prop_triangular_inequality;
     prop_times_monotone;
     prop_initiated_below_full;
+    Alcotest.test_case "entry points reject bad roots, instances and delays" `Quick
+      test_rejects_bad_arguments;
   ]

@@ -1,21 +1,15 @@
 open Tsg_graph
 
-(* the CSR entry point on the same arcs: it shares the Kahn loop, so it
-   must give the same order, and [None] exactly when [sort] errs *)
-let csr_sort g =
-  let n = Digraph.vertex_count g in
-  let starts = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    starts.(v + 1) <- starts.(v) + Digraph.out_degree g v
-  done;
-  let targets = Array.of_list (List.concat_map (Digraph.succ g) (List.init n Fun.id)) in
-  Topo.sort_csr ~check:ignore ~starts ~targets
-
+(* the successor-iterator entry point on the same arcs: it shares the
+   Kahn loop, so it must give the same order, and [None] exactly when
+   [sort] errs *)
 let check_sort msg expected g =
   Alcotest.(check (result (list int) (list int))) msg expected (Topo.sort g);
   Alcotest.(check (option (list int)))
-    (msg ^ " (CSR)") (Result.to_option expected)
-    (Option.map Array.to_list (csr_sort g))
+    (msg ^ " (sort_succ)") (Result.to_option expected)
+    (Option.map Array.to_list
+       (Topo.sort_succ ~check:ignore (Digraph.vertex_count g) (fun v f ->
+            List.iter f (Digraph.succ g v))))
 
 let test_sort_dag () =
   let g = Digraph.of_arcs ~n:4 [ (0, 1, ()); (0, 2, ()); (1, 3, ()); (2, 3, ()) ] in

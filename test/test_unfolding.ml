@@ -2,22 +2,25 @@ open Tsg
 
 let fig1 () = Tsg_circuit.Circuit_library.fig1_tsg ()
 
-(* [f src dst arc] over every unfolding arc, read off the out-CSR *)
+(* [f src dst arc] over every unfolding arc, read off the out-slices *)
 let iter_arcs u f =
-  let starts, dsts, aids = Unfolding.out_adjacency u in
   for v = 0 to Unfolding.instance_count u - 1 do
-    for j = starts.(v) to starts.(v + 1) - 1 do
-      f v dsts.(j) aids.(j)
-    done
+    Unfolding.iter_out u v (fun dst aid -> f v dst aid)
   done
 
 let arc_count u =
-  let starts, _, _ = Unfolding.out_adjacency u in
-  starts.(Unfolding.instance_count u)
+  let n = ref 0 in
+  iter_arcs u (fun _ _ _ -> incr n);
+  !n
 
 let check_arcs_go_forward msg u =
   let pos = Unfolding.topo_position u in
-  iter_arcs u (fun src dst _ -> Alcotest.(check bool) msg true (pos.(src) < pos.(dst)))
+  iter_arcs u (fun src dst _ -> Alcotest.(check bool) msg true (pos src < pos dst))
+
+let topological_order u =
+  let acc = ref [] in
+  Unfolding.iter_topological u (fun v -> acc := v :: !acc);
+  List.rev !acc
 
 let test_instance_layout () =
   let g = fig1 () in
@@ -82,11 +85,8 @@ let test_disengageable_once () =
   let e0 = Unfolding.instance u ~event:e ~period:0 in
   let count_arcs_to period =
     let target = Unfolding.instance u ~event:a ~period in
-    let starts, srcs, _ = Unfolding.in_adjacency u in
     let n = ref 0 in
-    for j = starts.(target) to starts.(target + 1) - 1 do
-      if srcs.(j) = e0 then incr n
-    done;
+    Unfolding.iter_in u target (fun src _ -> if src = e0 then incr n);
     !n
   in
   Alcotest.(check int) "constrains a+ period 0" 1 (count_arcs_to 0);
@@ -159,11 +159,13 @@ let reference_dag u =
     (Signal_graph.arcs g);
   dag
 
-let slice (starts, nbrs, aids) v =
-  List.init (starts.(v + 1) - starts.(v)) (fun k ->
-      (nbrs.(starts.(v) + k), aids.(starts.(v) + k)))
+let slice iter u v =
+  let acc = ref [] in
+  iter u v (fun nbr aid -> acc := (nbr, aid) :: !acc);
+  List.rev !acc
 
 let check_csr_matches_reference name g ~periods =
+  let name = Printf.sprintf "%s, %d periods" name periods in
   let u = Unfolding.make g ~periods in
   let dag = reference_dag u in
   let arcs = ref [] in
@@ -173,48 +175,125 @@ let check_csr_matches_reference name g ~periods =
     (* out-slices: a source's arcs in enumeration order *)
     Alcotest.(check (list (pair int int)))
       (name ^ ": out-slice") (Tsg_graph.Digraph.out_arcs dag v)
-      (slice (Unfolding.out_adjacency u) v);
+      (slice Unfolding.iter_out u v);
     (* in-slices: the source-sorted sequence, stably by destination *)
     Alcotest.(check (list (pair int int)))
       (name ^ ": in-slice")
       (List.filter_map (fun (s, d, a) -> if d = v then Some (s, a) else None) arcs)
-      (slice (Unfolding.in_adjacency u) v)
+      (slice Unfolding.iter_in u v)
   done;
   Alcotest.(check (list int))
+    (name ^ ": I_u")
+    (List.filter
+       (fun v -> Tsg_graph.Digraph.in_arcs dag v = [])
+       (List.init (Unfolding.instance_count u) Fun.id))
+    (Unfolding.initial_instances u);
+  (* the period-major order (unfolding.ml) is the canonical one *)
+  let order = topological_order u in
+  Alcotest.(check (list int))
     (name ^ ": canonical topological order")
-    (Tsg_graph.Topo.sort_exn dag)
-    (Array.to_list (Unfolding.topological_order u))
+    (Tsg_graph.Topo.sort_exn dag) order;
+  List.iteri
+    (fun k v -> Alcotest.(check int) (name ^ ": topo_position") k (Unfolding.topo_position u v))
+    order
+
+(* the horizons that exercise every template: one period (period 0
+   alone), two (no steady state), three (one steady period, also the
+   last) and the analysis horizon b + 1 *)
+let check_horizons name g =
+  let b = List.length (Cut_set.border g) in
+  List.iter (fun periods -> check_csr_matches_reference name g ~periods) [ 1; 2; 3; b + 1 ]
 
 let test_csr_matches_digraph () =
-  check_csr_matches_reference "muller ring" ~periods:5
-    (Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:4 ());
+  check_horizons "muller ring" (Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:4 ());
   (* initial event, non-repetitive event, disengageable arc *)
-  check_csr_matches_reference "fig1" ~periods:4 (fig1 ());
-  check_csr_matches_reference "segmented" ~periods:4
+  check_horizons "fig1" (fig1 ());
+  check_horizons "segmented"
     (Tsg_circuit.Generators.segmented_live_tsg ~seed:2 ~events:60 ~tokens:3 ~extra_arcs:90
        ())
+
+(* [g] plus an initial event [i] and a non-repetitive event [n] wired
+   into it: i -> n and the disengageable n -> x and i -> y (the
+   builder rejects a marked disengageable arc: it constrains nothing).
+   [front] puts the two before [g]'s events, shifting every
+   repetitive id *)
+let with_prologue ~front ~x ~y g =
+  let b = Signal_graph.builder () in
+  let ev_i = Event.rise "pro_i" and ev_n = Event.rise "pro_n" in
+  let prologue () =
+    Signal_graph.add_event b ev_i Signal_graph.Initial;
+    Signal_graph.add_event b ev_n Signal_graph.Non_repetitive
+  in
+  if front then prologue ();
+  for e = 0 to Signal_graph.event_count g - 1 do
+    Signal_graph.add_event b (Signal_graph.event g e) (Signal_graph.class_of g e)
+  done;
+  if not front then prologue ();
+  Array.iter
+    (fun (a : Signal_graph.arc) ->
+      Signal_graph.add_arc b ~marked:a.marked ~disengageable:a.disengageable ~delay:a.delay
+        (Signal_graph.event g a.arc_src) (Signal_graph.event g a.arc_dst))
+    (Signal_graph.arcs g);
+  let rep k = Signal_graph.event g (List.nth (Signal_graph.repetitive_events g) k) in
+  let r = Signal_graph.repetitive_count g in
+  Signal_graph.add_arc b ~delay:2. ev_i ev_n;
+  Signal_graph.add_arc b ~delay:3. ev_n (rep (x mod r));
+  Signal_graph.add_arc b ~delay:1. ev_i (rep (y mod r));
+  Signal_graph.build_exn b
+
+(* the generated families as they are (every event repetitive) or
+   with the prologue *)
+let periodic_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 10_000 in
+    let* family = int_range 0 2 in
+    let* prologue = oneofl [ None; Some true; Some false ] in
+    let* x = int_range 0 50 and* y = int_range 0 50 in
+    let g =
+      match family with
+      | 0 ->
+        Tsg_circuit.Generators.random_live_tsg ~seed ~events:(4 + (seed mod 9))
+          ~extra_arcs:(seed mod 11) ()
+      | 1 ->
+        Tsg_circuit.Generators.segmented_live_tsg ~seed ~events:(4 + (seed mod 20))
+          ~tokens:(1 + (seed mod 4)) ~extra_arcs:(seed mod 30) ()
+      | _ -> Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:(3 + (seed mod 5)) ()
+    in
+    return
+      (match prologue with None -> g | Some front -> with_prologue ~front ~x ~y g))
+
+let test_periodic_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"slices and order are periodic (generated models)" ~count:90
+       ~print:Helpers.tsg_print periodic_gen (fun g ->
+         check_horizons "generated" g;
+         true))
 
 let test_topological_order_cached () =
   let g = Tsg_circuit.Circuit_library.fig1_tsg () in
   let u = Unfolding.make g ~periods:3 in
-  let o1 = Unfolding.topological_order u in
-  let o2 = Unfolding.topological_order u in
-  Alcotest.(check bool) "same array (cached)" true (o1 == o2);
+  (* built once: every period >= 1 reads one shared order *)
+  Alcotest.(check bool) "one shared order" true
+    (Unfolding.period_order u 1 == Unfolding.period_order u 2);
   (* it really is topological *)
   let pos = Array.make (Unfolding.instance_count u) 0 in
-  Array.iteri (fun i v -> pos.(v) <- i) o1;
+  List.iteri (fun i v -> pos.(v) <- i) (topological_order u);
   iter_arcs u (fun src dst _ ->
       Alcotest.(check bool) "arc goes forward" true (pos.(src) < pos.(dst)))
 
 let test_topo_position_inverse () =
   let g = Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:4 () in
   let u = Unfolding.make g ~periods:5 in
-  let order = Unfolding.topological_order u in
-  let pos = Unfolding.topo_position u in
-  Alcotest.(check bool) "same array (cached)" true (pos == Unfolding.topo_position u);
-  Array.iteri
-    (fun k v -> Alcotest.(check int) "inverse of the topological order" k pos.(v))
-    order;
+  List.iteri
+    (fun k v ->
+      Alcotest.(check int) "inverse of the topological order" k (Unfolding.topo_position u v);
+      Alcotest.(check (pair int int)) "a position splits like an id"
+        (Unfolding.split u k)
+        (let p, li = Unfolding.split u v in
+         let order = Unfolding.period_order u p in
+         let rec find i = if order.(i) = li then i else find (i + 1) in
+         (p, find 0)))
+    (topological_order u);
   (* the windowing property: nothing before an instance's position is
      reachable from it *)
   check_arcs_go_forward "arcs go to larger positions" u
@@ -224,9 +303,24 @@ let test_rejects_zero_periods () =
   Alcotest.check_raises "periods >= 1" (Invalid_argument "Unfolding.make: periods must be >= 1")
     (fun () -> ignore (Unfolding.make g ~periods:0))
 
-(* a patched unfolding's CSR views must be exactly what a fresh
-   [make] of the edited graph builds, slice order included (it decides
-   longest-path ties), whatever order its topological repair chose *)
+(* every instance's in- and out-slice *)
+let slices u =
+  List.concat_map
+    (fun v -> [ slice Unfolding.iter_in u v; slice Unfolding.iter_out u v ])
+    (List.init (Unfolding.instance_count u) Fun.id)
+
+(* every period's templates and order, as stored *)
+let templates u =
+  List.concat_map
+    (fun p ->
+      let rows (s : Unfolding.slices) = [ s.starts; s.ids; s.arcs; [| s.home |] ] in
+      rows (Unfolding.in_slices u p) @ rows (Unfolding.out_slices u p)
+      @ [ Unfolding.period_order u p ])
+    (List.init (Unfolding.periods u) Fun.id)
+
+(* a patched unfolding must be exactly what a fresh [make] of the
+   edited graph builds: every slice, in order (it decides longest-path
+   ties), and every stored template and period order *)
 let test_patch_equals_make () =
   let check_edit g ~periods ~removed ~flipped ~added =
     let arcs = Signal_graph.arcs g in
@@ -264,12 +358,10 @@ let test_patch_equals_make () =
       let u = Unfolding.make g ~periods in
       let patched, delta = Unfolding.patch u g' ~arc_map in
       let fresh = Unfolding.make g' ~periods in
-      let csr u =
-        let a, b, c = Unfolding.in_adjacency u and d, e, f = Unfolding.out_adjacency u in
-        [ a; b; c; d; e; f ]
-      in
-      Alcotest.(check (list (array int))) "patched CSRs = fresh CSRs" (csr fresh)
-        (csr patched);
+      Alcotest.(check (list (list (pair int int)))) "patched slices = fresh slices"
+        (slices fresh) (slices patched);
+      Alcotest.(check (list (array int))) "patched templates = fresh templates"
+        (templates fresh) (templates patched);
       Alcotest.(check (array (float 0.))) "delays" (Unfolding.delays fresh)
         (Unfolding.delays patched);
       check_arcs_go_forward "patched order is topological" patched;
@@ -282,15 +374,18 @@ let test_patch_equals_make () =
     (fun seed ->
       let g = Tsg_circuit.Generators.random_live_tsg ~seed ~events:24 ~extra_arcs:40 () in
       let m = Signal_graph.arc_count g and n = Signal_graph.event_count g in
-      let periods = 6 in
-      check_edit g ~periods ~removed:[ m - 1 ] ~flipped:[] ~added:[];
-      check_edit g ~periods ~removed:[ n + 3 ] ~flipped:[] ~added:[ (0, n - 1) ];
-      check_edit g ~periods ~removed:[] ~flipped:[ n + 5 ] ~added:[];
-      check_edit g ~periods ~removed:[ 1 ] ~flipped:[ n + 2; n + 7 ]
-        ~added:[ (2, n / 2); (n - 2, 1) ];
-      (* two spliced arcs into one destination: in-slice order *)
-      check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (5, n / 2); (2, n / 2) ];
-      check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (1, n - 1); (3, n - 1) ])
+      (* one period, two (no steady state), three, and six *)
+      List.iter
+        (fun periods ->
+          check_edit g ~periods ~removed:[ m - 1 ] ~flipped:[] ~added:[];
+          check_edit g ~periods ~removed:[ n + 3 ] ~flipped:[] ~added:[ (0, n - 1) ];
+          check_edit g ~periods ~removed:[] ~flipped:[ n + 5 ] ~added:[];
+          check_edit g ~periods ~removed:[ 1 ] ~flipped:[ n + 2; n + 7 ]
+            ~added:[ (2, n / 2); (n - 2, 1) ];
+          (* two spliced arcs into one destination: in-slice order *)
+          check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (5, n / 2); (2, n / 2) ];
+          check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (1, n - 1); (3, n - 1) ])
+        [ 1; 2; 3; 6 ])
     [ 1; 2; 3; 4; 5 ];
   let g = fig1 () in
   check_edit g ~periods:4 ~removed:[ 2 ] ~flipped:[] ~added:[ (0, 3) ]
@@ -310,6 +405,7 @@ let suite =
       test_initial_instances_all_marked;
     Alcotest.test_case "arc growth per period" `Quick test_arc_count_growth;
     Alcotest.test_case "CSR views agree with the digraph" `Quick test_csr_matches_digraph;
+    test_periodic_law;
     Alcotest.test_case "topological order is cached and valid" `Quick
       test_topological_order_cached;
     Alcotest.test_case "topo_position inverts the order" `Quick
