@@ -1,14 +1,17 @@
-(* Benchmark and reproduction harness.
+(* The paper-reproduction tables.
 
    Regenerates every evaluation artefact of the paper (the experiment
-   index E1-E12 of DESIGN.md) and times the algorithms with Bechamel.
+   index E1-E13 and A1-A4 of DESIGN.md), with wall-clock columns where
+   the paper makes a timing claim.  Asserts inside the tables (baseline
+   agreement, cache hits) make a wrong answer exit non-zero; E12 prints
+   MATCH or MISMATCH per extracted circuit.
 
-     dune exec bench/main.exe              # tables + timings
-     dune exec bench/main.exe -- --tables  # tables only
-     dune exec bench/main.exe -- --bench   # timings only *)
+     dune exec bench/main.exe
+
+   Per-phase analysis timings are [tsa bench]'s job; the served path
+   is timed by fleetbench. *)
 
 open Tsg
-open Bechamel
 
 let section id title =
   Fmt.pr "@.======================================================================@.";
@@ -442,146 +445,8 @@ let table_a4 () =
     "@.the envelope is computed once and answers every 'what if this delay@.\
      were x' query exactly; pointwise re-analysis pays a full run per sample.@."
 
-let all_tables () =
+let () =
   table_e1 (); table_e2 (); table_e3 (); table_e4 (); table_e5 (); table_e6 ();
   table_e7 (); table_e8 (); table_e9 (); table_e10 (); table_e11 (); table_e12 ();
   table_e13 ();
   table_a1 (); table_a2 (); table_a3 (); table_a4 ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment             *)
-
-let staged f = Staged.stage f
-
-let bench_tests =
-  let fig1_u2 = Unfolding.make fig1 ~periods:2 in
-  let fig1_b0 =
-    Unfolding.instance fig1_u2 ~event:(Signal_graph.id fig1 (Event.of_string_exn "b+")) ~period:0
-  in
-  let fig1_u8 = Unfolding.make fig1 ~periods:8 in
-  let fig1_u41 = Unfolding.make fig1 ~periods:41 in
-  let fig1_a41 =
-    Unfolding.instance fig1_u41 ~event:(Signal_graph.id fig1 (Event.of_string_exn "a+")) ~period:0
-  in
-  let ring12_2 = Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:12 ~high_stages:[ 5; 11 ] () in
-  let k6 = Tsg_circuit.Generators.complete_tsg ~events:6 () in
-  let rings =
-    List.map (fun s -> (s, Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:s ())) [ 16; 64; 128 ]
-  in
-  let hrings =
-    List.map (fun c -> (c, Tsg_circuit.Circuit_library.handshake_ring_tsg ~cells:c ())) [ 16; 64 ]
-  in
-  let fig1_netlist = Tsg_circuit.Circuit_library.fig1_netlist () in
-  [
-    Test.make ~name:"E1/simulate-fig1" (staged (fun () -> Timing_sim.simulate fig1_u2));
-    Test.make ~name:"E2/initiated-fig1"
-      (staged (fun () -> Timing_sim.simulate_initiated fig1_u2 ~at:fig1_b0));
-    Test.make ~name:"E3/diagram-fig1"
-      (staged (fun () -> Tsg_io.Timing_diagram.render fig1_u8 (Timing_sim.simulate fig1_u8)));
-    Test.make ~name:"E4/simple-cycles-fig1" (staged (fun () -> Cycles.simple_cycles fig1));
-    Test.make ~name:"E5/border-fig1" (staged (fun () -> Cut_set.border fig1));
-    Test.make ~name:"E6/analyze-fig1" (staged (fun () -> Cycle_time.analyze fig1));
-    Test.make ~name:"E7/analyze-ring5" (staged (fun () -> Cycle_time.analyze ring5));
-    Test.make ~name:"E8/initiated-40-periods"
-      (staged (fun () -> Timing_sim.simulate_initiated fig1_u41 ~at:fig1_a41));
-    Test.make ~name:"E9/analyze-stack66" (staged (fun () -> Cycle_time.analyze stack66));
-    (let cache = Tsg_engine.Cache.create ~metrics_prefix:"bench-hit" ~capacity:8 () in
-     ignore
-       (Tsg_engine.Cache.find_or_add cache (Signal_graph.digest stack66) (fun () ->
-            Cycle_time.analyze stack66));
-     Test.make ~name:"E13/cache-hit-stack66"
-       (staged (fun () ->
-            Tsg_engine.Cache.find_or_add cache (Signal_graph.digest stack66) (fun () ->
-                Cycle_time.analyze stack66))));
-  ]
-  @ List.map
-      (fun (s, g) ->
-        Test.make ~name:(Printf.sprintf "E10/tsa-ring%d" s)
-          (staged (fun () -> Cycle_time.cycle_time g)))
-      rings
-  @ List.map
-      (fun (s, g) ->
-        Test.make ~name:(Printf.sprintf "E10/karp-ring%d" s)
-          (staged (fun () -> Tsg_baselines.Karp.cycle_time g)))
-      rings
-  @ List.map
-      (fun (s, g) ->
-        Test.make ~name:(Printf.sprintf "E10/howard-ring%d" s)
-          (staged (fun () -> Tsg_baselines.Howard.cycle_time g)))
-      rings
-  @ List.map
-      (fun (s, g) ->
-        Test.make ~name:(Printf.sprintf "E10/lawler-ring%d" s)
-          (staged (fun () -> Tsg_baselines.Lawler.cycle_time g)))
-      rings
-  @ List.map
-      (fun (c, g) ->
-        Test.make ~name:(Printf.sprintf "E10/tsa-handshake%d" c)
-          (staged (fun () -> Cycle_time.cycle_time g)))
-      hrings
-  @ [
-      Test.make ~name:"E10/exhaustive-K6"
-        (staged (fun () -> Tsg_baselines.Exhaustive.cycle_time k6));
-      Test.make ~name:"E10/tsa-K6" (staged (fun () -> Cycle_time.cycle_time k6));
-      Test.make ~name:"E11/analyze-ring12-2tok"
-        (staged (fun () -> Cycle_time.analyze ring12_2));
-      Test.make ~name:"E12/extract-fig1"
-        (staged (fun () -> Tsg_extract.Traspec.extract ~check:false fig1_netlist));
-      (let stack_eps = Cycles.max_occurrence_period stack66 in
-       Test.make ~name:"A1/stack66-eps-periods"
-         (staged (fun () -> Cycle_time.cycle_time ~periods:stack_eps stack66)));
-      Test.make ~name:"A1/stack66-b-periods"
-        (staged (fun () -> Cycle_time.cycle_time stack66));
-      Test.make ~name:"A2/slack-sweep-fig1" (staged (fun () -> Slack.analyze fig1));
-      Test.make ~name:"A2/slack-sweep-ring5" (staged (fun () -> Slack.analyze ring5));
-      Test.make ~name:"A3/interval-ring5"
-        (staged (fun () -> Interval.of_relative_tolerance ring5 ~percent:10.));
-      Test.make ~name:"A3/montecarlo-ring5"
-        (staged (fun () ->
-             Monte_carlo.estimate ~runs:3 ~periods:30 ring5
-               ~sampler:(Monte_carlo.uniform_jitter ring5 ~percent:10.)));
-      (* jobs = the host's recommended domain count, not a hardcoded 4:
-         on a smaller machine a fixed 4 would oversubscribe and measure
-         scheduling noise instead of the parallel kernel *)
-      (let jobs = Tsg_engine.Pool.recommended () in
-       Test.make
-         ~name:(Printf.sprintf "parallel/stack66-jobs%d" jobs)
-         (staged (fun () -> Cycle_time.analyze ~jobs stack66)));
-    ]
-
-let run_benchmarks ~quota_s =
-  section "BENCH" "Bechamel micro-benchmarks (one per experiment)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota_s) ~kde:None () in
-  Fmt.pr "%-28s %16s %10s@." "benchmark" "time/run" "r^2";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ instance ] elt in
-          let est = Analyze.one ols instance raw in
-          let time_ns =
-            match Analyze.OLS.estimates est with Some [ t ] -> t | _ -> nan
-          in
-          let r2 = match Analyze.OLS.r_square est with Some r -> r | None -> nan in
-          let pretty_time ns =
-            if ns >= 1e9 then Printf.sprintf "%.3f s" (ns /. 1e9)
-            else if ns >= 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-            else if ns >= 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
-            else Printf.sprintf "%.1f ns" ns
-          in
-          Fmt.pr "%-28s %16s %10.4f@." (Test.Elt.name elt) (pretty_time time_ns) r2)
-        (Test.elements test))
-    bench_tests
-
-let () =
-  let argv = Array.to_list Sys.argv in
-  let has flag = List.mem flag argv in
-  let tables = (not (has "--bench")) || has "--tables" in
-  let bench = (not (has "--tables")) || has "--bench" in
-  let quota_s = if has "--quick" then 0.05 else 0.5 in
-  if tables then all_tables ();
-  if bench then run_benchmarks ~quota_s

@@ -464,16 +464,9 @@ let serve_cmd =
     let doc = "On shutdown, let in-flight requests finish for up to this many seconds." in
     Arg.(value & opt float 5. & info [ "drain-timeout" ] ~docv:"S" ~doc)
   in
-  let failpoints_arg =
-    let doc =
-      "Arm fault-injection points, e.g. 'pool/job=fail*2;cache/lookup=delay:50'. \
-       Same grammar as the TSA_FAILPOINTS environment variable; for testing only."
-    in
-    Arg.(value & opt (some string) None & info [ "failpoints" ] ~docv:"SPEC" ~doc)
-  in
   let run socket tcp cache_size cache_dir disk_cache_size shard jobs trace_dir
       max_connections max_sweep max_request_bytes read_timeout write_timeout
-      drain_timeout failpoints =
+      drain_timeout =
     let endpoint = resolve_serve_endpoint ~socket ~tcp in
     let jobs = Service.resolve_jobs jobs in
     (* a replica holds prepared what-if bases and turns over a large
@@ -483,13 +476,6 @@ let serve_cmd =
        stays near 215 MiB, with no measurable latency or CPU cost on
        cold, hot or sweep traffic *)
     Gc.set { (Gc.get ()) with space_overhead = 80 };
-    (match failpoints with
-    | None -> ()
-    | Some spec -> (
-      try Tsg_obs.Failpoint.configure spec
-      with Invalid_argument msg ->
-        Fmt.epr "tsa: bad --failpoints spec: %s@." msg;
-        exit 2));
     (match trace_dir with
     | None -> ()
     | Some dir ->
@@ -574,7 +560,7 @@ let serve_cmd =
       const run $ socket_arg $ tcp_arg $ cache_size_arg $ cache_dir_arg
       $ disk_cache_size_arg $ shard_arg $ jobs_arg $ trace_dir_arg
       $ max_connections_arg $ max_sweep_arg $ max_request_bytes_arg
-      $ read_timeout_arg $ write_timeout_arg $ drain_timeout_arg $ failpoints_arg)
+      $ read_timeout_arg $ write_timeout_arg $ drain_timeout_arg)
 
 let client_cmd =
   let files_arg =
@@ -1020,22 +1006,6 @@ let print_whatif ~title ~kind ~warm counts (w : Bench.whatif) =
     (w.cold_ms /. (w.prepare_ms +. w.warm_ms))
     counts
 
-(* [detail] ends the header line; [base] and [test] label the passes *)
-let print_drill ~cores ~title ~detail ~base ~test ~ratio = function
-  | None -> ()
-  | Some (Error msg) -> Fmt.pr "@.%s: skipped (%s)@." title msg
-  | Some (Ok (d : Bench.drill)) ->
-    let rps ms = float_of_int d.requests /. (ms /. 1000.) in
-    Fmt.pr "@.%s (%d mixed analyze/sweep requests, %d client threads%s; median of %d passes)@."
-      title d.requests d.client_threads (detail d) d.passes;
-    Fmt.pr "  %s %9.2f ms  (%.0f req/s)@." base d.base_ms (rps d.base_ms);
-    Fmt.pr "  %s %9.2f ms  (%.0f req/s)@." (test d) d.test_ms (rps d.test_ms);
-    Fmt.pr "  %s on %d core%s; %d failed; %s@." (ratio d) cores
-      (if cores = 1 then "" else "s")
-      d.failed
-      (if d.identical then "analyze responses byte-identical"
-       else "ANALYZE RESPONSES DIFFER")
-
 let print_bench (s : Bench.snapshot) =
   let width =
     List.fold_left (fun w (e : Bench.entry) -> max w (String.length e.file)) 5 s.benchmarks
@@ -1080,24 +1050,15 @@ let print_bench (s : Bench.snapshot) =
         (Printf.sprintf "%d/%d warm; spliced %d, dropped %d arc instances" w.warm_paths
            w.scenarios w.spliced w.dropped)
         w)
-    s.whatif_structural;
-  print_drill ~cores:s.cores ~title:"fleet load" ~detail:(fun _ -> "") ~base:"1 replica: "
-    ~test:(fun d -> Printf.sprintf "%d replicas:" d.replicas)
-    ~ratio:(fun d -> Printf.sprintf "speedup %.2fx" (d.base_ms /. d.test_ms))
-    s.fleet_load;
-  print_drill ~cores:s.cores ~title:"proxy load"
-    ~detail:(fun d -> Printf.sprintf ", %d replicas" d.replicas)
-    ~base:"direct router:"
-    ~test:(fun _ -> "via tsa proxy:")
-    ~ratio:(fun d -> Printf.sprintf "overhead %.1f%%" (((d.test_ms /. d.base_ms) -. 1.) *. 100.))
-    s.proxy_load
+    s.whatif_structural
 
 let bench_cmd =
   let files_arg =
     let doc =
       "Models to benchmark (default: benchmarks/*.g, sorted, then the built-ins \
-       $(b,gen-dense) and $(b,gen-10k), and $(b,gen-10k-file): gen-10k exported to \
-       a temporary .g and read back, so that its load phase measures parsing)."
+       $(b,gen-dense), $(b,muller-128) and $(b,gen-10k), and $(b,gen-10k-file): \
+       gen-10k exported to a temporary .g and read back, so that its load phase \
+       measures parsing)."
     in
     Arg.(value & pos_all string [] & info [] ~docv:"MODEL" ~doc)
   in
@@ -1113,9 +1074,10 @@ let bench_cmd =
     let doc =
       "Run only the named workloads (comma-separated).  Names match a model's \
        path, basename or basename without extension, or one of the composite \
-       workloads $(b,whatif_sweep), $(b,whatif_structural), $(b,fleet_load), \
-       $(b,proxy_load).  Skipped workloads appear in the snapshot with status \
-       \"skipped\", so filtered snapshots stay schema-compatible."
+       workloads $(b,whatif_sweep) and $(b,whatif_structural); a name that \
+       matches none of them exits 2 before anything is timed.  Skipped \
+       workloads appear in the snapshot with status \"skipped\", so filtered \
+       snapshots stay schema-compatible."
     in
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"NAME[,NAME]" ~doc)
   in
@@ -1134,7 +1096,12 @@ let bench_cmd =
         Fmt.epr "tsa: no models given and no benchmarks/ directory here@.";
         exit 2
     in
-    match Bench.run ~exe:Sys.executable_name ~iterations ?only files with
+    (match Bench.unknown ~only:(Option.value only ~default:[]) files with
+    | [] -> ()
+    | names ->
+      Fmt.epr "tsa: --only names no model or workload: %s@." (String.concat ", " names);
+      exit 2);
+    match Bench.run ~iterations ?only files with
     | Error msg ->
       Fmt.epr "tsa: BENCH FAILURE: %s@." msg;
       exit 1
@@ -1153,13 +1120,10 @@ let bench_cmd =
      report serialised as a daemon response), a jobs-scaling pass, \
      a what-if sweep workload (warm-start vs cold re-analysis), a \
      whatif_structural workload (arc add/remove/mark edits repaired in the warm \
-     path vs cold re-analysis), a fleet_load serving-tier workload (1 vs 3 \
-     TCP replicas under a multi-threaded client) and a proxy_load workload \
-     (client-side routing vs the same fleet behind $(b,tsa proxy)), then write \
-     a dated JSON snapshot for regression tracking.  $(b,--only) NAME[,NAME] \
-     restricts the run to the named models or workloads (whatif_sweep, \
-     whatif_structural, fleet_load, proxy_load); skipped workloads record \
-     \"skipped\" in the snapshot."
+     path vs cold re-analysis), then write a dated JSON snapshot for regression \
+     tracking.  $(b,--only) NAME[,NAME] restricts the run to the named models or \
+     workloads (whatif_sweep, whatif_structural); skipped workloads record \
+     \"skipped\" in the snapshot.  The served path is timed by fleetbench."
   in
   Cmd.v
     (Cmd.info "bench" ~doc)

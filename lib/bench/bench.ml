@@ -1,9 +1,6 @@
 open Tsg
-module Fleet = Tsg_io.Fleet
 module Json = Tsg_obs.Json
 module Metrics = Tsg_engine.Metrics
-module Protocol = Tsg_engine.Protocol
-module Server = Tsg_engine.Server
 module Service = Tsg_io.Service
 
 type phases = { load : float; unfold : float; simulate : float; backtrack : float; render : float }
@@ -21,16 +18,10 @@ type whatif = {
   reused : int; resimulated : int; warm_paths : int; spliced : int; dropped : int;
 }
 
-type drill = {
-  requests : int; client_threads : int; replicas : int; passes : int;
-  base_ms : float; test_ms : float; failed : int; identical : bool;
-}
-
 type snapshot = {
   date : string; iterations : int; cores : int; jobs_levels : int list;
   benchmarks : entry list;
   whatif_sweep : whatif option; whatif_structural : whatif option;
-  fleet_load : (drill, string) result option; proxy_load : (drill, string) result option;
 }
 
 let wall f =
@@ -238,128 +229,21 @@ let structural_scenarios g =
         ])
 
 (* ------------------------------------------------------------------ *)
-(* Serving drills                                                      *)
 
-let client_threads = 4
-let drill_replicas = 3
+(* the composite workloads, selected by name like a model *)
+let workloads = [ "whatif_sweep"; "whatif_structural" ]
 
-(* (routing key, request line, is an analyze).  Deterministic, so
-   snapshots stay comparable *)
-let load_requests =
-  lazy
-    (let open Protocol in
-     let models = [| "fig1"; "ring5"; "stack" |] in
-     Array.init 48 (fun i ->
-         let path = models.(i mod Array.length models) in
-         let req =
-           if i land 1 = 0 then Analyze { path; periods = None; timeout_ms = None }
-           else
-             let sw_delta = 0.25 +. (float_of_int (i mod 5) /. 8.) in
-             Sweep
-               { path; scenarios = [ [ Sw_delay { sw_arc = i mod 3; sw_delta } ] ];
-                 periods = None; jobs = None; timeout_ms = None }
-         in
-         (Option.get (Service.routing_key req), request_to_string req, i land 1 = 0)))
+(* [n] selects [name] when it is its path, basename or basename
+   without extension *)
+let selects name n =
+  let base = Filename.basename name in
+  n = name || n = base || n = Filename.remove_extension base
 
-(* send the request set through [send key line] from the client
-   threads: (wall ms, responses by request index, failed count) *)
-let drive send =
-  let lines = Lazy.force load_requests in
-  let n = Array.length lines in
-  let idx = Atomic.make 0 in
-  let failed = Atomic.make 0 in
-  let responses = Array.make n "" in
-  let rec worker () =
-    let i = Atomic.fetch_and_add idx 1 in
-    if i < n then begin
-      let key, line, _ = lines.(i) in
-      (match send key line with Ok r -> responses.(i) <- r | Error _ -> Atomic.incr failed);
-      worker ()
-    end
-  in
-  let (), ms =
-    wall (fun () -> List.iter Thread.join (List.init client_threads (fun _ -> Thread.create worker ())))
-  in
-  (ms, responses, Atomic.get failed)
+let unknown ~only files =
+  List.filter (fun n -> not (List.exists (fun name -> selects name n) (files @ workloads))) only
 
-let parse ep = Result.get_ok (Server.endpoint_of_string ep)
-
-(* [f fleet] over a fresh quiet fleet, torn down afterwards *)
-let with_fleet ~exe ?proxy replicas f =
-  match Fleet.start ~exe ~quiet:true ?proxy ~replicas () with
-  | Error msg -> failwith msg
-  | Ok fleet -> Fun.protect ~finally:(fun () -> Fleet.stop fleet) (fun () -> f fleet)
-
-(* the request set through a client-side router over [n] replicas *)
-let direct ~exe n =
-  with_fleet ~exe n (fun fleet ->
-      let router =
-        Tsg_engine.Router.create ~retries:3 (List.map (fun (_, ep) -> parse ep) (Fleet.replicas fleet))
-      in
-      let r = drive (fun key line -> Tsg_engine.Router.route router ~key line) in
-      ignore (Tsg_engine.Router.broadcast router (Protocol.request_to_string Shutdown));
-      r)
-
-(* the request set through a [tsa proxy] fronting a fresh fleet; a
-   shutdown through the proxy drains the shards, then the proxy *)
-let via_proxy ~exe =
-  with_fleet ~exe ~proxy:true drill_replicas (fun fleet ->
-      let endpoint = parse (Option.get (Fleet.proxy fleet)) in
-      let r =
-        drive (fun _key line ->
-            match Server.call ~retries:3 ~endpoint [ line ] with
-            | [ response ] -> Ok response
-            | _ -> Error "response count mismatch"
-            | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-            | exception Failure msg -> Error msg)
-      in
-      (try ignore (Server.call ~endpoint [ Protocol.request_to_string Shutdown ])
-       with Unix.Unix_error _ | Failure _ -> ());
-      r)
-
-(* one 48-request pass takes tens of milliseconds, so a single pass
-   per side is timer and scheduling noise: run [drill_passes] of each,
-   interleaved (base, test, base, ...), each [base ()] or [test ()] on
-   a fresh fleet, and keep the median.  Every pass counts towards
-   [failed], and every pass's analyze responses must equal the first
-   base pass's *)
-let drill_passes = 5
-
-let compare_passes ~base ~test =
-  let runs = List.init drill_passes (fun _ -> let b = base () in (b, test ())) in
-  let passes = List.concat_map (fun (b, t) -> [ b; t ]) runs in
-  let _, reference, _ = fst (List.hd runs) in
-  let same (_, responses, _) =
-    let identical = ref true in
-    Array.iteri
-      (fun i (_, _, is_analyze) ->
-        if is_analyze && responses.(i) <> reference.(i) then identical := false)
-      (Lazy.force load_requests);
-    !identical
-  in
-  let median side =
-    let ms = List.sort compare (List.map (fun r -> let ms, _, _ = side r in ms) runs) in
-    List.nth ms (drill_passes / 2)
-  in
-  {
-    requests = Array.length reference;
-    client_threads;
-    replicas = drill_replicas;
-    passes = drill_passes;
-    base_ms = median fst;
-    test_ms = median snd;
-    failed = List.fold_left (fun n (_, _, failed) -> n + failed) 0 passes;
-    identical = List.for_all same passes;
-  }
-
-(* ------------------------------------------------------------------ *)
-
-let run ~exe ~iterations ?only files =
-  let selected name =
-    let base = Filename.basename name in
-    let named n = n = name || n = base || n = Filename.remove_extension base in
-    Option.fold ~none:true ~some:(List.exists named) only
-  in
+let run ~iterations ?only files =
+  let selected name = Option.fold ~none:true ~some:(List.exists (selects name)) only in
   let iterations = max 1 iterations in
   let jobs_levels = List.sort_uniq compare [ 1; 2; 4; Tsg_engine.Pool.recommended () ] in
   let benchmarks = bench_models ~iterations ~levels:jobs_levels (List.filter selected files) in
@@ -369,24 +253,9 @@ let run ~exe ~iterations ?only files =
       let g = Option.get (Service.builtin "gen-dense") in
       Result.map Option.some (run_whatif ~what g (scenarios g))
   in
-  (* the serving drills depend on the environment (subprocesses,
-     loopback TCP): a sandbox that forbids either yields an error
-     entry instead of killing the whole snapshot *)
-  let drill name run =
-    if not (selected name) then None
-    else Some (match run () with d -> Ok d | exception exn -> Error (Printexc.to_string exn))
-  in
   Result.bind (whatif "whatif_sweep" "what-if sweep" delay_scenarios) @@ fun whatif_sweep ->
   Result.bind (whatif "whatif_structural" "structural" structural_scenarios)
   @@ fun whatif_structural ->
-  let fleet_load =
-    drill "fleet_load" (fun () ->
-        compare_passes ~base:(fun () -> direct ~exe 1) ~test:(fun () -> direct ~exe drill_replicas))
-  in
-  let proxy_load =
-    drill "proxy_load" (fun () ->
-        compare_passes ~base:(fun () -> direct ~exe drill_replicas) ~test:(fun () -> via_proxy ~exe))
-  in
   let tm = Unix.gmtime (Unix.time ()) in
   Ok
     {
@@ -399,12 +268,10 @@ let run ~exe ~iterations ?only files =
       benchmarks;
       whatif_sweep;
       whatif_structural;
-      fleet_load;
-      proxy_load;
     }
 
 (* ------------------------------------------------------------------ *)
-(* The tsa-bench/8 document                                            *)
+(* The tsa-bench/9 document                                            *)
 
 let to_json s =
   let open Json in
@@ -434,8 +301,8 @@ let to_json s =
           ("jobs_scaling", List (List.map level m.scaling));
         ]
   in
-  (* the structural speedup, like the drills', means little on one
-     core: CI gates it softly under single_core *)
+  (* the structural speedup means little on one core: CI gates it
+     softly under single_core *)
   let whatif ~status counters = function
     | None -> skipped
     | Some w ->
@@ -448,26 +315,10 @@ let to_json s =
         @ List.map (fun (k, n) -> (k, Int n)) (counters w)
         @ [ ("byte_identical", Bool true) ])
   in
-  (* a drill's passes are named [base] and [test] *)
-  let drill ~base ~test ~ratio = function
-    | None -> skipped
-    | Some (Error msg) -> Obj [ ("status", String "error"); ("error", String msg) ]
-    | Some (Ok d) ->
-      let rps ms = Float (float_of_int d.requests /. (ms /. 1000.)) in
-      Obj
-        [
-          ("status", multi_core); ("requests", Int d.requests);
-          ("client_threads", Int d.client_threads); ("replicas", Int d.replicas);
-          ("passes", Int d.passes); ("cores", Int s.cores);
-          (base ^ "_ms", Float d.base_ms); (test ^ "_ms", Float d.test_ms);
-          (base ^ "_rps", rps d.base_ms); (test ^ "_rps", rps d.test_ms); ratio d;
-          ("failed", Int d.failed); ("byte_identical", Bool d.identical);
-        ]
-  in
   to_string
     (Obj
        [
-         ("schema", String "tsa-bench/8"); ("date", String s.date);
+         ("schema", String "tsa-bench/9"); ("date", String s.date);
          ("iterations", Int s.iterations); ("cores", Int s.cores);
          ("jobs_levels", List (List.map (fun j -> Int j) s.jobs_levels));
          ("benchmarks", List (List.map entry s.benchmarks));
@@ -481,12 +332,4 @@ let to_json s =
                [ ("warm_paths", w.warm_paths); ("instances_spliced", w.spliced);
                  ("instances_dropped", w.dropped) ])
              s.whatif_structural );
-         ( "fleet_load",
-           drill ~base:"single" ~test:"fleet"
-             ~ratio:(fun d -> ("speedup", Float (d.base_ms /. d.test_ms)))
-             s.fleet_load );
-         ( "proxy_load",
-           drill ~base:"direct" ~test:"proxy"
-             ~ratio:(fun d -> ("overhead", Float ((d.test_ms /. d.base_ms) -. 1.)))
-             s.proxy_load );
        ])

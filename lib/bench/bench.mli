@@ -1,7 +1,7 @@
-(** The [tsa bench] regression harness: the per-model timing passes,
-    the two what-if workloads and the two serving drills, collected
-    into one typed {!snapshot} whose only JSON spelling is {!to_json}
-    (schema [tsa-bench/8]). *)
+(** The [tsa bench] regression harness: the per-model timing passes
+    and the two what-if workloads, collected into one typed {!snapshot}
+    whose only JSON spelling is {!to_json} (schema [tsa-bench/9]).  The
+    served path is timed by fleetbench, not here. *)
 
 type phases = { load : float; unfold : float; simulate : float; backtrack : float; render : float }
 (** Mean wall milliseconds per phase.  [load] is parsing (generation
@@ -35,46 +35,36 @@ type whatif = {
     warm reports serialize byte-identically to the cold ones are
     recorded. *)
 
-type drill = {
-  requests : int; client_threads : int; replicas : int;
-  passes : int;  (** per side *)
-  base_ms : float;  (** the median baseline pass *)
-  test_ms : float;  (** the median pass under test *)
-  failed : int;  (** over every pass *)
-  identical : bool;  (** analyze responses equal across every pass *)
-}
-(** A serving drill: one fixed mixed analyze/sweep request set sent
-    from client threads to a fresh {!Tsg_io.Fleet} per pass, [passes]
-    times per side, the two sides interleaved. *)
-
 type snapshot = {
   date : string;  (** UTC, [yyyy-mm-dd] *)
   iterations : int; cores : int; jobs_levels : int list;
   benchmarks : entry list;
   whatif_sweep : whatif option;  (** [None]: skipped *)
   whatif_structural : whatif option;
-  fleet_load : (drill, string) result option;  (** 1 vs 3 replicas *)
-  proxy_load : (drill, string) result option;  (** direct router vs [tsa proxy] *)
 }
 
 val default_models : unit -> string list option
 (** [benchmarks/*.g] under the current directory, sorted, then the
-    built-ins [gen-dense], [gen-10k] and [gen-10k-file] (gen-10k
+    built-ins [gen-dense], [muller-128], [gen-10k] and [gen-10k-file] (gen-10k
     exported to a temporary [.g] and read back, so its [load] is the
     parser); [None] without a [benchmarks/] directory. *)
 
-val run : exe:string -> iterations:int -> ?only:string list -> string list -> (snapshot, string) result
-(** [run ~exe ~iterations models] benchmarks every model, then runs
-    the composite workloads [whatif_sweep], [whatif_structural],
-    [fleet_load] and [proxy_load]; the drills spawn their fleets from
-    [exe].  [only] keeps the models whose path, basename or basename
-    without extension it names, and the workloads it names; the rest
-    are skipped.  [Error] when a what-if workload's warm and cold
-    reports differ or one of its scenarios fails: such a snapshot is
-    worthless.  A drill that cannot run (no subprocesses, no loopback)
-    is recorded as an error instead. *)
+val unknown : only:string list -> string list -> string list
+(** [unknown ~only models] is the names in [only] that select neither
+    one of [models] nor a composite workload ([whatif_sweep],
+    [whatif_structural]), in order: a run filtered by them would time
+    nothing they name. *)
+
+val run : iterations:int -> ?only:string list -> string list -> (snapshot, string) result
+(** [run ~iterations models] benchmarks every model, then runs the
+    composite workloads [whatif_sweep] and [whatif_structural].
+    [only] keeps the models whose path, basename or basename without
+    extension it names, and the workloads it names; the rest are
+    skipped.  [Error] when a what-if workload's warm and cold reports
+    differ or one of its scenarios fails: such a snapshot is
+    worthless. *)
 
 val to_json : snapshot -> string
-(** The [tsa-bench/8] document, one line.  The [whatif_structural] and
-    drill entries read [status: "single_core"] on one core, where
-    their speedups mean nothing. *)
+(** The [tsa-bench/9] document, one line.  The [whatif_structural]
+    entry reads [status: "single_core"] on one core, where its speedup
+    means nothing. *)

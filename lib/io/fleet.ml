@@ -23,12 +23,10 @@ type member = {
   mutable until : float;  (** restart not before this instant *)
 }
 
-type t = { exe : string; quiet : bool; members : member array; proxy_member : member option }
+type t = { exe : string; members : member array; proxy_member : member option }
 
-let spawn ~exe ~quiet args =
-  let err = if quiet then Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 else Unix.stderr in
-  Fun.protect ~finally:(fun () -> if quiet then Unix.close err) @@ fun () ->
-  Unix.create_process exe (Array.of_list ("tsa" :: args)) Unix.stdin Unix.stdout err
+let spawn ~exe args =
+  Unix.create_process exe (Array.of_list ("tsa" :: args)) Unix.stdin Unix.stdout Unix.stderr
 
 let terminate m =
   if m.state = `Alive then try Unix.kill m.pid Sys.sigterm with Unix.Unix_error _ -> ()
@@ -81,13 +79,13 @@ let await ms =
   in
   go ms
 
-let start ?(quiet = false) ?cache_dir ?(cache_size = 1024) ?(host = "127.0.0.1")
+let start ?cache_dir ?(cache_size = 1024) ?(host = "127.0.0.1")
     ?(base_port = 0) ?(proxy = false) ~exe ~replicas () =
   let shared = match cache_dir with Some d -> [ "--cache-dir"; d ] | None -> [] in
   let started = ref [] in
   let launch args ep =
     let m =
-      { args; ep; pid = spawn ~exe ~quiet args; state = `Alive;
+      { args; ep; pid = spawn ~exe args; state = `Alive;
         started = Unix.gettimeofday (); crashes = 0; until = 0. }
     in
     started := m :: !started;
@@ -101,12 +99,12 @@ let start ?(quiet = false) ?cache_dir ?(cache_size = 1024) ?(host = "127.0.0.1")
           launch ([ "serve"; "--tcp"; ep; "--cache-size"; string_of_int cache_size ] @ shared) ep)
     in
     if not (await (Array.to_list members)) then Error "fleet failed to come up"
-    else if not proxy then Ok { exe; quiet; members; proxy_member = None }
+    else if not proxy then Ok { exe; members; proxy_member = None }
     else begin
       let listen = Printf.sprintf "%s:%d" host (free_port ()) in
       let eps = String.concat "," (Array.to_list (Array.map (fun m -> m.ep) members)) in
       let p = launch ([ "proxy"; "--listen"; listen; "--endpoints"; eps ] @ shared) listen in
-      if await [ p ] then Ok { exe; quiet; members; proxy_member = Some p }
+      if await [ p ] then Ok { exe; members; proxy_member = Some p }
       else Error "proxy failed to come up"
     end
   in
@@ -145,7 +143,7 @@ let supervise ~restart ~stop ~on_event t =
         | `Waiting ->
           if !draining then m.state <- `Gone
           else if Unix.gettimeofday () >= m.until then begin
-            m.pid <- spawn ~exe:t.exe ~quiet:t.quiet m.args;
+            m.pid <- spawn ~exe:t.exe m.args;
             m.started <- Unix.gettimeofday ();
             m.state <- `Alive;
             on_event (Restarted { replica = i; pid = m.pid })

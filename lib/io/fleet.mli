@@ -1,9 +1,8 @@
 (** Local replica fleets: [N] [tsa serve --tcp] daemons, and optionally
     a [tsa proxy] fronting them, run as child processes of a given
-    executable.  [tsa fleet] supervises one; the bench's serving drills
-    start and stop one per pass.  For testing, CI drills and load
-    generation: production replicas are expected to run under a real
-    supervisor. *)
+    executable and supervised by [tsa fleet].  For testing, CI drills
+    and load generation: production replicas are expected to run under
+    a real supervisor. *)
 
 val free_port : unit -> int
 (** A loopback port that is free right now.  There is a window between
@@ -15,7 +14,6 @@ val free_port : unit -> int
 type t
 
 val start :
-  ?quiet:bool ->
   ?cache_dir:string ->
   ?cache_size:int ->
   ?host:string ->
@@ -30,8 +28,8 @@ val start :
     or on {!free_port}s when [base_port] is 0, the default), waits
     until each answers a [stats] request, then, with [proxy], spawns
     [exe proxy] on a free port over them and waits for it too.
-    [cache_dir] is passed to every child; [quiet] sends their stderr
-    to [/dev/null].  Defaults: host [127.0.0.1], cache size 1024.
+    [cache_dir] is passed to every child; children share the caller's
+    stdout and stderr.  Defaults: host [127.0.0.1], cache size 1024.
 
     All or nothing: a child that exits before it answers, a probe that
     finds no answer within 10 s (each probe times out after 1 s, so a

@@ -10,8 +10,8 @@
     - the cache key ({!cache_key}) under which the replica's memory,
       disk and what-if caches hold an answer, and which the proxy's
       degraded path reads back;
-    - the routing key ({!routing_key}) every client, proxy and bench
-      drill hashes on, so all of them pick the same home shard;
+    - the routing key ({!routing_key}) every client and proxy hashes
+      on, so all of them pick the same home shard;
     - the replica handler ({!replica_handler}) and the proxy handler
       ({!proxy_handler}) that the daemons pass to
       {!Tsg_engine.Server.serve}.

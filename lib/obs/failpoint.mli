@@ -1,10 +1,9 @@
 (** Named failpoints: fault injection for resilience testing.
 
     Production code marks interesting sites with {!hit}
-    ([Failpoint.hit "pool/job"]); nothing happens unless a test, the
-    [TSA_FAILPOINTS] environment variable or [tsa serve --failpoints]
-    has armed that name, in which case the site sleeps, raises
-    {!Injected}, or both.  The disarmed cost is one atomic load per
+    ([Failpoint.hit "pool/job"]); nothing happens unless a test or the
+    [TSA_FAILPOINTS] environment variable has armed that name, in
+    which case the site sleeps, raises {!Injected}, or both.  The disarmed cost is one atomic load per
     site, so failpoints stay compiled into release binaries.
 
     Spec grammar (env var and {!configure}):

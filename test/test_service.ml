@@ -1,5 +1,5 @@
-(* Serving policy (Tsg_io.Service): the routing key every client,
-   proxy and drill hashes on, and the proxy's degraded read of the
+(* Serving policy (Tsg_io.Service): the routing key every client and
+   proxy hashes on, and the proxy's degraded read of the
    replica's disk-cache key. *)
 
 open Tsg_engine
