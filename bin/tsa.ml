@@ -1075,18 +1075,14 @@ let bench_cmd =
       "Run only the named workloads (comma-separated).  Names match a model's \
        path, basename or basename without extension, or one of the composite \
        workloads $(b,whatif_sweep) and $(b,whatif_structural); a name that \
-       matches none of them exits 2 before anything is timed.  Skipped \
+       matches none of them, or a value that names nothing, exits 2 before \
+       anything is timed.  Skipped \
        workloads appear in the snapshot with status \"skipped\", so filtered \
        snapshots stay schema-compatible."
     in
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"NAME[,NAME]" ~doc)
   in
   let run files iterations json out only =
-    let only =
-      Option.map
-        (fun s -> String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) ""))
-        only
-    in
     let files =
       match (files, Bench.default_models ()) with
       | _ :: _, _ -> files
@@ -1096,11 +1092,16 @@ let bench_cmd =
         Fmt.epr "tsa: no models given and no benchmarks/ directory here@.";
         exit 2
     in
-    (match Bench.unknown ~only:(Option.value only ~default:[]) files with
-    | [] -> ()
-    | names ->
-      Fmt.epr "tsa: --only names no model or workload: %s@." (String.concat ", " names);
-      exit 2);
+    let only =
+      Option.map
+        (fun s ->
+          match Bench.parse_only s files with
+          | Ok names -> names
+          | Error msg ->
+            Fmt.epr "tsa: %s@." msg;
+            exit 2)
+        only
+    in
     match Bench.run ~iterations ?only files with
     | Error msg ->
       Fmt.epr "tsa: BENCH FAILURE: %s@." msg;

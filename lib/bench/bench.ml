@@ -242,6 +242,14 @@ let selects name n =
 let unknown ~only files =
   List.filter (fun n -> not (List.exists (fun name -> selects name n) (files @ workloads))) only
 
+let parse_only value files =
+  match String.split_on_char ',' value |> List.map String.trim |> List.filter (( <> ) "") with
+  | [] -> Error (Printf.sprintf "--only %S names nothing" value)
+  | names -> (
+    match unknown ~only:names files with
+    | [] -> Ok names
+    | bad -> Error ("--only names no model or workload: " ^ String.concat ", " bad))
+
 let run ~iterations ?only files =
   let selected name = Option.fold ~none:true ~some:(List.exists (selects name)) only in
   let iterations = max 1 iterations in

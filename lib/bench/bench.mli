@@ -55,6 +55,12 @@ val unknown : only:string list -> string list -> string list
     [whatif_structural]), in order: a run filtered by them would time
     nothing they name. *)
 
+val parse_only : string -> string list -> (string list, string) result
+(** [parse_only value models] reads an [--only] value: names split at
+    commas, trimmed, empty ones dropped.  [Error] when no name is
+    left, or when one is {!unknown} — a run filtered by them would
+    time nothing they name. *)
+
 val run : iterations:int -> ?only:string list -> string list -> (snapshot, string) result
 (** [run ~iterations models] benchmarks every model, then runs the
     composite workloads [whatif_sweep] and [whatif_structural].

@@ -47,10 +47,10 @@ let best_of_traces traces =
     None traces
 
 (* backtracking and report assembly, shared by [analyze] (cold) and
-   [Whatif] (warm): [delays] substitutes edited per-arc delays while
-   [u] stays the base unfolding, and [g] is the graph the critical
-   cycles are decomposed against — the edited graph on the warm path *)
-let finish ?(deadline = Tsg_engine.Deadline.none) ?delays g u ~border ~periods ~traces =
+   [Whatif] (warm): [g] is the graph the critical cycles are
+   decomposed against — the edited graph on the warm path, where [u]
+   is its patched unfolding *)
+let finish ?(deadline = Tsg_engine.Deadline.none) g u ~border ~periods ~traces =
   match best_of_traces traces with
   | None -> raise (Not_analyzable "no average occurrence distance was collected")
   | Some (critical_event, critical_period, cycle_time) ->
@@ -61,7 +61,7 @@ let finish ?(deadline = Tsg_engine.Deadline.none) ?delays g u ~border ~periods ~
        critical simulation (1/b of the simulate phase) and walk its
        predecessors inside the arena *)
     let path =
-      Timing_sim.backtrack ~deadline ?delays u
+      Timing_sim.backtrack ~deadline u
         ~at:(Unfolding.instance u ~event:critical_event ~period:0)
         ~instance:(Unfolding.instance u ~event:critical_event ~period:critical_period)
     in

@@ -91,7 +91,6 @@ module Internal : sig
 
   val finish :
     ?deadline:Tsg_engine.Deadline.t ->
-    ?delays:float array ->
     Signal_graph.t ->
     Unfolding.t ->
     border:int list ->
@@ -99,10 +98,9 @@ module Internal : sig
     traces:border_trace list ->
     report
   (** Critical-sample selection, backtracking (re-running the one
-      critical simulation, with [delays] overriding the unfolding's
-      per-arc delays) and report assembly.  [g] is the graph the
-      critical walk is decomposed against — on the warm path, the
-      {e edited} graph.
+      critical simulation over [u]) and report assembly.  [g] is the
+      graph the critical walk is decomposed against — on the warm
+      path, the {e edited} graph, and [u] its patched unfolding.
       @raise Not_analyzable if [traces] holds no samples. *)
 end
 

@@ -168,15 +168,8 @@ end
    stays branch-free and the check cost is amortised to nothing *)
 let check_block = 4096
 
-let kernel ?(deadline = Tsg_engine.Deadline.none) ?delays (ws : Workspace.t) u ~roots
-    ~from_pos =
-  (* [delays] overrides the per-arc delays (same indexing: Signal-Graph
-     arc id) without touching the unfolding — what-if re-analysis runs
-     the kernel over the {e base} unfolding with edited delays *)
-  let delays = match delays with Some d -> d | None -> Unfolding.delays u in
-  (* the scan below reads [delays] unchecked *)
-  if Array.length delays < Signal_graph.arc_count (Unfolding.signal_graph u) then
-    invalid_arg "Timing_sim: delays is shorter than the arc table";
+let kernel ?(deadline = Tsg_engine.Deadline.none) (ws : Workspace.t) u ~roots ~from_pos =
+  let delays = Unfolding.delays u in
   ws.Workspace.epoch <- ws.Workspace.epoch + 1;
   let epoch = ws.Workspace.epoch in
   let time = ws.Workspace.time in
@@ -207,7 +200,8 @@ let kernel ?(deadline = Tsg_engine.Deadline.none) ?delays (ws : Workspace.t) u ~
       let hi = min len (!k0 + !until_check) in
       until_check := !until_check - (hi - !k0);
       (* every index is in bounds by construction (templates and
-         orders over one period, the arena sized to the unfolding), so
+         orders over one period, the arena sized to the unfolding,
+         [delays] one per arc of the unfolding's graph), so
          the scan reads unchecked; the running maximum lives in
          registers and is stored once per instance *)
       for k = !k0 to hi - 1 do
@@ -310,25 +304,25 @@ let check_instance u what i =
   if i < 0 || i >= Unfolding.instance_count u then
     invalid_arg (Printf.sprintf "Timing_sim: %s %d is not an instance" what i)
 
-let initiated_into ?deadline ?delays ws u ~at =
+let initiated_into ?deadline ws u ~at =
   check_instance u "at" at;
   let from_pos = Unfolding.topo_position u at in
   Tsg_engine.Metrics.incr "simulations/initiated";
   observe_window u ~from_pos;
   Tsg_obs.Trace.with_span "longest_paths" ~args:(span_args u ~at ~from_pos)
-  @@ fun () -> kernel ?deadline ?delays ws u ~roots:[ at ] ~from_pos
+  @@ fun () -> kernel ?deadline ws u ~roots:[ at ] ~from_pos
 
-let simulate_initiated ?deadline ?delays u ~at =
+let simulate_initiated ?deadline u ~at =
   Workspace.with_arena (Unfolding.instance_count u) @@ fun ws ->
-  initiated_into ?deadline ?delays ws u ~at;
+  initiated_into ?deadline ws u ~at;
   materialise ws u
 
 (* the predecessor chain read straight out of the arena: nothing the
    size of the unfolding is copied for one path *)
-let backtrack ?deadline ?delays u ~at ~instance =
+let backtrack ?deadline u ~at ~instance =
   check_instance u "instance" instance;
   Workspace.with_arena (Unfolding.instance_count u) @@ fun ws ->
-  initiated_into ?deadline ?delays ws u ~at;
+  initiated_into ?deadline ws u ~at;
   let reached v = ws.Workspace.stamp.(v) = ws.Workspace.epoch in
   let rec back v acc =
     let p = if reached v then ws.Workspace.pred_instance.(v) else -1 in

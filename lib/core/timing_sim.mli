@@ -84,24 +84,10 @@ val simulate : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> result
     {!Tsg_engine.Deadline.Deadline_exceeded} and the domain's arena is
     simply reused by the next query. *)
 
-val simulate_initiated :
-  ?deadline:Tsg_engine.Deadline.t ->
-  ?delays:float array ->
-  Unfolding.t ->
-  at:int ->
-  result
+val simulate_initiated : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> at:int -> result
 (** [simulate_initiated u ~at:g] is the [g]-initiated timing
     simulation.  [time.(f) = 0.] and [reached.(f) = false] for every
     [f] not reachable from [g].
-
-    [delays] substitutes a different delay per Signal-Graph arc id
-    (same indexing as {!Unfolding.delays}) while keeping the base
-    unfolding's structure, instance ids and topological order — the
-    warm-start path of {!Whatif} re-runs the critical simulation of an
-    edited graph over the unfolding it already has.  The result is
-    byte-identical to simulating a fresh unfolding of the edited
-    graph, because the unfolding's structure depends only on topology
-    and marking.
 
     The scan is {e windowed}: it starts at [g]'s position in the
     topological order ({!Unfolding.topo_position}), since earlier
@@ -110,12 +96,10 @@ val simulate_initiated :
     instance is reached iff it is the root or an in-arc from a reached
     instance feeds it.
 
-    @raise Invalid_argument if [g] is not an instance of [u] or
-    [delays] has fewer entries than the graph has arcs. *)
+    @raise Invalid_argument if [g] is not an instance of [u]. *)
 
 val backtrack :
   ?deadline:Tsg_engine.Deadline.t ->
-  ?delays:float array ->
   Unfolding.t ->
   at:int ->
   instance:int ->

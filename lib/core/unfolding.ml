@@ -169,6 +169,8 @@ let inverse order =
   Array.iteri (fun k v -> pos.(v) <- k) order;
   pos
 
+let delays_of sg = Array.map (fun (a : Signal_graph.arc) -> a.delay) (Signal_graph.arcs sg)
+
 (* O(events + arcs), whatever the period count: in-templates of
    periods 0, 1 and 2, out-templates of periods 0, 1 and k - 1 (a
    small [k] leaves some empty or unread) and two one-period sorts *)
@@ -196,7 +198,7 @@ let build ~deadline sg ~periods =
     order1;
     pos0 = inverse order0;
     pos1 = inverse order1;
-    delays = Array.map (fun (a : Signal_graph.arc) -> a.delay) (Signal_graph.arcs sg);
+    delays = delays_of sg;
   }
 
 let make ?(deadline = Tsg_engine.Deadline.none) sg ~periods =
@@ -288,26 +290,20 @@ type patch_delta = {
   pd_dropped : (int * int) array;
 }
 
-(* Instance ids never depend on the arc table, so the patched
-   unfolding is the edited graph's own build, plus the instance pairs
-   that changed. *)
-let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
-  if Signal_graph.event_count g' <> t.l.n_events then
-    invalid_arg "Unfolding.patch: the edited graph has a different event set";
-  for e = 0 to t.l.n_events - 1 do
-    if Signal_graph.class_of g' e <> Signal_graph.class_of t.l.sg e then
-      invalid_arg "Unfolding.patch: the edited graph changes an event class"
-  done;
-  let arcs_old = Signal_graph.arcs t.l.sg in
-  let arcs_new = Signal_graph.arcs g' in
-  if Array.length arc_map <> Array.length arcs_old then
-    invalid_arg "Unfolding.patch: arc_map length differs from the base arc count";
-  Tsg_obs.Trace.with_span "unfolding/patch" @@ fun () ->
+(* the arc instantiates as it did: same endpoints, marking and
+   disengageability ([last] reads nothing else of the arc) *)
+let same_instances (a : Signal_graph.arc) (b : Signal_graph.arc) =
+  a.arc_src = b.arc_src && a.arc_dst = b.arc_dst && a.marked = b.marked
+  && a.disengageable = b.disengageable
+
+(* the edited graph's own build, plus the instance pairs that changed
+   through [arc_map]: a surviving arc instantiates identically unless
+   its marking or disengageability flipped (drop the old instances,
+   splice the new); a removed arc drops its instances, an added one
+   splices them *)
+let rebuild ~deadline t g' ~arc_map =
+  let arcs_old = Signal_graph.arcs t.l.sg and arcs_new = Signal_graph.arcs g' in
   let t' = build ~deadline g' ~periods:t.l.k in
-  (* through [arc_map]: a surviving arc instantiates identically unless
-     its marking or disengageability flipped (drop the old instances,
-     splice the new); a removed arc drops its instances, an added one
-     splices them *)
   let dropped = ref [] and spliced = ref [] in
   let note acc l0 a = iter_arc_instances_of l0 a (fun s d -> acc := (s, d) :: !acc) in
   let mapped = Array.make (max (Array.length arcs_new) 1) false in
@@ -316,21 +312,46 @@ let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
       if a' < 0 then note dropped t.l arcs_old.(a)
       else begin
         let old_a = arcs_old.(a) and new_a = arcs_new.(a') in
-        if old_a.Signal_graph.arc_src <> new_a.Signal_graph.arc_src
-           || old_a.Signal_graph.arc_dst <> new_a.Signal_graph.arc_dst then
+        if old_a.arc_src <> new_a.arc_src || old_a.arc_dst <> new_a.arc_dst then
           invalid_arg "Unfolding.patch: arc_map changes an arc's endpoints";
         mapped.(a') <- true;
-        if old_a.Signal_graph.marked <> new_a.Signal_graph.marked
-           || old_a.Signal_graph.disengageable <> new_a.Signal_graph.disengageable
-        then begin
+        if not (same_instances old_a new_a) then begin
           note dropped t.l old_a;
           note spliced t'.l new_a
         end
       end)
     arc_map;
   Array.iteri (fun a' arc -> if not mapped.(a') then note spliced t'.l arc) arcs_new;
-  Tsg_engine.Metrics.incr "unfolding/patched";
   (t', { pd_spliced = Array.of_list !spliced; pd_dropped = Array.of_list !dropped })
+
+(* Instance ids never depend on the arc table, so the patched
+   unfolding is the edited graph's build.  When no arc instance
+   changes (the same arc ids, each instantiating as it did), that
+   build is the base one with the edited graph and delays: the
+   templates and orders are shared, and the delta is empty. *)
+let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
+  if Signal_graph.event_count g' <> t.l.n_events then
+    invalid_arg "Unfolding.patch: the edited graph has a different event set";
+  for e = 0 to t.l.n_events - 1 do
+    if Signal_graph.class_of g' e <> Signal_graph.class_of t.l.sg e then
+      invalid_arg "Unfolding.patch: the edited graph changes an event class"
+  done;
+  let arcs_old = Signal_graph.arcs t.l.sg and arcs_new = Signal_graph.arcs g' in
+  let m = Array.length arcs_old in
+  if Array.length arc_map <> m then
+    invalid_arg "Unfolding.patch: arc_map length differs from the base arc count";
+  Tsg_obs.Trace.with_span "unfolding/patch" @@ fun () ->
+  let rec delay_only a =
+    a = m || (arc_map.(a) = a && same_instances arcs_old.(a) arcs_new.(a) && delay_only (a + 1))
+  in
+  let patched =
+    if Array.length arcs_new = m && delay_only 0 then
+      ( { t with l = { t.l with sg = g' }; delays = delays_of g' },
+        { pd_spliced = [||]; pd_dropped = [||] } )
+    else rebuild ~deadline t g' ~arc_map
+  in
+  Tsg_engine.Metrics.incr "unfolding/patched";
+  patched
 
 let pp_instance t ppf i =
   let e, p = event_of_instance t i in

@@ -174,7 +174,14 @@ val patch :
     in increasing order, and [g']'s remaining arcs are treated as
     additions.  The patched unfolding is the one [make g'] builds:
     same slices (which pins longest-path tie-breaking), same canonical
-    order.  The base unfolding is not mutated.
+    order, [g']'s {!delays}.  The base unfolding is not mutated.
+
+    A {e delay-only} edit — the same arc count, [arc_map] the
+    identity, and every arc keeping its endpoints, marking and
+    disengageability — changes no arc instance.  It costs
+    [O(events + arcs)] and builds nothing: the result shares [u]'s
+    templates and orders, with [g'] and its delays, and the delta is
+    empty.
     @raise Invalid_argument if [g'] changes the event set or classes,
     or [arc_map] is inconsistent with the two arc tables. *)
 

@@ -23,7 +23,6 @@ type t = {
   periods : int;
   base : Cycle_time.report;
   base_traces : Cycle_time.border_trace array;
-  base_delays : float array;  (* per Signal-Graph arc id *)
   (* the base run's occurrence times, roots in blocks of [lanes]: block
      k of width w holds root (k * lanes + r)'s time of instance v at
      [v * w + r], [neg_infinity] where the root never reached v *)
@@ -104,33 +103,32 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
     periods;
     base;
     base_traces;
-    base_delays = Array.copy (Unfolding.delays u);
     base_blocks;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Edits                                                               *)
 
-(* A scenario of [change]s is classified once, up front, into either a
-   pure delay re-spelling of the base graph (the existing warm kernel
-   applies unchanged) or a structural edit carrying the edited graph
-   plus the arc-id mapping [Unfolding.patch] needs.  Validation errors
-   ([Invalid_argument]) and graphs that fail structural validation
-   ([Cycle_time.Not_analyzable], e.g. an edit that disconnects the
-   repetitive part) are raised here, from the {e same} code on the
-   warm and cold sides — which is what makes failure outcomes
-   byte-identical between the two. *)
-type applied =
-  | Ap_delay of float array * int list  (* base-id delays, changed base arcs *)
-  | Ap_structural of Signal_graph.t * int array * int list
-      (* edited graph, arc_map (base id -> new id or -1),
-         surviving base arcs whose delay changed *)
+(* A scenario of [change]s is applied once, up front, into the edited
+   graph plus what [Unfolding.patch] and the seeds need.  Validation
+   errors ([Invalid_argument]) and graphs that fail structural
+   validation ([Cycle_time.Not_analyzable], e.g. an edit that
+   disconnects the repetitive part) are raised here, from the {e same}
+   code on the warm and cold sides — which is what makes failure
+   outcomes byte-identical between the two. *)
+type applied = {
+  g' : Signal_graph.t;
+  arc_map : int array;  (* base id -> new id, or -1 when removed *)
+  changed_delays : int list;  (* surviving base arcs whose delay changed *)
+  structural : bool;  (* an arc added, removed or re-marked *)
+}
 
 let apply_changes t changes =
   let arcs0 = Signal_graph.arcs t.g in
   let m = Array.length arcs0 in
   let n_events = Signal_graph.event_count t.g in
-  let delays = Array.copy t.base_delays in
+  let base_delays = Unfolding.delays t.u in
+  let delays = Array.copy base_delays in
   let touched = Hashtbl.create 8 in
   let removed = Array.make (max m 1) false in
   let marked = Array.map (fun (a : Signal_graph.arc) -> a.Signal_graph.marked) arcs0 in
@@ -187,7 +185,7 @@ let apply_changes t changes =
   let changed_delays =
     Hashtbl.fold
       (fun a () acc ->
-        if delays.(a) <> t.base_delays.(a) then begin
+        if delays.(a) <> base_delays.(a) then begin
           if (not (Float.is_finite delays.(a))) || delays.(a) < 0. then
             invalid_arg
               (Printf.sprintf
@@ -205,40 +203,43 @@ let apply_changes t changes =
     || Array.exists Fun.id removed
     || List.exists (fun a -> marked.(a) <> arcs0.(a).Signal_graph.marked) !mark_edits
   in
-  if not structural then Ap_delay (delays, changed_delays)
-  else begin
-    (* surviving base arcs keep their relative order (so [arc_map] is
-       monotone), additions are appended with the builder's
-       auto-disengageable rule applied *)
-    let arc_map = Array.make (max m 1) (-1) in
-    let next = ref 0 in
-    let surviving = ref [] in
-    for a = 0 to m - 1 do
-      if not removed.(a) then begin
-        arc_map.(a) <- !next;
-        incr next;
-        let a0 = arcs0.(a) in
-        surviving := { a0 with Signal_graph.delay = delays.(a); marked = marked.(a) } :: !surviving
-      end
-    done;
-    let added =
-      List.rev_map
-        (fun (src, dst, delay, marked) -> Signal_graph.make_arc t.g ~marked ~delay src dst)
-        !adds
-    in
-    let table = Array.of_list (List.rev_append !surviving added) in
-    match Signal_graph.with_arcs t.g table with
-    | Ok g' -> Ap_structural (g', arc_map, changed_delays)
-    | Error errs ->
-      raise
-        (Cycle_time.Not_analyzable
-           (Fmt.str "%a" Fmt.(list ~sep:(any "; ") Signal_graph.pp_error) errs))
-  end
+  (* surviving base arcs keep their relative order (so [arc_map] is
+     monotone), additions are appended with the builder's
+     auto-disengageable rule applied *)
+  let arc_map = Array.make m (-1) in
+  let next = ref 0 in
+  for a = 0 to m - 1 do
+    if not removed.(a) then begin
+      arc_map.(a) <- !next;
+      incr next
+    end
+  done;
+  let g' =
+    if not structural then Signal_graph.with_delays t.g delays
+    else begin
+      let surviving =
+        List.filter_map
+          (fun a ->
+            if removed.(a) then None
+            else Some { arcs0.(a) with Signal_graph.delay = delays.(a); marked = marked.(a) })
+          (List.init m Fun.id)
+      in
+      let added =
+        List.rev_map
+          (fun (src, dst, delay, marked) -> Signal_graph.make_arc t.g ~marked ~delay src dst)
+          !adds
+      in
+      match Signal_graph.with_arcs t.g (Array.of_list (surviving @ added)) with
+      | Ok g' -> g'
+      | Error errs ->
+        raise
+          (Cycle_time.Not_analyzable
+             (Fmt.str "%a" Fmt.(list ~sep:(any "; ") Signal_graph.pp_error) errs))
+    end
+  in
+  { g'; arc_map; changed_delays; structural }
 
-let edited_graph_changes t changes =
-  match apply_changes t changes with
-  | Ap_delay (delays, _) -> Signal_graph.with_delays t.g delays
-  | Ap_structural (g', _, _) -> g'
+let edited_graph_changes t changes = (apply_changes t changes).g'
 
 (* ------------------------------------------------------------------ *)
 (* The warm kernel: incremental longest-path repair, one block of
@@ -308,13 +309,14 @@ let seed (dst : float array) o (src : float array) so (delays : float array) a w
     Array.unsafe_set dst (o + r) (Array.unsafe_get src (so + r) +. d)
   done
 
-(* repair block [blk] over the dag [u] with per-arc [delays];
-   afterwards {!repaired_times} reads the block's times.  The scan
-   walks the periods from the smallest dirty position, each through
-   its canonical order, and reads the period's slice templates plus
-   their id shifts, as the cold kernel does. *)
-let repair ~deadline t sc ~u ~delays ~seeds blk =
+(* repair block [blk] over the edited unfolding [u]; afterwards
+   {!repaired_times} reads the block's times.  The scan walks the
+   periods from the smallest dirty position, each through its
+   canonical order, and reads the period's slice templates plus their
+   id shifts, as the cold kernel does. *)
+let repair ~deadline t sc ~u ~seeds blk =
   let w = block_width t blk in
+  let delays = Unfolding.delays u in
   let base = t.base_blocks.(blk) in
   sc.s_epoch <- sc.s_epoch + 1;
   let epoch = sc.s_epoch in
@@ -427,16 +429,38 @@ let short_circuit t =
 
 (* a full cold analysis of the edited graph: the fallback whenever the
    warm kernel cannot (or is told not to) answer *)
-let cold ~deadline t g' =
-  let report = Cycle_time.analyze ~deadline ~periods:t.periods g' in
+let cold ~deadline t ap =
+  if ap.structural then Tsg_engine.Metrics.incr "whatif/structural_cold";
+  let report = Cycle_time.analyze ~deadline ~periods:t.periods ap.g' in
   (report, { reused = 0; resimulated = Array.length t.border_arr; path = Cold })
 
-(* The warm re-analysis shared by delay and structural edits.  A root
-   whose base run reached the source of no seed cannot observe the
-   edit (a dropped or spliced arc instance with an unreached source
-   contributes nothing before or after), so its trace is reused
-   verbatim; a block with no affected root is never scanned. *)
-let warm ~deadline sc t ~u ~delays ~seeds finish =
+(* the (src, dst) instance pairs of base arcs [arcs], enumerated from
+   each arc and the period count *)
+let arc_instances t arcs =
+  let acc = ref [] in
+  List.iter (fun a -> Unfolding.iter_arc_instances t.u a (fun s d -> acc := (s, d) :: !acc)) arcs;
+  Array.of_list (List.rev !acc)
+
+(* The warm re-analysis.  An edit changes the unfolding's arcs and
+   delays but not its instance ids ({!Unfolding.patch}; a delay edit
+   shares the base templates outright), so the base tables remain a
+   valid starting point.  The seeds are the spliced and dropped arc
+   instances plus the instances of surviving arcs whose delay changed
+   (read from the base grouping — instance ids are stable), and the
+   repair runs over the patched dag.  A root whose base run reached
+   the source of no seed cannot observe the edit (a dropped or spliced
+   arc instance with an unreached source contributes nothing before
+   or after), so its trace is reused verbatim; a block with no
+   affected root is never scanned. *)
+let warm ~deadline sc t ap =
+  let u, delta = Unfolding.patch ~deadline t.u ap.g' ~arc_map:ap.arc_map in
+  let sp = delta.Unfolding.pd_spliced and dr = delta.Unfolding.pd_dropped in
+  if ap.structural then begin
+    Tsg_engine.Metrics.incr ~by:(Array.length sp) "whatif/instances_spliced";
+    Tsg_engine.Metrics.incr ~by:(Array.length dr) "whatif/instances_dropped";
+    Tsg_engine.Metrics.incr "whatif/structural_warm"
+  end;
+  let seeds = Array.concat [ sp; dr; arc_instances t ap.changed_delays ] in
   let b = Array.length t.border_arr in
   let affected = Array.make b false in
   Array.iteri
@@ -459,7 +483,7 @@ let warm ~deadline sc t ~u ~delays ~seeds finish =
     done;
     if !any then begin
       Tsg_engine.Deadline.check deadline;
-      repair ~deadline t sc ~u ~delays ~seeds k;
+      repair ~deadline t sc ~u ~seeds k;
       for idx = first to last do
         if affected.(idx) then begin
           (* a root whose sampled times all held keeps its base trace
@@ -478,37 +502,23 @@ let warm ~deadline sc t ~u ~delays ~seeds finish =
   let reused = b - resimulated in
   Tsg_engine.Metrics.incr ~by:reused "whatif/reused";
   Tsg_engine.Metrics.incr ~by:resimulated "whatif/resimulated";
-  (finish (Array.to_list traces), { reused; resimulated; path = Warm })
+  let report =
+    Cycle_time.Internal.finish ~deadline ap.g' u ~border:t.border ~periods:t.periods
+      ~traces:(Array.to_list traces)
+  in
+  (report, { reused; resimulated; path = Warm })
 
-(* the (src, dst) instance pairs of base arcs [arcs], enumerated from
-   each arc and the period count *)
-let arc_instances t arcs =
-  let acc = ref [] in
-  List.iter (fun a -> Unfolding.iter_arc_instances t.u a (fun s d -> acc := (s, d) :: !acc)) arcs;
-  Array.of_list (List.rev !acc)
-
-let warm_delay ~deadline sc t ~delays ~changed g' =
-  warm ~deadline sc t ~u:t.u ~delays ~seeds:(arc_instances t changed) (fun traces ->
-      Cycle_time.Internal.finish ~deadline ~delays g' t.u ~border:t.border
-        ~periods:t.periods ~traces)
-
-(* A structural edit changes the unfolding's arcs but not its instance
-   ids ({!Unfolding.patch}), so the base tables remain a valid starting
-   point; the seeds are the spliced and dropped arc instances plus the
-   instances of surviving arcs whose delay changed (read from the base
-   grouping — instance ids are stable), and the repair runs over the
-   patched dag. *)
-let warm_structural ~deadline sc t ~arc_map ~changed_delays g' =
-  let u', delta = Unfolding.patch ~deadline t.u g' ~arc_map in
-  let sp = delta.Unfolding.pd_spliced and dr = delta.Unfolding.pd_dropped in
-  Tsg_engine.Metrics.incr ~by:(Array.length sp) "whatif/instances_spliced";
-  Tsg_engine.Metrics.incr ~by:(Array.length dr) "whatif/instances_dropped";
-  Tsg_engine.Metrics.incr "whatif/structural_warm";
-  let seeds = Array.concat [ sp; dr; arc_instances t changed_delays ] in
-  (* no [~delays] override in [finish]: [u'] carries the edited graph *)
-  warm ~deadline sc t ~u:u' ~delays:(Unfolding.delays u') ~seeds (fun traces ->
-      Cycle_time.Internal.finish ~deadline g' u' ~border:t.border ~periods:t.periods
-        ~traces)
+(* An edit that folds back onto the base graph short-circuits.  For a
+   delay edit the per-arc compare sees most of these, and the digest
+   guard catches exact repeats it cannot (distinct delay spellings
+   with one canonical form).  Structural no-ops (remove+re-add of an
+   identical arc table) are detected by literal arc-table equality,
+   NOT by digest: the canonical form is declaration-order-insensitive,
+   so a digest match could hide a permutation of arc ids — and arc ids
+   appear in the report's critical walk. *)
+let is_no_op t ap =
+  if ap.structural then Signal_graph.arcs ap.g' = Signal_graph.arcs t.g
+  else ap.changed_delays = [] || Signal_graph.digest ap.g' = t.digest
 
 let reanalyze_changes ?deadline ?scratch:sc t changes =
   let deadline =
@@ -521,52 +531,23 @@ let reanalyze_changes ?deadline ?scratch:sc t changes =
     else []
   in
   Tsg_obs.Trace.with_span "whatif_reanalyze" ~args @@ fun () ->
-  match apply_changes t changes with
-  | Ap_delay (delays, changed) ->
-    if changed = [] then short_circuit t
-    else begin
-      let g' = Signal_graph.with_delays t.g delays in
-      (* the digest guard catches exact repeats that the per-arc compare
-         cannot see (distinct delay spellings with one canonical form) *)
-      if Signal_graph.digest g' = t.digest then short_circuit t
-      else begin
-        match Tsg_obs.Failpoint.hit "whatif/warm" with
-        | exception Tsg_obs.Failpoint.Injected _ ->
-          (* warm path disabled by fault injection: fall back to a full
-             cold analysis of the edited graph — same report, no reuse *)
-          Tsg_engine.Metrics.incr "whatif/cold_fallbacks";
-          cold ~deadline t g'
-        | () ->
-          let sc = match sc with Some s -> s | None -> scratch t in
-          warm_delay ~deadline sc t ~delays ~changed g'
-      end
-    end
-  | Ap_structural (g', arc_map, changed_delays) ->
-    (* structural no-ops (remove+re-add of an identical arc table) are
-       detected by literal arc-table equality, NOT by digest: the
-       canonical form is declaration-order-insensitive, so a digest
-       match could hide a permutation of arc ids — and arc ids appear
-       in the report's critical walk *)
-    if Signal_graph.arcs g' = Signal_graph.arcs t.g then short_circuit t
-    else begin
-      match Tsg_obs.Failpoint.hit "whatif/warm" with
-      | exception Tsg_obs.Failpoint.Injected _ ->
-        Tsg_engine.Metrics.incr "whatif/cold_fallbacks";
-        Tsg_engine.Metrics.incr "whatif/structural_cold";
-        cold ~deadline t g'
-      | () ->
-        if Cut_set.border g' <> t.border then begin
-          (* the border set moved: the prepared roots, traces and
-             per-root tables describe the wrong simulation set — the
-             only sound warm answer is none at all *)
-          Tsg_engine.Metrics.incr "whatif/structural_cold";
-          cold ~deadline t g'
-        end
-        else begin
-          let sc = match sc with Some s -> s | None -> scratch t in
-          warm_structural ~deadline sc t ~arc_map ~changed_delays g'
-        end
-    end
+  let ap = apply_changes t changes in
+  if is_no_op t ap then short_circuit t
+  else begin
+    match Tsg_obs.Failpoint.hit "whatif/warm" with
+    | exception Tsg_obs.Failpoint.Injected _ ->
+      (* warm path disabled by fault injection: fall back to a full
+         cold analysis of the edited graph — same report, no reuse *)
+      Tsg_engine.Metrics.incr "whatif/cold_fallbacks";
+      cold ~deadline t ap
+    | () ->
+      (* a delay edit never moves the border.  When a structural one
+         does, the prepared roots, traces and per-root tables describe
+         the wrong simulation set: the only sound warm answer is none
+         at all *)
+      if ap.structural && Cut_set.border ap.g' <> t.border then cold ~deadline t ap
+      else warm ~deadline (match sc with Some s -> s | None -> scratch t) t ap
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Sweeps                                                              *)

@@ -9,7 +9,8 @@
 
     - the unfolding, its topological order and per-root reachability
       depend only on topology and marking, so a pure delay edit reuses
-      all of them unchanged;
+      all of them: {!Unfolding.patch} shares the base templates and
+      orders and only swaps the delays;
     - a root whose simulation never reaches an instance of an edited
       arc keeps its base Delta table verbatim ([whatif/reused]);
     - an affected root is {e repaired}, not re-simulated: a dirty
@@ -132,11 +133,13 @@ val reanalyze_changes :
     Without [scratch] a fresh one is allocated; [deadline] defaults to
     the ambient {!Tsg_engine.Deadline.current}.
 
-    Delay-only scenarios repair over the base unfolding; structural
-    ones patch it first and repair over the patched one
-    ([whatif/structural_warm], [whatif/instances_spliced|dropped]),
-    falling back to a cold analysis only when the border set itself
-    moves ([whatif/structural_cold]).  A scenario whose edited arc
+    Every warm scenario patches the base unfolding
+    ({!Unfolding.patch}, which shares the base templates outright for a
+    delay-only scenario) and repairs over the patched one (structural
+    ones count under [whatif/structural_warm] and
+    [whatif/instances_spliced|dropped]), falling back to a cold
+    analysis only when the border set itself moves
+    ([whatif/structural_cold]).  A scenario whose edited arc
     table is literally the base one short-circuits.  The warm path
     carries the ["whatif/warm"] failpoint: when armed
     ({!Tsg_obs.Failpoint}), re-analysis falls back to a cold

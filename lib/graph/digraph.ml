@@ -1,6 +1,7 @@
 (* Adjacency lists are stored in reverse insertion order (cons on insert)
-   so that insertion is O(1); accessors re-reverse to present arcs in
-   insertion order, which keeps every client algorithm deterministic. *)
+   so that insertion is O(1); accessors present arcs in insertion order,
+   which keeps every client algorithm deterministic.  The iterators walk
+   a stored list back to front on the stack instead of copying it. *)
 
 type 'a t = {
   mutable n : int;
@@ -89,13 +90,20 @@ let in_degree g v =
   check_vertex g v "in_degree";
   List.length g.in_adj.(v)
 
+(* [f] over a stored (reversed) list in insertion order *)
+let rec iter_rev f = function
+  | [] -> ()
+  | (w, label) :: rest ->
+    iter_rev f rest;
+    f w label
+
 let iter_out g v f =
   check_vertex g v "iter_out";
-  List.iter (fun (dst, label) -> f dst label) (List.rev g.out_adj.(v))
+  iter_rev f g.out_adj.(v)
 
 let iter_in g v f =
   check_vertex g v "iter_in";
-  List.iter (fun (src, label) -> f src label) (List.rev g.in_adj.(v))
+  iter_rev f g.in_adj.(v)
 
 let iter_vertices g f =
   for v = 0 to g.n - 1 do
@@ -104,7 +112,7 @@ let iter_vertices g f =
 
 let iter_arcs g f =
   for src = 0 to g.n - 1 do
-    List.iter (fun (dst, label) -> f src dst label) (List.rev g.out_adj.(src))
+    iter_rev (f src) g.out_adj.(src)
   done
 
 let fold_arcs g ~init ~f =

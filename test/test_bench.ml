@@ -85,6 +85,24 @@ let test_unknown_names () =
   Alcotest.(check (list string)) "no filter" [] (Bench.unknown ~only:[] files);
   Alcotest.(check (list string)) "workloads without models" [] (Bench.unknown ~only:[ "whatif_sweep" ] [])
 
+(* an --only value that names nothing is refused like an unknown name,
+   before anything is timed; blanks around and between names are
+   dropped *)
+let test_parse_only () =
+  let files = [ "benchmarks/fig1.g" ] in
+  let parse = Alcotest.(result (list string) string) in
+  List.iter
+    (fun value ->
+      Alcotest.check parse (Printf.sprintf "%S names nothing" value)
+        (Error (Printf.sprintf "--only %S names nothing" value))
+        (Bench.parse_only value files))
+    [ ","; ""; " , ,"; " " ];
+  Alcotest.check parse "names, blanks dropped" (Ok [ "fig1"; "whatif_sweep" ])
+    (Bench.parse_only " fig1,, whatif_sweep ," files);
+  Alcotest.check parse "unknown names"
+    (Error "--only names no model or workload: ring5, proxy_load")
+    (Bench.parse_only "fig1,ring5,proxy_load" files)
+
 (* 0.5 s doubling per consecutive crash, capped at 10 s; a replica that
    stayed up more than 30 s starts the count over *)
 let test_restart_backoff () =
@@ -105,5 +123,6 @@ let suite =
     Alcotest.test_case "to_json: one core, every status" `Quick test_to_json_single_core;
     Alcotest.test_case "to_json: several cores, structural ok" `Quick test_to_json_multi_core;
     Alcotest.test_case "only: names that match nothing" `Quick test_unknown_names;
+    Alcotest.test_case "only: a value that names nothing" `Quick test_parse_only;
     Alcotest.test_case "fleet: restart backoff" `Quick test_restart_backoff;
   ]

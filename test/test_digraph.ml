@@ -68,6 +68,38 @@ let test_iter_arcs_order () =
     [ (0, 1, "a"); (0, 2, "b"); (1, 3, "c"); (2, 3, "d") ]
     (List.rev !seen)
 
+(* vertex 1 has four out-arcs and four in-arcs, inserted interleaved,
+   with a parallel pair each way and a self-loop: every iterator must
+   replay them in insertion order *)
+let test_iterators_insertion_order () =
+  let g = Digraph.create () in
+  Digraph.add_vertices g 4;
+  List.iter
+    (fun (src, dst, label) -> Digraph.add_arc g ~src ~dst label)
+    [ (1, 3, "o1"); (0, 1, "i1"); (1, 0, "o2"); (2, 1, "i2"); (1, 3, "o3");
+      (1, 1, "loop"); (0, 1, "i3") ];
+  let collect iter =
+    let seen = ref [] in
+    iter (fun w label -> seen := (w, label) :: !seen);
+    List.rev !seen
+  in
+  Alcotest.(check (list (pair int string))) "iter_out"
+    [ (3, "o1"); (0, "o2"); (3, "o3"); (1, "loop") ]
+    (collect (Digraph.iter_out g 1));
+  Alcotest.(check (list (pair int string))) "iter_in"
+    [ (0, "i1"); (2, "i2"); (1, "loop"); (0, "i3") ]
+    (collect (Digraph.iter_in g 1));
+  Alcotest.(check (list (pair int string))) "iter_out agrees with out_arcs"
+    (Digraph.out_arcs g 1) (collect (Digraph.iter_out g 1));
+  Alcotest.(check (list (pair int string))) "iter_in agrees with in_arcs"
+    (Digraph.in_arcs g 1) (collect (Digraph.iter_in g 1));
+  let seen = ref [] in
+  Digraph.iter_arcs g (fun s d l -> seen := (s, d, l) :: !seen);
+  Alcotest.(check (list (triple int int string))) "iter_arcs"
+    [ (0, 1, "i1"); (0, 1, "i3"); (1, 3, "o1"); (1, 0, "o2"); (1, 3, "o3");
+      (1, 1, "loop"); (2, 1, "i2") ]
+    (List.rev !seen)
+
 let test_fold_arcs () =
   let g = diamond () in
   let n = Digraph.fold_arcs g ~init:0 ~f:(fun acc _ _ _ -> acc + 1) in
@@ -115,6 +147,7 @@ let suite =
     Alcotest.test_case "find_arc picks first inserted" `Quick test_find_arc;
     Alcotest.test_case "parallel arcs and self loops" `Quick test_parallel_arcs_and_self_loops;
     Alcotest.test_case "iter_arcs order" `Quick test_iter_arcs_order;
+    Alcotest.test_case "iterators keep insertion order" `Quick test_iterators_insertion_order;
     Alcotest.test_case "fold_arcs" `Quick test_fold_arcs;
     Alcotest.test_case "of_arcs/arcs roundtrip" `Quick test_arcs_roundtrip;
     Alcotest.test_case "map_labels" `Quick test_map_labels;

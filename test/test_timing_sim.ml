@@ -280,13 +280,8 @@ let test_rejects_bad_arguments () =
       raises_invalid (Printf.sprintf "backtrack to %d" instance) (fun () ->
           Timing_sim.backtrack u ~at:0 ~instance))
     [ n; -1 ];
-  let m = Signal_graph.arc_count g in
-  raises_invalid "short delays" (fun () ->
-      Timing_sim.simulate_initiated ~delays:(Array.make (m - 1) 1.) u ~at:0);
-  raises_invalid "short delays (backtrack)" (fun () ->
-      Timing_sim.backtrack ~delays:[||] u ~at:0 ~instance:1);
   (* the boundaries themselves are accepted *)
-  ignore (Timing_sim.simulate_initiated ~delays:(Array.make m 1.) u ~at:(n - 1));
+  ignore (Timing_sim.simulate_initiated u ~at:(n - 1));
   ignore (Timing_sim.backtrack u ~at:0 ~instance:(n - 1))
 
 let suite =

@@ -320,9 +320,10 @@ let templates u =
 
 (* a patched unfolding must be exactly what a fresh [make] of the
    edited graph builds: every slice, in order (it decides longest-path
-   ties), and every stored template and period order *)
+   ties), every stored template and period order, the delays and the
+   graph; an edit of delays alone changes no arc instance *)
 let test_patch_equals_make () =
-  let check_edit g ~periods ~removed ~flipped ~added =
+  let check_edit ?(delayed = []) g ~periods ~removed ~flipped ~added =
     let arcs = Signal_graph.arcs g in
     let next = ref 0 in
     let arc_map =
@@ -341,6 +342,11 @@ let test_patch_equals_make () =
           if List.mem a removed then None
           else
             let arc = arcs.(a) in
+            let arc =
+              if List.mem a delayed then
+                { arc with Signal_graph.delay = arc.Signal_graph.delay +. 0.75 }
+              else arc
+            in
             Some
               (if List.mem a flipped then
                  { arc with Signal_graph.marked = not arc.Signal_graph.marked }
@@ -364,6 +370,12 @@ let test_patch_equals_make () =
         (templates fresh) (templates patched);
       Alcotest.(check (array (float 0.))) "delays" (Unfolding.delays fresh)
         (Unfolding.delays patched);
+      Alcotest.(check bool) "signal graph" true
+        (Signal_graph.arcs (Unfolding.signal_graph fresh)
+        = Signal_graph.arcs (Unfolding.signal_graph patched));
+      if removed = [] && flipped = [] && added = [] then
+        Alcotest.(check (pair int int)) "a delay edit changes no arc instance" (0, 0)
+          (Array.length delta.Unfolding.pd_spliced, Array.length delta.Unfolding.pd_dropped);
       check_arcs_go_forward "patched order is topological" patched;
       Alcotest.(check int) "instance diff balances the arc count"
         (arc_count fresh - arc_count u)
@@ -384,7 +396,11 @@ let test_patch_equals_make () =
             ~added:[ (2, n / 2); (n - 2, 1) ];
           (* two spliced arcs into one destination: in-slice order *)
           check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (5, n / 2); (2, n / 2) ];
-          check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (1, n - 1); (3, n - 1) ])
+          check_edit g ~periods ~removed:[] ~flipped:[] ~added:[ (1, n - 1); (3, n - 1) ];
+          (* delays alone, and beside structural edits *)
+          check_edit g ~periods ~removed:[] ~flipped:[] ~added:[] ~delayed:[ 0; n + 1; m - 1 ];
+          check_edit g ~periods ~removed:[ 2 ] ~flipped:[ n + 4 ] ~added:[]
+            ~delayed:[ 0; n + 4; m - 1 ])
         [ 1; 2; 3; 6 ])
     [ 1; 2; 3; 4; 5 ];
   let g = fig1 () in
