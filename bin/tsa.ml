@@ -92,7 +92,10 @@ let analyze_cmd =
       | None -> Tsg_engine.Deadline.none
       | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
     in
-    match Cycle_time.analyze ~deadline ?periods ~jobs g with
+    match
+      Tsg_engine.Deadline.with_deadline deadline (fun () ->
+          Cycle_time.analyze ?periods ~jobs g)
+    with
     | report ->
       write_trace trace;
       if json then print_endline (Tsg_io.Json_report.analysis g report)

@@ -49,8 +49,9 @@ let best_of_traces traces =
 (* backtracking and report assembly, shared by [analyze] (cold) and
    [Whatif] (warm): [g] is the graph the critical cycles are
    decomposed against — the edited graph on the warm path, where [u]
-   is its patched unfolding *)
-let finish ?(deadline = Tsg_engine.Deadline.none) g u ~border ~periods ~traces =
+   is its patched unfolding.  The backtrack reads the ambient
+   deadline. *)
+let finish g u ~border ~periods ~traces =
   match best_of_traces traces with
   | None -> raise (Not_analyzable "no average occurrence distance was collected")
   | Some (critical_event, critical_period, cycle_time) ->
@@ -61,7 +62,7 @@ let finish ?(deadline = Tsg_engine.Deadline.none) g u ~border ~periods ~traces =
        critical simulation (1/b of the simulate phase) and walk its
        predecessors inside the arena *)
     let path =
-      Timing_sim.backtrack ~deadline u
+      Timing_sim.backtrack u
         ~at:(Unfolding.instance u ~event:critical_event ~period:0)
         ~instance:(Unfolding.instance u ~event:critical_event ~period:critical_period)
     in
@@ -89,13 +90,11 @@ let finish ?(deadline = Tsg_engine.Deadline.none) g u ~border ~periods ~traces =
       traces;
     }
 
-let analyze ?deadline ?periods ?(jobs = 1) g =
-  (* the ambient deadline covers the common composition — Batch or the
-     daemon arm a budget around the whole job without this signature
-     rippling through every call site in between *)
-  let deadline =
-    match deadline with Some d -> d | None -> Tsg_engine.Deadline.current ()
-  in
+let analyze ?periods ?(jobs = 1) g =
+  (* the ambient deadline is the only budget: Batch, the daemon and
+     the CLI arm it around the whole job, and every phase below reads
+     the same one *)
+  let deadline = Tsg_engine.Deadline.current () in
   let args =
     if Tsg_obs.Trace.enabled () then
       [
@@ -119,7 +118,7 @@ let analyze ?deadline ?periods ?(jobs = 1) g =
   let u =
     Tsg_obs.Trace.with_span "unfold" @@ fun () ->
     Tsg_engine.Metrics.time "analyze/unfold" @@ fun () ->
-    let u = Unfolding.make ~deadline g ~periods:(periods + 1) in
+    let u = Unfolding.make g ~periods:(periods + 1) in
     Tsg_engine.Deadline.check deadline;
     u
   in
@@ -133,11 +132,11 @@ let analyze ?deadline ?periods ?(jobs = 1) g =
         (Array.of_list border)
     in
     Array.to_list
-      (Timing_sim.simulate_many ~deadline ~jobs u ~roots ~f:(fun at view ->
+      (Timing_sim.simulate_many ~jobs u ~roots ~f:(fun at view ->
            let g0, _ = Unfolding.event_of_instance u at in
            trace_of u periods g0 view))
   in
-  finish ~deadline g u ~border ~periods ~traces
+  finish g u ~border ~periods ~traces
 
 module Internal = struct
   let trace_of_times = trace_of_times

@@ -39,15 +39,13 @@ exception Not_analyzable of string
 (** Raised when the graph has no repetitive events (no cycles, hence
     no cycle time). *)
 
-val analyze :
-  ?deadline:Tsg_engine.Deadline.t -> ?periods:int -> ?jobs:int -> Signal_graph.t -> report
+val analyze : ?periods:int -> ?jobs:int -> Signal_graph.t -> report
 (** Runs the algorithm.
 
-    [deadline] bounds the whole analysis (unfolding construction,
-    simulations and backtracking); when omitted, the ambient
-    per-thread deadline ({!Tsg_engine.Deadline.current}) applies, so
-    wrapping a call in {!Tsg_engine.Deadline.with_deadline} is enough
-    to bound it without threading a parameter through.
+    The ambient per-thread deadline ({!Tsg_engine.Deadline.current})
+    bounds the whole analysis (unfolding construction, simulations and
+    backtracking): wrap the call in
+    {!Tsg_engine.Deadline.with_deadline} to give it a budget.
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget.
 
     [periods] overrides the number of simulated periods.  The default
@@ -90,7 +88,6 @@ module Internal : sig
       [analyze]'s exact tie-breaking. *)
 
   val finish :
-    ?deadline:Tsg_engine.Deadline.t ->
     Signal_graph.t ->
     Unfolding.t ->
     border:int list ->
@@ -100,8 +97,10 @@ module Internal : sig
   (** Critical-sample selection, backtracking (re-running the one
       critical simulation over [u]) and report assembly.  [g] is the
       graph the critical walk is decomposed against — on the warm
-      path, the {e edited} graph, and [u] its patched unfolding.
-      @raise Not_analyzable if [traces] holds no samples. *)
+      path, the {e edited} graph, and [u] its patched unfolding.  The
+      backtrack runs under the ambient deadline.
+      @raise Not_analyzable if [traces] holds no samples.
+      @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
 end
 
 (**/**)

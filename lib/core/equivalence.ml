@@ -55,8 +55,8 @@ let compare ?periods g1 g2 =
         (* equality on the horizon extends to infinity once both sides
            are provably periodic within it *)
         match
-          ( Steady_state.detect ~max_periods:periods g1,
-            Steady_state.detect ~max_periods:periods g2 )
+          ( Steady_state.search (Steady_state.times u1 sim1),
+            Steady_state.search (Steady_state.times u2 sim2) )
         with
         | Some _, Some _ -> Equal
         | _ -> No_steady_state)

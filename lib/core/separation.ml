@@ -5,21 +5,8 @@ type t = {
 }
 
 let analyze ?max_periods g =
-  match Steady_state.detect ?max_periods g with
-  | None -> None
-  | Some steady ->
-    let b = List.length (Cut_set.border g) in
-    let periods =
-      match max_periods with Some p -> max 2 p | None -> (4 * b) + 8
-    in
-    let u = Unfolding.make g ~periods in
-    let sim = Timing_sim.simulate u in
-    let times =
-      List.map
-        (fun e -> (e, Timing_sim.occurrence_times u sim ~event:e))
-        (Signal_graph.repetitive_events g)
-    in
-    Some { sg = g; times; steady }
+  let times = Steady_state.simulate ?max_periods g in
+  Option.map (fun steady -> { sg = g; times; steady }) (Steady_state.search times)
 
 let lambda t = t.steady.Steady_state.lambda
 let pattern_period t = t.steady.Steady_state.pattern_period

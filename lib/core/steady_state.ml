@@ -5,15 +5,22 @@ type t = {
   lambda : float;
 }
 
-let detect ?max_periods g =
+let times u sim =
+  List.map
+    (fun e -> (e, Timing_sim.occurrence_times u sim ~event:e))
+    (Signal_graph.repetitive_events (Unfolding.signal_graph u))
+
+let simulate ?max_periods g =
   if Signal_graph.repetitive_count g = 0 then
     raise (Cycle_time.Not_analyzable "the graph has no repetitive events");
   let b = List.length (Cut_set.border g) in
   let max_periods = match max_periods with Some p -> max 2 p | None -> (4 * b) + 8 in
   let u = Unfolding.make g ~periods:max_periods in
-  let sim = Timing_sim.simulate u in
-  let events = Signal_graph.repetitive_events g in
-  let times = List.map (fun e -> (e, Timing_sim.occurrence_times u sim ~event:e)) events in
+  times u (Timing_sim.simulate u)
+
+(* the horizon is the simulated period count *)
+let search times =
+  let max_periods = match times with (_, ts) :: _ -> Array.length ts | [] -> 0 in
   let tol = 1e-9 in
   (* does pattern period k hold from period i0 on, with one shared
      increment across all events? *)
@@ -53,3 +60,5 @@ let detect ?max_periods g =
     end
   in
   search 1
+
+let detect ?max_periods g = search (simulate ?max_periods g)

@@ -23,9 +23,20 @@ type t = {
 }
 
 val detect : ?max_periods:int -> Signal_graph.t -> t option
-(** [detect g] simulates the unfolding over [max_periods] periods
-    (default [4 * b + 8] where [b] is the border-set size) and searches
-    for the smallest (pattern, transient) pair.  [None] if no pattern
-    fits within the horizon — increase [max_periods].
+(** [detect g] is [search (simulate ?max_periods g)].  [None] if no
+    pattern fits within the horizon — increase [max_periods].
     @raise Cycle_time.Not_analyzable on a graph without repetitive
     events. *)
+
+val simulate : ?max_periods:int -> Signal_graph.t -> (int * float array) list
+(** {!times} of a plain simulation over [max_periods] periods (default
+    [4 * b + 8] where [b] is the border-set size).
+    @raise Cycle_time.Not_analyzable as {!detect}. *)
+
+val times : Unfolding.t -> Timing_sim.result -> (int * float array) list
+(** Each repetitive event's {!Timing_sim.occurrence_times}, in event
+    order. *)
+
+val search : (int * float array) list -> t option
+(** The smallest (pattern, transient) pair, searched for purely over
+    the times; the horizon is their length. *)

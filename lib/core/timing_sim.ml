@@ -168,7 +168,7 @@ end
    stays branch-free and the check cost is amortised to nothing *)
 let check_block = 4096
 
-let kernel ?(deadline = Tsg_engine.Deadline.none) (ws : Workspace.t) u ~roots ~from_pos =
+let kernel ~deadline (ws : Workspace.t) u ~roots ~from_pos =
   let delays = Unfolding.delays u in
   ws.Workspace.epoch <- ws.Workspace.epoch + 1;
   let epoch = ws.Workspace.epoch in
@@ -292,37 +292,40 @@ let span_args u ~at ~from_pos =
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
-let simulate ?deadline u =
+let simulate u =
+  let deadline = Tsg_engine.Deadline.current () in
   Tsg_engine.Metrics.incr "simulations/full";
   observe_window u ~from_pos:0;
   Tsg_obs.Trace.with_span "longest_paths" ~args:[ ("kind", "full") ] @@ fun () ->
   Workspace.with_arena (Unfolding.instance_count u) @@ fun ws ->
-  kernel ?deadline ws u ~roots:(Unfolding.initial_instances u) ~from_pos:0;
+  kernel ~deadline ws u ~roots:(Unfolding.initial_instances u) ~from_pos:0;
   materialise ws u
 
 let check_instance u what i =
   if i < 0 || i >= Unfolding.instance_count u then
     invalid_arg (Printf.sprintf "Timing_sim: %s %d is not an instance" what i)
 
-let initiated_into ?deadline ws u ~at =
+let initiated_into ~deadline ws u ~at =
   check_instance u "at" at;
   let from_pos = Unfolding.topo_position u at in
   Tsg_engine.Metrics.incr "simulations/initiated";
   observe_window u ~from_pos;
   Tsg_obs.Trace.with_span "longest_paths" ~args:(span_args u ~at ~from_pos)
-  @@ fun () -> kernel ?deadline ws u ~roots:[ at ] ~from_pos
+  @@ fun () -> kernel ~deadline ws u ~roots:[ at ] ~from_pos
 
-let simulate_initiated ?deadline u ~at =
+let simulate_initiated u ~at =
+  let deadline = Tsg_engine.Deadline.current () in
   Workspace.with_arena (Unfolding.instance_count u) @@ fun ws ->
-  initiated_into ?deadline ws u ~at;
+  initiated_into ~deadline ws u ~at;
   materialise ws u
 
 (* the predecessor chain read straight out of the arena: nothing the
    size of the unfolding is copied for one path *)
-let backtrack ?deadline u ~at ~instance =
+let backtrack u ~at ~instance =
   check_instance u "instance" instance;
+  let deadline = Tsg_engine.Deadline.current () in
   Workspace.with_arena (Unfolding.instance_count u) @@ fun ws ->
-  initiated_into ?deadline ws u ~at;
+  initiated_into ~deadline ws u ~at;
   let reached v = ws.Workspace.stamp.(v) = ws.Workspace.epoch in
   let rec back v acc =
     let p = if reached v then ws.Workspace.pred_instance.(v) else -1 in
@@ -331,10 +334,11 @@ let backtrack ?deadline u ~at ~instance =
   in
   back instance []
 
-let simulate_many ?deadline ?(jobs = 1) u ~roots ~f =
+let simulate_many ?(jobs = 1) u ~roots ~f =
   let nroots = Array.length roots in
   if nroots = 0 then [||]
   else begin
+    let deadline = Tsg_engine.Deadline.current () in
     let n = Unfolding.instance_count u in
     (* self-scheduling workers: each participant acquires its domain
        arena once (the [with_ctx] bracket), then claims border events
@@ -357,15 +361,15 @@ let simulate_many ?deadline ?(jobs = 1) u ~roots ~f =
         Some idx
       end
     in
-    (* the deadline is shared by every participant: when it trips,
-       each raises at its next per-claim check (the kernel checks at
-       the top of every window) and Parallel.map_claims propagates the
-       smallest failing index after all claims settle — the pool
-       itself stays healthy and reusable *)
+    (* the deadline read above is shared by every participant: when
+       it trips, each raises at its next per-claim check (the kernel
+       checks at the top of every window) and Parallel.map_claims
+       propagates the smallest failing index after all claims settle
+       — the pool itself stays healthy and reusable *)
     Parallel.map_claims ~jobs ?order
       ~with_ctx:(fun k -> Workspace.with_arena n k)
       ~f:(fun ws at ->
-        initiated_into ?deadline ws u ~at;
+        initiated_into ~deadline ws u ~at;
         f at { vw = ws; vn = n })
       roots
   end

@@ -71,20 +71,21 @@ val view_time : view -> int -> float
 
 val view_reached : view -> int -> bool
 
-val simulate : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> result
+val simulate : Unfolding.t -> result
 (** The timing simulation [t] of the whole unfolding.  The topological
     order and slice templates are built with the unfolding, so
     repeated simulations of the same unfolding (as the cycle-time
     algorithm performs, once per border event) pay the set-up cost
     once.
 
-    All entry points accept a [deadline], checked once per 4096 topo
-    positions scanned (the inner relaxation loop is untouched, so the
-    amortised cost is unmeasurable); on expiry they raise
+    Every entry point reads the ambient deadline
+    ({!Tsg_engine.Deadline.current}) once and checks it once per 4096
+    topo positions scanned (the inner relaxation loop is untouched, so
+    the amortised cost is unmeasurable); on expiry they raise
     {!Tsg_engine.Deadline.Deadline_exceeded} and the domain's arena is
     simply reused by the next query. *)
 
-val simulate_initiated : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> at:int -> result
+val simulate_initiated : Unfolding.t -> at:int -> result
 (** [simulate_initiated u ~at:g] is the [g]-initiated timing
     simulation.  [time.(f) = 0.] and [reached.(f) = false] for every
     [f] not reachable from [g].
@@ -98,12 +99,7 @@ val simulate_initiated : ?deadline:Tsg_engine.Deadline.t -> Unfolding.t -> at:in
 
     @raise Invalid_argument if [g] is not an instance of [u]. *)
 
-val backtrack :
-  ?deadline:Tsg_engine.Deadline.t ->
-  Unfolding.t ->
-  at:int ->
-  instance:int ->
-  (int * int option) list
+val backtrack : Unfolding.t -> at:int -> instance:int -> (int * int option) list
 (** [backtrack u ~at ~instance] is
     [critical_path u (simulate_initiated u ~at) ~instance], read off
     the arena's predecessor arrays in place: one initiated simulation
@@ -112,7 +108,6 @@ val backtrack :
     [instance] is not an instance of [u]. *)
 
 val simulate_many :
-  ?deadline:Tsg_engine.Deadline.t ->
   ?jobs:int ->
   Unfolding.t ->
   roots:int array ->
@@ -127,11 +122,12 @@ val simulate_many :
     {!Unfolding.topo_position} of the root — the cheap static cost
     estimate), so unevenly sized simulations never serialize into a
     tail chunk and only the values returned by [f] are allocated per
-    query.  The shared [deadline] is checked once per claim (at the
-    top of every kernel window), which amortises cancellation to
-    nothing while keeping latency one simulation at most.  [f] must
-    not retain its [view] (the arena is recycled for the next root)
-    and must be safe to run concurrently when [jobs > 1]. *)
+    query.  The caller's ambient deadline is carried to every
+    participant and checked once per claim (at the top of every kernel
+    window), which amortises cancellation to nothing while keeping
+    latency one simulation at most.  [f] must not retain its [view]
+    (the arena is recycled for the next root) and must be safe to run
+    concurrently when [jobs > 1]. *)
 
 val occurrence_times : Unfolding.t -> result -> event:int -> float array
 (** [occurrence_times u r ~event] is the array of [t(e_i)] for

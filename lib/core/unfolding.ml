@@ -201,11 +201,11 @@ let build ~deadline sg ~periods =
     delays = delays_of sg;
   }
 
-let make ?(deadline = Tsg_engine.Deadline.none) sg ~periods =
+let make sg ~periods =
   if periods < 1 then invalid_arg "Unfolding.make: periods must be >= 1";
   Tsg_obs.Trace.with_span "unfolding/make" ~args:[ ("periods", string_of_int periods) ]
   @@ fun () ->
-  let t = build ~deadline sg ~periods in
+  let t = build ~deadline:(Tsg_engine.Deadline.current ()) sg ~periods in
   Tsg_engine.Metrics.incr "unfolding/built";
   Tsg_engine.Metrics.incr ~by:t.l.n_instances "unfolding/instances";
   t
@@ -329,7 +329,7 @@ let rebuild ~deadline t g' ~arc_map =
    changes (the same arc ids, each instantiating as it did), that
    build is the base one with the edited graph and delays: the
    templates and orders are shared, and the delta is empty. *)
-let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
+let patch t g' ~arc_map =
   if Signal_graph.event_count g' <> t.l.n_events then
     invalid_arg "Unfolding.patch: the edited graph has a different event set";
   for e = 0 to t.l.n_events - 1 do
@@ -348,7 +348,7 @@ let patch ?(deadline = Tsg_engine.Deadline.none) t g' ~arc_map =
     if Array.length arcs_new = m && delay_only 0 then
       ( { t with l = { t.l with sg = g' }; delays = delays_of g' },
         { pd_spliced = [||]; pd_dropped = [||] } )
-    else rebuild ~deadline t g' ~arc_map
+    else rebuild ~deadline:(Tsg_engine.Deadline.current ()) t g' ~arc_map
   in
   Tsg_engine.Metrics.incr "unfolding/patched";
   patched

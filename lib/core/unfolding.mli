@@ -31,12 +31,13 @@
 
 type t
 
-val make : ?deadline:Tsg_engine.Deadline.t -> Signal_graph.t -> periods:int -> t
+val make : Signal_graph.t -> periods:int -> t
 (** [make g ~periods:k] unfolds periods [0 .. k-1] in
     [O(events + arcs)] time and memory, independent of [k]: at most six
-    slice templates and two one-period topological sorts.  [deadline]
-    is checked every 1024 rows of every template pass and every 8192
-    instances of each sort.
+    slice templates and two one-period topological sorts.  The ambient
+    deadline ({!Tsg_engine.Deadline.current}, read once) is checked
+    every 1024 rows of every template pass and every 8192 instances of
+    each sort.
     @raise Invalid_argument if [k < 1].
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
 
@@ -160,12 +161,7 @@ type patch_delta = {
           the base dag but not the patched one *)
 }
 
-val patch :
-  ?deadline:Tsg_engine.Deadline.t ->
-  t ->
-  Signal_graph.t ->
-  arc_map:int array ->
-  t * patch_delta
+val patch : t -> Signal_graph.t -> arc_map:int array -> t * patch_delta
 (** [patch u g' ~arc_map] is an unfolding of [g'] over the same
     periods and instance space as [u], plus the instance-level diff.
     [arc_map.(a)] is the arc id of base arc [a] in [g'], or [-1] if it
@@ -181,9 +177,11 @@ val patch :
     disengageability — changes no arc instance.  It costs
     [O(events + arcs)] and builds nothing: the result shares [u]'s
     templates and orders, with [g'] and its delays, and the delta is
-    empty.
+    empty.  Any other edit rebuilds under the ambient deadline, read
+    once and checked as {!make} checks it.
     @raise Invalid_argument if [g'] changes the event set or classes,
-    or [arc_map] is inconsistent with the two arc tables. *)
+    or [arc_map] is inconsistent with the two arc tables.
+    @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
 
 val pp_instance : t -> int Fmt.t
 (** Prints an instance as [a+@2] (event [a+], period 2). *)

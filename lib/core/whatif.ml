@@ -41,10 +41,8 @@ let digest t = t.digest
    ([neg_infinity] where it never reached one) — the warm-start
    baseline the dirty propagation below patches. *)
 
-let prepare ?deadline ?periods ?(jobs = 1) g =
-  let deadline =
-    match deadline with Some d -> d | None -> Tsg_engine.Deadline.current ()
-  in
+let prepare ?periods ?(jobs = 1) g =
+  let deadline = Tsg_engine.Deadline.current () in
   let args =
     if Tsg_obs.Trace.enabled () then
       [
@@ -64,21 +62,24 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
     raise
       (Cycle_time.Not_analyzable "the graph has no border events (no initial activity)");
   let periods = match periods with Some p -> max 1 p | None -> b in
-  let u = Unfolding.make ~deadline g ~periods:(periods + 1) in
+  let u = Unfolding.make g ~periods:(periods + 1) in
   Tsg_engine.Deadline.check deadline;
   let n = Unfolding.instance_count u in
   let border_arr = Array.of_list border in
   let roots =
     Array.map (fun g0 -> Unfolding.instance u ~event:g0 ~period:0) border_arr
   in
+  (* a period-0 instance id is its event id: each root's border index,
+     looked up in O(1) *)
+  let index = Array.make (Signal_graph.event_count g) (-1) in
+  Array.iteri (fun i at -> index.(at) <- i) roots;
   let blocks = (b + lanes - 1) / lanes in
   let width k = min lanes (b - (k * lanes)) in
   let base_blocks = Array.init blocks (fun k -> Array.make (n * width k) neg_infinity) in
   let base_traces =
-    Timing_sim.simulate_many ~deadline ~jobs u ~roots ~f:(fun at view ->
+    Timing_sim.simulate_many ~jobs u ~roots ~f:(fun at view ->
         (* each root writes only its own lane *)
-        let rec index i = if roots.(i) = at then i else index (i + 1) in
-        let idx = index 0 in
+        let idx = index.(at) in
         let w = width (idx / lanes) and block = base_blocks.(idx / lanes) in
         for i = 0 to n - 1 do
           if Timing_sim.view_reached view i then
@@ -90,8 +91,7 @@ let prepare ?deadline ?periods ?(jobs = 1) g =
           u periods g0)
   in
   let base =
-    Cycle_time.Internal.finish ~deadline g u ~border ~periods
-      ~traces:(Array.to_list base_traces)
+    Cycle_time.Internal.finish g u ~border ~periods ~traces:(Array.to_list base_traces)
   in
   {
     g;
@@ -429,9 +429,9 @@ let short_circuit t =
 
 (* a full cold analysis of the edited graph: the fallback whenever the
    warm kernel cannot (or is told not to) answer *)
-let cold ~deadline t ap =
+let cold t ap =
   if ap.structural then Tsg_engine.Metrics.incr "whatif/structural_cold";
-  let report = Cycle_time.analyze ~deadline ~periods:t.periods ap.g' in
+  let report = Cycle_time.analyze ~periods:t.periods ap.g' in
   (report, { reused = 0; resimulated = Array.length t.border_arr; path = Cold })
 
 (* the (src, dst) instance pairs of base arcs [arcs], enumerated from
@@ -453,7 +453,7 @@ let arc_instances t arcs =
    or after), so its trace is reused verbatim; a block with no
    affected root is never scanned. *)
 let warm ~deadline sc t ap =
-  let u, delta = Unfolding.patch ~deadline t.u ap.g' ~arc_map:ap.arc_map in
+  let u, delta = Unfolding.patch t.u ap.g' ~arc_map:ap.arc_map in
   let sp = delta.Unfolding.pd_spliced and dr = delta.Unfolding.pd_dropped in
   if ap.structural then begin
     Tsg_engine.Metrics.incr ~by:(Array.length sp) "whatif/instances_spliced";
@@ -482,7 +482,6 @@ let warm ~deadline sc t ap =
       if affected.(idx) then any := true
     done;
     if !any then begin
-      Tsg_engine.Deadline.check deadline;
       repair ~deadline t sc ~u ~seeds k;
       for idx = first to last do
         if affected.(idx) then begin
@@ -503,7 +502,7 @@ let warm ~deadline sc t ap =
   Tsg_engine.Metrics.incr ~by:reused "whatif/reused";
   Tsg_engine.Metrics.incr ~by:resimulated "whatif/resimulated";
   let report =
-    Cycle_time.Internal.finish ~deadline ap.g' u ~border:t.border ~periods:t.periods
+    Cycle_time.Internal.finish ap.g' u ~border:t.border ~periods:t.periods
       ~traces:(Array.to_list traces)
   in
   (report, { reused; resimulated; path = Warm })
@@ -520,10 +519,8 @@ let is_no_op t ap =
   if ap.structural then Signal_graph.arcs ap.g' = Signal_graph.arcs t.g
   else ap.changed_delays = [] || Signal_graph.digest ap.g' = t.digest
 
-let reanalyze_changes ?deadline ?scratch:sc t changes =
-  let deadline =
-    match deadline with Some d -> d | None -> Tsg_engine.Deadline.current ()
-  in
+let reanalyze_changes ?scratch:sc t changes =
+  let deadline = Tsg_engine.Deadline.current () in
   Tsg_engine.Metrics.time_hist "whatif/reanalyze_ms" @@ fun () ->
   let args =
     if Tsg_obs.Trace.enabled () then
@@ -539,27 +536,26 @@ let reanalyze_changes ?deadline ?scratch:sc t changes =
       (* warm path disabled by fault injection: fall back to a full
          cold analysis of the edited graph — same report, no reuse *)
       Tsg_engine.Metrics.incr "whatif/cold_fallbacks";
-      cold ~deadline t ap
+      cold t ap
     | () ->
       (* a delay edit never moves the border.  When a structural one
          does, the prepared roots, traces and per-root tables describe
          the wrong simulation set: the only sound warm answer is none
          at all *)
-      if ap.structural && Cut_set.border ap.g' <> t.border then cold ~deadline t ap
+      if ap.structural && Cut_set.border ap.g' <> t.border then cold t ap
       else warm ~deadline (match sc with Some s -> s | None -> scratch t) t ap
   end
 
 (* ------------------------------------------------------------------ *)
 (* Sweeps                                                              *)
 
-let sweep_changes ?deadline ?budget_ms ?(jobs = 1) t scenarios =
-  let outer =
-    match deadline with Some d -> d | None -> Tsg_engine.Deadline.current ()
-  in
+let sweep_changes ?budget_ms ?(jobs = 1) t scenarios =
+  let outer = Tsg_engine.Deadline.current () in
   Parallel.map_claims ~jobs
     ~with_ctx:(fun k -> k (scratch t))
     ~f:(fun sc changes ->
-      (* each scenario gets its own budget (Batch semantics): one
+      (* each scenario gets its own budget (Batch semantics), installed
+         as the ambient deadline of the thread that runs it: one
          pathological edit times out alone instead of starving the
          sweep.  The caller's deadline still bounds the whole run. *)
       let d =
@@ -571,9 +567,9 @@ let sweep_changes ?deadline ?budget_ms ?(jobs = 1) t scenarios =
       let outcome =
         match
           Tsg_engine.Deadline.check outer;
-          reanalyze_changes
-            ~deadline:(if d == Tsg_engine.Deadline.none then outer else d)
-            ~scratch:sc t changes
+          Tsg_engine.Deadline.with_deadline
+            (if d == Tsg_engine.Deadline.none then outer else d)
+            (fun () -> reanalyze_changes ~scratch:sc t changes)
         with
         | result -> Ok result
         | exception Tsg_engine.Deadline.Deadline_exceeded ->

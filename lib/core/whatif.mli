@@ -84,10 +84,9 @@ type t
     floats, reachability folded in — for very large unfoldings, budget
     roughly [8 * b * instance_count] bytes). *)
 
-val prepare :
-  ?deadline:Tsg_engine.Deadline.t -> ?periods:int -> ?jobs:int -> Signal_graph.t -> t
-(** One cold analysis (same parameters and report as
-    {!Cycle_time.analyze}) that additionally retains the warm-start
+val prepare : ?periods:int -> ?jobs:int -> Signal_graph.t -> t
+(** One cold analysis (same parameters, report and ambient deadline
+    as {!Cycle_time.analyze}) that additionally retains the warm-start
     tables.  [jobs] parallelises the base simulations; re-analyses are
     parallelised per scenario by {!sweep_changes} instead.
     @raise Cycle_time.Not_analyzable as {!Cycle_time.analyze}.
@@ -123,15 +122,14 @@ type scratch
 val scratch : t -> scratch
 
 val reanalyze_changes :
-  ?deadline:Tsg_engine.Deadline.t ->
   ?scratch:scratch ->
   t ->
   change list ->
   Cycle_time.report * stats
 (** The report of the edited graph, byte-identical (serialised) to
     [Cycle_time.analyze ~periods:(periods t) (edited_graph_changes t cs)].
-    Without [scratch] a fresh one is allocated; [deadline] defaults to
-    the ambient {!Tsg_engine.Deadline.current}.
+    Without [scratch] a fresh one is allocated.  The ambient deadline
+    ({!Tsg_engine.Deadline.current}) bounds the re-analysis.
 
     Every warm scenario patches the base unfolding
     ({!Unfolding.patch}, which shares the base templates outright for a
@@ -150,7 +148,6 @@ val reanalyze_changes :
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
 
 val sweep_changes :
-  ?deadline:Tsg_engine.Deadline.t ->
   ?budget_ms:float ->
   ?jobs:int ->
   t ->
@@ -167,5 +164,6 @@ val sweep_changes :
     {!Cycle_time.Not_analyzable} graph or a tripped deadline turns
     into [Error message] for that scenario only.  [budget_ms] arms a
     fresh per-scenario deadline (Batch semantics — one pathological
-    scenario times out alone); [deadline] (or the ambient one) is
+    scenario times out alone), installed as the ambient deadline of
+    the participant that runs it; the caller's ambient deadline is
     checked between scenarios, bounding the whole sweep. *)

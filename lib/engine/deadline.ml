@@ -53,18 +53,17 @@ let check t =
 (* ------------------------------------------------------------------ *)
 (* The ambient deadline                                                *)
 
-(* [Batch] and the daemon wrap whole jobs in [with_deadline] so the
-   analysis entry points pick the budget up without every intermediate
-   caller threading a parameter.  The slot is per sys-thread, not
+(* The only way a budget reaches an analysis: [Batch], the daemon,
+   the proxy and the CLI wrap whole jobs in [with_deadline], and each
+   entry point reads [current] once.  The slot is per sys-thread, not
    per-domain: the daemon runs every connection handler on a thread of
    the same domain, and a domain-local slot would let concurrent
    requests clobber each other's budgets.  Thread ids are globally
    unique, so one mutex-protected table covers pool worker domains and
-   server threads alike; [current] sits outside the hot loops (it is
-   read once per analysis entry), so the lock is not a contention
-   point.  Stages that fan out to other domains
-   (Timing_sim.simulate_many) still receive the deadline explicitly
-   and carry it across. *)
+   server threads alike; [current] sits outside the hot loops, so the
+   lock is not a contention point.  A stage that fans out to other
+   domains carries the value it read (Timing_sim.simulate_many) or
+   installs it there (Whatif.sweep_changes). *)
 let slots : (int, t) Hashtbl.t = Hashtbl.create 32
 let slots_mutex = Mutex.create ()
 

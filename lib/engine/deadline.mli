@@ -11,11 +11,10 @@
     epoch-stamped scratch data, so the unwound domain (and its pool
     slot) is immediately reusable.
 
-    Callers either thread a deadline explicitly
-    ([Cycle_time.analyze ?deadline]) or wrap a whole job in
-    {!with_deadline} and let the entry points pick it up via
-    {!current} — this is what [Batch.run ?deadline_ms] and the serve
-    daemon's [timeout_ms] do.
+    A budget reaches an analysis one way only: the caller wraps the
+    job in {!with_deadline} and each entry point reads it once via
+    {!current}, as [Batch.run ?deadline_ms], the daemon's and the
+    proxy's [timeout_ms] and [tsa analyze --timeout-ms] do.
 
     The first trip of each deadline bumps the [deadline/cancelled]
     counter in {!Metrics}.

@@ -56,7 +56,7 @@ end
    promote to discard. *)
 type wstate = Waiting | Granted | Dropped
 
-type waiter = { mutable ws : wstate; w_deadline : float option }
+type waiter = { mutable ws : wstate }
 
 type admission = {
   aq : waiter Queue.t;
@@ -143,7 +143,8 @@ let bump t f =
 (* ------------------------------------------------------------------ *)
 (* Admission *)
 
-let acquire t ?deadline_at () =
+(* the waiter polls on the thread whose [deadline] this is *)
+let acquire t ~deadline =
   let ad = t.admission in
   Mutex.lock ad.amx;
   if ad.active < ad.max_active && Queue.is_empty ad.aq then begin
@@ -169,7 +170,7 @@ let acquire t ?deadline_at () =
         Metrics.incr (t.prefix ^ "/queue_dropped")
       end
     end;
-    let w = { ws = Waiting; w_deadline = deadline_at } in
+    let w = { ws = Waiting } in
     Queue.push w ad.aq;
     Mutex.unlock ad.amx;
     let result = ref None in
@@ -179,12 +180,11 @@ let acquire t ?deadline_at () =
       (match w.ws with
       | Granted -> result := Some `Admitted
       | Dropped -> result := Some `Overloaded
-      | Waiting -> (
-        match w.w_deadline with
-        | Some d when Unix.gettimeofday () >= d ->
+      | Waiting ->
+        if Deadline.expired deadline then begin
           w.ws <- Dropped;  (* husk; promote discards it *)
           result := Some `Expired
-        | _ -> ()));
+        end);
       Mutex.unlock ad.amx;
       if !result = None then Thread.delay 0.002
     done;
@@ -266,10 +266,11 @@ let finish_unavailable t ~cache_key last_err =
 (* ------------------------------------------------------------------ *)
 (* The forwarding decision *)
 
-let forward t ?key ?cache_key ?deadline_at request =
+let forward t ?key ?cache_key request =
+  let deadline = Deadline.current () in
   bump t (fun t -> t.st_requests <- t.st_requests + 1);
   Metrics.incr (t.prefix ^ "/requests");
-  match acquire t ?deadline_at () with
+  match acquire t ~deadline with
   | `Overloaded ->
     bump t (fun t -> t.st_shed <- t.st_shed + 1);
     Metrics.incr (t.prefix ^ "/overloaded");
@@ -290,8 +291,7 @@ let forward t ?key ?cache_key ?deadline_at request =
     let order = Router.rank t.router rkey in
     let tried = Array.make (Router.shard_count t.router) false in
     let rec attempts ~first last_err =
-      let now = Unix.gettimeofday () in
-      if match deadline_at with Some d -> now >= d | None -> false then begin
+      if Deadline.expired deadline then begin
         bump t (fun t -> t.st_shed <- t.st_shed + 1);
         Metrics.incr (t.prefix ^ "/deadline_shed");
         Shed

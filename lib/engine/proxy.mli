@@ -105,21 +105,16 @@ type outcome =
       (** all attempts failed and no stale answer existed: the last
           upstream error *)
 
-val forward :
-  t ->
-  ?key:string ->
-  ?cache_key:string ->
-  ?deadline_at:float ->
-  string ->
-  outcome
+val forward : t -> ?key:string -> ?cache_key:string -> string -> outcome
 (** [forward t ~key ~cache_key request] runs one raw request line
     through admission, breakers and budget, and returns the decision.
     [key] is the routing key (the model digest; defaults to the
     request line itself, keeping unroutable requests deterministic);
     [cache_key] names the entry the degraded path may serve stale
-    (omit for requests that are never disk cached); [deadline_at]
-    (absolute seconds, {!Unix.gettimeofday} clock) bounds queueing
-    and retrying.  Each attempt is one {!Router.call_one} on the
+    (omit for requests that are never disk cached).  The calling
+    thread's ambient deadline ({!Deadline.current}, read once) bounds
+    queueing and retrying; it is tested with {!Deadline.expired}, so
+    a shed never moves the [deadline/cancelled] counter.  Each attempt is one {!Router.call_one} on the
     calling thread, and the next shard is tried only after the
     previous one failed.  Blocks the calling thread — call it from a
     {!Server.serve} handler. *)

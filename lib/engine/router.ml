@@ -170,9 +170,9 @@ let route t ~key request =
     Metrics.incr (t.prefix ^ "/failed");
     Error e
   in
+  let deadline = Deadline.current () in
   let rec attempt last_error =
-    let deadline = Deadline.current () in
-    if Deadline.expired deadline || Deadline.cancelled deadline then
+    if Deadline.expired deadline then
       fail (Deadline.error_message deadline)
     else
       match next_allowed t order ~tried with

@@ -54,7 +54,8 @@ let fire net s node =
   else values.(node) <- Tsg_circuit.Netlist.eval_node net s.values node;
   { values; stim_done }
 
-let explore ?(deadline = Tsg_engine.Deadline.none) ?(max_states = 100_000) net =
+let explore ?(max_states = 100_000) net =
+  let deadline = Tsg_engine.Deadline.current () in
   let initial_state =
     {
       values = Tsg_circuit.Netlist.initial_state net;

@@ -28,10 +28,10 @@ val excited : Tsg_circuit.Netlist.t -> state -> int list
 val fire : Tsg_circuit.Netlist.t -> state -> int -> state
 (** The successor state after the given node fires. *)
 
-val explore :
-  ?deadline:Tsg_engine.Deadline.t -> ?max_states:int -> Tsg_circuit.Netlist.t -> t
+val explore : ?max_states:int -> Tsg_circuit.Netlist.t -> t
 (** Full interleaving exploration from the initial state
-    ([max_states] defaults to 100000).  [deadline] is checked at
+    ([max_states] defaults to 100000).  The ambient deadline
+    ({!Tsg_engine.Deadline.current}, read once) is checked at
     amortised intervals during the BFS — the state count bounds
     memory, the deadline bounds time.
     @raise State_limit if the state budget is exceeded.

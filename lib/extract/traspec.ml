@@ -126,12 +126,10 @@ let indexed_occurrences history node dir =
   in
   List.rev result
 
-let extract ?deadline ?(rounds = 60) ?(check = true) ?(max_states = 100_000) net =
-  (* like Cycle_time.analyze, fall back to the ambient per-domain
-     deadline so daemon/batch budgets apply without plumbing *)
-  let deadline =
-    match deadline with Some d -> d | None -> Tsg_engine.Deadline.current ()
-  in
+let extract ?(rounds = 60) ?(check = true) ?(max_states = 100_000) net =
+  (* like Cycle_time.analyze, read the ambient per-thread deadline so
+     daemon/batch budgets apply without plumbing *)
+  let deadline = Tsg_engine.Deadline.current () in
   Tsg_obs.Trace.with_span "extract"
     ~args:[ ("nodes", string_of_int (Tsg_circuit.Netlist.node_count net)) ]
   @@ fun () ->
@@ -278,7 +276,7 @@ let extract ?deadline ?(rounds = 60) ?(check = true) ?(max_states = 100_000) net
     if check then
       Some
         (Tsg_obs.Trace.with_span "extract/state_space" (fun () ->
-             Distributive.check (State_graph.explore ~deadline ~max_states net)))
+             Distributive.check (State_graph.explore ~max_states net)))
     else None
   in
   (match verdict with

@@ -30,7 +30,6 @@ exception Extraction_error of string
     without any oscillation. *)
 
 val extract :
-  ?deadline:Tsg_engine.Deadline.t ->
   ?rounds:int ->
   ?check:bool ->
   ?max_states:int ->
@@ -39,8 +38,8 @@ val extract :
 (** [extract net] derives the Timed Signal Graph of [net].  [rounds]
     (default 60) bounds the maximal-step simulation; [check] (default
     [true]) additionally explores the interleaving state graph and
-    verifies distributivity.  [deadline] (default: the ambient
-    {!Tsg_engine.Deadline.current}) bounds the whole extraction,
+    verifies distributivity.  The ambient deadline
+    ({!Tsg_engine.Deadline.current}) bounds the whole extraction,
     including the state-space exploration.
     @raise Extraction_error as described above.
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)

@@ -259,12 +259,14 @@ let proxy_handler ~router ~proxy ~stale ~endpoint line =
   | Ok ((Analyze { timeout_ms; _ } | Sweep { timeout_ms; _ } | Batch { timeout_ms; _ }) as req)
     ->
     let key, cache_key = keys req in
-    let deadline_at =
-      Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) timeout_ms
-    in
-    Server.Reply
-      (match Proxy.forward proxy ?key ?cache_key ?deadline_at line with
+    let forward () =
+      match Proxy.forward proxy ?key ?cache_key line with
       | Proxy.Fresh response -> response
       | Proxy.Degraded (payload, _age) -> Proxy.mark_degraded payload
       | Proxy.Shed (code, msg) -> Protocol.error_line ~code msg
-      | Proxy.Failed msg -> Protocol.error_line ~code:"unavailable" msg)
+      | Proxy.Failed msg -> Protocol.error_line ~code:"unavailable" msg
+    in
+    Server.Reply
+      (match timeout_ms with
+      | None -> forward ()
+      | Some ms -> Deadline.with_deadline (Deadline.make ~budget_ms:ms ()) forward)

@@ -108,12 +108,12 @@ let test_deadline_cancel_mid_batch () =
   let seen = Atomic.make 0 in
   let cancelled =
     match
-      Timing_sim.simulate_many ~deadline ~jobs:4 u ~roots
-        ~f:(fun _ _ ->
-          (* cancel from inside the batch after a few claims: the
-             remaining claims must observe the shared deadline at the
-             top of their kernel window and give up *)
-          if Atomic.fetch_and_add seen 1 = 2 then Tsg_engine.Deadline.cancel deadline)
+      Tsg_engine.Deadline.with_deadline deadline (fun () ->
+          Timing_sim.simulate_many ~jobs:4 u ~roots ~f:(fun _ _ ->
+              (* cancel from inside the batch after a few claims: the
+                 remaining claims must observe the shared deadline at
+                 the top of their kernel window and give up *)
+              if Atomic.fetch_and_add seen 1 = 2 then Tsg_engine.Deadline.cancel deadline))
     with
     | _ -> false
     | exception Tsg_engine.Deadline.Deadline_exceeded -> true

@@ -189,10 +189,11 @@ let test_deadline_shed_is_counted () =
   with_router eps @@ fun router ->
   let prefix = "test-proxy-deadline" in
   let p = Proxy.create ~metrics_prefix:prefix router in
+  let passed = Deadline.make ~budget_ms:0. () in
+  Unix.sleepf 0.002;
   (match
-     Proxy.forward p ~key:"k"
-       ~deadline_at:(Unix.gettimeofday () -. 1.)
-       (analyze_req (bench "fig1.g"))
+     Deadline.with_deadline passed (fun () ->
+         Proxy.forward p ~key:"k" (analyze_req (bench "fig1.g")))
    with
   | Proxy.Shed (code, _) ->
     Alcotest.(check string) "shed as deadline_exceeded" "deadline_exceeded" code

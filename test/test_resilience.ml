@@ -100,13 +100,59 @@ let test_expired_deadline_aborts_analysis () =
   let g = dense_graph () in
   let d = Deadline.make ~budget_ms:0. () in
   Unix.sleepf 0.002;
-  (match Cycle_time.analyze ~deadline:d g with
+  (match Deadline.with_deadline d (fun () -> Cycle_time.analyze g) with
   | _ -> Alcotest.fail "analysis beat an already-expired deadline"
   | exception Deadline.Deadline_exceeded -> ());
   (* the engine is fully reusable after the unwind *)
   let report = Cycle_time.analyze g in
   Alcotest.(check bool) "subsequent analysis succeeds" true
     (Float.is_finite report.Cycle_time.cycle_time && report.Cycle_time.cycle_time > 0.)
+
+(* the ambient deadline is the only budget channel, so every public
+   analysis entry point must honour it on its own — including those
+   reached without going through Cycle_time.analyze.  Everything each
+   call needs is built first, outside the budget. *)
+let test_cancelled_ambient_deadline_stops_every_entry_point () =
+  let g = dense_graph () in
+  let periods = List.length (Cut_set.border g) in
+  let u = Unfolding.make g ~periods:(periods + 1) in
+  let at = Unfolding.instance u ~event:(List.hd (Cut_set.border g)) ~period:0 in
+  let report = Cycle_time.analyze g in
+  let base = Whatif.prepare g in
+  let a0 = Signal_graph.arc g 0 in
+  (* a parallel copy of arc 0: a structural edit that keeps the graph live *)
+  let twin =
+    Whatif.Add_arc
+      { src = a0.Signal_graph.arc_src; dst = a0.arc_dst; delay = a0.delay; marked = a0.marked }
+  in
+  let g' = Whatif.edited_graph_changes base [ twin ] in
+  let arc_map = Array.init (Signal_graph.arc_count g) Fun.id in
+  let net = Tsg_circuit.Circuit_library.fig1_netlist () in
+  let cancelled = Deadline.make () in
+  Deadline.cancel cancelled;
+  let expect name f =
+    match Deadline.with_deadline cancelled (fun () -> ignore (f ())) with
+    | () -> Alcotest.failf "%s ignored a cancelled ambient deadline" name
+    | exception Deadline.Deadline_exceeded -> ()
+  in
+  expect "Unfolding.make" (fun () -> Unfolding.make g ~periods:(periods + 1));
+  expect "Unfolding.patch (structural)" (fun () -> Unfolding.patch u g' ~arc_map);
+  expect "Timing_sim.simulate" (fun () -> Timing_sim.simulate u);
+  expect "Timing_sim.simulate_initiated" (fun () -> Timing_sim.simulate_initiated u ~at);
+  expect "Timing_sim.backtrack" (fun () -> Timing_sim.backtrack u ~at ~instance:at);
+  expect "Timing_sim.simulate_many" (fun () ->
+      Timing_sim.simulate_many ~jobs:2 u ~roots:[| at |] ~f:(fun _ _ -> ()));
+  expect "Cycle_time.analyze" (fun () -> Cycle_time.analyze g);
+  expect "Cycle_time.Internal.finish" (fun () ->
+      Cycle_time.Internal.finish g u ~border:report.Cycle_time.border ~periods
+        ~traces:report.Cycle_time.traces);
+  expect "Whatif.prepare" (fun () -> Whatif.prepare g);
+  expect "Whatif.reanalyze_changes" (fun () ->
+      Whatif.reanalyze_changes base [ Whatif.Delay { arc = 0; delta = 1.5 } ]);
+  expect "Traspec.extract fig1" (fun () -> Tsg_extract.Traspec.extract net);
+  (* nothing was poisoned: the same calls succeed without a budget *)
+  Alcotest.(check bool) "analysis after the cancelled calls" true
+    ((Cycle_time.analyze g).Cycle_time.cycle_time = report.Cycle_time.cycle_time)
 
 (* the front end shares the request budget: the parser checks it every
    8192 lines and the graph freeze every 8192 arcs *)
@@ -151,7 +197,8 @@ let check_expiry_is_prompt name g =
     let d = Deadline.make ~budget_ms () in
     let t0 = Unix.gettimeofday () in
     let outcome =
-      try Ok (Cycle_time.analyze ~deadline:d g) with Deadline.Deadline_exceeded -> Error ()
+      try Ok (Deadline.with_deadline d (fun () -> Cycle_time.analyze g))
+      with Deadline.Deadline_exceeded -> Error ()
     in
     let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
     match outcome with
@@ -781,6 +828,8 @@ let suite =
     Alcotest.test_case "deadline: aborts analysis, engine reusable" `Quick
       test_expired_deadline_aborts_analysis;
     Alcotest.test_case "deadline: expiry is prompt" `Quick test_deadline_expiry_is_prompt;
+    Alcotest.test_case "deadline: every entry point reads the ambient one" `Quick
+      test_cancelled_ambient_deadline_stops_every_entry_point;
     Alcotest.test_case "deadline: aborts loading a large model" `Quick
       test_expired_deadline_aborts_loading;
     Alcotest.test_case "deadline: per-item batch budgets" `Quick
