@@ -117,7 +117,6 @@ type error =
   | Initial_event_with_in_arc of Event.t
   | Repetitive_part_not_strongly_connected
   | Unmarked_cycle of Event.t list
-  | No_repetitive_events
 
 let pp_error ppf = function
   | Negative_delay (u, v, d) ->
@@ -139,7 +138,6 @@ let pp_error ppf = function
     Fmt.pf ppf "token-free cycle (the graph is not live): %a"
       Fmt.(list ~sep:(any " -> ") Event.pp)
       evs
-  | No_repetitive_events -> Fmt.pf ppf "the graph has no repetitive events"
 
 (* the front end's share of a request budget: one ambient-deadline
    check per 8192 arcs or vertices *)

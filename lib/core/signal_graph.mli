@@ -100,7 +100,6 @@ type error =
   | Repetitive_part_not_strongly_connected
   | Unmarked_cycle of Event.t list
       (** a token-free cycle: the graph is not live *)
-  | No_repetitive_events
 
 val pp_error : error Fmt.t
 

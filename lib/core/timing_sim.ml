@@ -21,11 +21,6 @@ module Workspace = struct
     mutable pred_arc : int array;
     mutable stamp : int array;
     mutable epoch : int;
-    lock : Mutex.t;
-        (* the per-domain arena can be contended by systhreads (the
-           serve daemon handles each connection on a thread of the
-           accepting domain); [with_arena] takes it with [try_lock]
-           and falls back to a spare arena instead of blocking *)
   }
 
   let resize t n =
@@ -35,115 +30,60 @@ module Workspace = struct
     t.stamp <- Array.make n 0;
     t.epoch <- 0
 
-  let create n =
-    let n = max n 1 in
-    let t =
-      {
-        time = [||];
-        pred_instance = [||];
-        pred_arc = [||];
-        stamp = [||];
-        epoch = 0;
-        lock = Mutex.create ();
-      }
-    in
-    resize t n;
-    t
-
   let capacity t = Array.length t.stamp
 
-  let ensure t n = if capacity t < n then resize t n
-
   (* a very large analysis would otherwise pin four max-size arrays in
-     every arena it ever touched, for the life of the domain; releasing
+     every arena it ever touched, for the life of the process; releasing
      shrinks back to this bound (256k instances ≈ 8 MiB of arrays) so
      retained memory stays bounded while ordinary workloads never pay a
      reallocation *)
   let retained_capacity = 1 lsl 18
 
-  let trim t = if capacity t > retained_capacity then resize t retained_capacity
+  (* One process-wide free list, most recently released first.  An
+     arena taken from it belongs to its taker until released, so pool
+     workers, daemon systhreads and nested queries each hold their own
+     without a per-arena lock; the list's lock is held for a few
+     instructions only.  It keeps one arena per domain that can run a
+     {!simulate_many} participant, plus one for a nested or concurrent
+     query; an arena released past that is dropped. *)
+  let lock = Mutex.create ()
+  let free = ref []
+  let max_free = Tsg_engine.Pool.recommended () + 1
 
-  (* One arena per domain, so pool workers keep theirs across every
-     border event (and every analysis) they ever process, plus a small
-     free list of spares for the contended case: daemon systhreads
-     sharing the domain used to allocate a brand-new full-size arena on
-     every collision.  The spare list is shared by those systhreads,
-     hence its own lock (held for a few instructions only). *)
-  type slot = {
-    mutable arena : t option;
-    mutable spares : t list;
-    spare_lock : Mutex.t;
-  }
-
-  let max_spares = 2
-
-  let key : slot Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { arena = None; spares = []; spare_lock = Mutex.create () })
-
-  let take_spare slot =
-    Mutex.lock slot.spare_lock;
+  let take () =
+    Mutex.lock lock;
     let r =
-      match slot.spares with
+      match !free with
       | [] -> None
       | ws :: rest ->
-        slot.spares <- rest;
+        free := rest;
         Some ws
     in
-    Mutex.unlock slot.spare_lock;
+    Mutex.unlock lock;
     r
 
-  let put_spare slot ws =
-    trim ws;
-    Mutex.lock slot.spare_lock;
-    if List.length slot.spares < max_spares then slot.spares <- ws :: slot.spares;
-    Mutex.unlock slot.spare_lock
-
-  let acquire_spare slot n =
-    match take_spare slot with
-    | Some ws ->
-      if capacity ws >= n then Tsg_engine.Metrics.incr "kernel/arenas_reused"
-      else begin
-        ensure ws n;
-        Tsg_engine.Metrics.incr "kernel/arenas_created"
-      end;
-      ws
-    | None ->
-      Tsg_engine.Metrics.incr "kernel/arenas_created";
-      create n
+  let release ws =
+    if capacity ws > retained_capacity then resize ws retained_capacity;
+    Mutex.lock lock;
+    if List.length !free < max_free then free := ws :: !free;
+    Mutex.unlock lock
 
   let with_arena n f =
-    let slot = Domain.DLS.get key in
-    match slot.arena with
-    | Some ws when Mutex.try_lock ws.lock ->
-      Fun.protect
-        ~finally:(fun () ->
-          trim ws;
-          Mutex.unlock ws.lock)
-      @@ fun () ->
-      if capacity ws >= n then Tsg_engine.Metrics.incr "kernel/arenas_reused"
-      else begin
-        ensure ws n;
-        Tsg_engine.Metrics.incr "kernel/arenas_created"
-      end;
-      f ws
-    | Some _ ->
-      (* busy (nested query, or another thread of this domain): take a
-         spare rather than waiting; the [kernel/arenas_fallback]
-         counter makes this contention visible in [stats] *)
-      Tsg_engine.Metrics.incr "kernel/arenas_fallback";
-      let ws = acquire_spare slot n in
-      Fun.protect ~finally:(fun () -> put_spare slot ws) (fun () -> f ws)
-    | None ->
-      let ws = create n in
-      Mutex.lock ws.lock;
-      slot.arena <- Some ws;
-      Tsg_engine.Metrics.incr "kernel/arenas_created";
-      Fun.protect
-        ~finally:(fun () ->
-          trim ws;
-          Mutex.unlock ws.lock)
-        (fun () -> f ws)
+    let ws =
+      match take () with
+      | Some ws when capacity ws >= n ->
+        Tsg_engine.Metrics.incr "kernel/arenas_reused";
+        ws
+      | taken ->
+        Tsg_engine.Metrics.incr "kernel/arenas_created";
+        let ws =
+          Option.value taken
+            ~default:{ time = [||]; pred_instance = [||]; pred_arc = [||]; stamp = [||]; epoch = 0 }
+        in
+        resize ws (max n 1);
+        ws
+    in
+    Fun.protect ~finally:(fun () -> release ws) (fun () -> f ws)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -340,7 +280,7 @@ let simulate_many ?(jobs = 1) u ~roots ~f =
   else begin
     let deadline = Tsg_engine.Deadline.current () in
     let n = Unfolding.instance_count u in
-    (* self-scheduling workers: each participant acquires its domain
+    (* self-scheduling workers: each participant acquires an
        arena once (the [with_ctx] bracket), then claims border events
        one at a time from a shared atomic index — no tail chunk to
        serialize behind, no per-chunk arena set-up.  Claims are

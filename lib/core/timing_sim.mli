@@ -30,34 +30,32 @@ type result = {
     The kernel is zero-allocation: all per-query state lives in an
     epoch-stamped workspace that is reused from query to query (no
     clearing pass — bumping the epoch invalidates every stamp at
-    once).  One arena is kept per domain via [Domain.DLS], so pool
-    workers running {!simulate_many} chunks pay the allocation once
-    and reuse it across every border event they ever process. *)
+    once).  Released arenas wait on one process-wide free list, so
+    pool workers running {!simulate_many} claims, daemon threads and
+    repeated analyses pay the allocation once and reuse it. *)
 
 module Workspace : sig
   type t
 
-  val create : int -> t
-  (** A fresh arena with capacity for [n] instances. *)
-
   val capacity : t -> int
-
-  val ensure : t -> int -> unit
-  (** Grow (never shrink) the arena to hold [n] instances. *)
 
   val retained_capacity : int
   (** Arenas released by {!with_arena} are shrunk back to this many
       instances, so a one-off huge analysis does not pin max-size
-      arrays in every arena it touched for the life of the domain. *)
+      arrays in every arena it touched for the life of the process. *)
 
   val with_arena : int -> (t -> 'a) -> 'a
-  (** [with_arena n f] runs [f] with this domain's arena, grown to
-      capacity [n].  The arena is guarded by a [Mutex.try_lock]: if it
-      is busy (a sibling systhread, or a nested query), [f] gets an
-      arena from a small per-domain spare free list instead of
-      blocking — each such collision bumps [kernel/arenas_fallback],
-      so systhread contention is visible in [stats].  On release the
-      arena's capacity is bounded by {!retained_capacity}. *)
+  (** [with_arena n f] runs [f] with an arena of capacity at least [n]:
+      the most recently released one from the free list (counted as
+      [kernel/arenas_reused], or [kernel/arenas_created] when it had to
+      grow), else a fresh one ([kernel/arenas_created]).  The arena is
+      [f]'s alone until [f] returns or raises, so nested and concurrent
+      calls never share one and never wait for each other.  On release
+      its capacity is bounded by {!retained_capacity} and it goes back
+      on the list, which keeps at most
+      [Tsg_engine.Pool.recommended () + 1] arenas (one per domain that
+      can run a {!simulate_many} participant, plus one); an arena
+      released past that bound is dropped. *)
 end
 
 type view
@@ -82,8 +80,8 @@ val simulate : Unfolding.t -> result
     ({!Tsg_engine.Deadline.current}) once and checks it once per 4096
     topo positions scanned (the inner relaxation loop is untouched, so
     the amortised cost is unmeasurable); on expiry they raise
-    {!Tsg_engine.Deadline.Deadline_exceeded} and the domain's arena is
-    simply reused by the next query. *)
+    {!Tsg_engine.Deadline.Deadline_exceeded} and the arena goes back
+    on the free list for the next query. *)
 
 val simulate_initiated : Unfolding.t -> at:int -> result
 (** [simulate_initiated u ~at:g] is the [g]-initiated timing
@@ -116,8 +114,8 @@ val simulate_many :
 (** [simulate_many u ~roots ~f] runs one [root]-initiated simulation
     per element of [roots] and returns [f root view] for each, in
     [roots] order.  With [jobs > 1] the roots are {e self-scheduled}
-    over {!Parallel.map_claims}: each participating domain acquires
-    its arena once, then claims roots one at a time from a shared
+    over {!Parallel.map_claims}: each participant acquires
+    an arena once, then claims roots one at a time from a shared
     index, heaviest simulation window first (by
     {!Unfolding.topo_position} of the root — the cheap static cost
     estimate), so unevenly sized simulations never serialize into a

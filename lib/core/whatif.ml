@@ -17,12 +17,9 @@ type t = {
   g : Signal_graph.t;
   digest : string;
   u : Unfolding.t;
-  border : int list;
   border_arr : int array;
-  roots : int array;  (** instance of each border event at period 0 *)
-  periods : int;
+      (* also the roots: a border event's period-0 instance is its id *)
   base : Cycle_time.report;
-  base_traces : Cycle_time.border_trace array;
   (* the base run's occurrence times, roots in blocks of [lanes]: block
      k of width w holds root (k * lanes + r)'s time of instance v at
      [v * w + r], [neg_infinity] where the root never reached v *)
@@ -31,8 +28,8 @@ type t = {
 
 let signal_graph t = t.g
 let base_report t = t.base
-let border t = t.border
-let periods t = t.periods
+let border t = t.base.Cycle_time.border
+let periods t = t.base.Cycle_time.periods_simulated
 let digest t = t.digest
 
 (* ------------------------------------------------------------------ *)
@@ -65,19 +62,16 @@ let prepare ?periods ?(jobs = 1) g =
   let u = Unfolding.make g ~periods:(periods + 1) in
   Tsg_engine.Deadline.check deadline;
   let n = Unfolding.instance_count u in
+  (* a period-0 instance id is its event id, so the border events are
+     the roots, and each root's border index is looked up in O(1) *)
   let border_arr = Array.of_list border in
-  let roots =
-    Array.map (fun g0 -> Unfolding.instance u ~event:g0 ~period:0) border_arr
-  in
-  (* a period-0 instance id is its event id: each root's border index,
-     looked up in O(1) *)
   let index = Array.make (Signal_graph.event_count g) (-1) in
-  Array.iteri (fun i at -> index.(at) <- i) roots;
+  Array.iteri (fun i at -> index.(at) <- i) border_arr;
   let blocks = (b + lanes - 1) / lanes in
   let width k = min lanes (b - (k * lanes)) in
   let base_blocks = Array.init blocks (fun k -> Array.make (n * width k) neg_infinity) in
   let base_traces =
-    Timing_sim.simulate_many ~jobs u ~roots ~f:(fun at view ->
+    Timing_sim.simulate_many ~jobs u ~roots:border_arr ~f:(fun at view ->
         (* each root writes only its own lane *)
         let idx = index.(at) in
         let w = width (idx / lanes) and block = base_blocks.(idx / lanes) in
@@ -93,18 +87,7 @@ let prepare ?periods ?(jobs = 1) g =
   let base =
     Cycle_time.Internal.finish g u ~border ~periods ~traces:(Array.to_list base_traces)
   in
-  {
-    g;
-    digest = Signal_graph.digest g;
-    u;
-    border;
-    border_arr;
-    roots;
-    periods;
-    base;
-    base_traces;
-    base_blocks;
-  }
+  { g; digest = Signal_graph.digest g; u; border_arr; base; base_blocks }
 
 (* ------------------------------------------------------------------ *)
 (* Edits                                                               *)
@@ -378,7 +361,7 @@ let repair ~deadline t sc ~u ~seeds blk =
            at time 0 in its own lane *)
         if v < n_events then
           for r = 0 to w - 1 do
-            if t.roots.((blk * lanes) + r) = v then Array.unsafe_set rows (o + r) 0.
+            if t.border_arr.((blk * lanes) + r) = v then Array.unsafe_set rows (o + r) 0.
           done;
         let changed = ref false in
         for r = 0 to w - 1 do
@@ -431,7 +414,7 @@ let short_circuit t =
    warm kernel cannot (or is told not to) answer *)
 let cold t ap =
   if ap.structural then Tsg_engine.Metrics.incr "whatif/structural_cold";
-  let report = Cycle_time.analyze ~periods:t.periods ap.g' in
+  let report = Cycle_time.analyze ~periods:(periods t) ap.g' in
   (report, { reused = 0; resimulated = Array.length t.border_arr; path = Cold })
 
 (* the (src, dst) instance pairs of base arcs [arcs], enumerated from
@@ -473,7 +456,7 @@ let warm ~deadline sc t ap =
           done)
         seeds)
     t.base_blocks;
-  let traces = Array.copy t.base_traces in
+  let traces = Array.of_list t.base.Cycle_time.traces in
   for k = 0 to Array.length t.base_blocks - 1 do
     let first = k * lanes in
     let last = first + block_width t k - 1 in
@@ -491,8 +474,8 @@ let warm ~deadline sc t ap =
           let moved (sm : Cycle_time.sample) =
             time_of (Unfolding.instance u ~event:g0 ~period:sm.period) <> sm.time
           in
-          if List.exists moved t.base_traces.(idx).samples then
-            traces.(idx) <- Cycle_time.Internal.trace_of_times time_of u t.periods g0
+          if List.exists moved traces.(idx).samples then
+            traces.(idx) <- Cycle_time.Internal.trace_of_times time_of u (periods t) g0
         end
       done
     end
@@ -502,7 +485,7 @@ let warm ~deadline sc t ap =
   Tsg_engine.Metrics.incr ~by:reused "whatif/reused";
   Tsg_engine.Metrics.incr ~by:resimulated "whatif/resimulated";
   let report =
-    Cycle_time.Internal.finish ap.g' u ~border:t.border ~periods:t.periods
+    Cycle_time.Internal.finish ap.g' u ~border:(border t) ~periods:(periods t)
       ~traces:(Array.to_list traces)
   in
   (report, { reused; resimulated; path = Warm })
@@ -542,7 +525,7 @@ let reanalyze_changes ?scratch:sc t changes =
          does, the prepared roots, traces and per-root tables describe
          the wrong simulation set: the only sound warm answer is none
          at all *)
-      if ap.structural && Cut_set.border ap.g' <> t.border then cold t ap
+      if ap.structural && Cut_set.border ap.g' <> border t then cold t ap
       else warm ~deadline (match sc with Some s -> s | None -> scratch t) t ap
   end
 

@@ -34,8 +34,6 @@ let make ?budget_ms () =
 
 let cancel t = if t != none then Atomic.set t.cancel true
 
-let cancelled t = Atomic.get t.cancel
-
 let expired t =
   Atomic.get t.cancel
   || (t.expires_at < infinity && Unix.gettimeofday () > t.expires_at)

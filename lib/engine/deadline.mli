@@ -40,8 +40,6 @@ val cancel : t -> unit
 (** Flip the cancel flag (thread-safe, idempotent; no-op on
     {!none}).  The next {!check} on any domain raises. *)
 
-val cancelled : t -> bool
-
 val expired : t -> bool
 (** True once cancelled or past the budget (does not raise). *)
 

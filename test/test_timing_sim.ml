@@ -218,18 +218,50 @@ let prop_initiated_below_full =
 (* ------------------------------------------------------------------ *)
 (* Workspace arenas                                                    *)
 
-let test_arena_fallback_metric () =
-  let before = Tsg_engine.Metrics.count "kernel/arenas_fallback" in
+let test_arena_nested_distinct () =
   Timing_sim.Workspace.with_arena 64 (fun outer ->
-      (* the domain's main arena is locked by the outer bracket, so a
-         nested acquisition must fall back to a spare — and count it *)
+      (* the outer bracket owns its arena until it returns, so a nested
+         acquisition must get another one *)
       Timing_sim.Workspace.with_arena 64 (fun inner ->
-          Alcotest.(check bool) "distinct arenas" true (inner != outer)));
-  Alcotest.(check bool) "fallback counted" true
-    (Tsg_engine.Metrics.count "kernel/arenas_fallback" > before)
+          Alcotest.(check bool) "distinct arenas" true (inner != outer)))
+
+let test_arena_threads_and_domains () =
+  (* systhreads of this domain and pool worker domains draw on the one
+     free list at once, while the main thread holds an arena of its own *)
+  let g = Tsg_circuit.Generators.random_live_tsg ~seed:7 ~events:120 ~extra_arcs:240 () in
+  let render r = Tsg_obs.Json.to_string (Tsg_io.Json_report.analysis_obj g r) in
+  let seq = Cycle_time.analyze g in
+  let n =
+    Unfolding.instance_count
+      (Unfolding.make g ~periods:(seq.Cycle_time.periods_simulated + 1))
+  in
+  let outcomes = Array.make 4 (Error "not run") in
+  Timing_sim.Workspace.with_arena n (fun _held ->
+      let threads =
+        List.init 4 (fun i ->
+            Thread.create
+              (fun () ->
+                outcomes.(i) <-
+                  (match Cycle_time.analyze ~jobs:2 g with
+                  | r -> Ok (render r)
+                  | exception e -> Error (Printexc.to_string e)))
+              ())
+      in
+      List.iter Thread.join threads;
+      Array.iteri
+        (fun i o ->
+          match o with
+          | Ok s -> Alcotest.(check string) (Printf.sprintf "thread %d" i) (render seq) s
+          | Error e -> Alcotest.failf "thread %d: %s" i e)
+        outcomes;
+      (* the arenas those analyses released wait on the list *)
+      let created = Tsg_engine.Metrics.count "kernel/arenas_created" in
+      Timing_sim.Workspace.with_arena n (fun _ -> ());
+      Alcotest.(check int) "no fresh arena" created
+        (Tsg_engine.Metrics.count "kernel/arenas_created"))
 
 let test_arena_spare_reused () =
-  (* the spare released by the first nested bracket must serve the
+  (* the arena released by the first nested bracket must serve the
      second one instead of allocating a fresh full-size arena *)
   Timing_sim.Workspace.with_arena 64 (fun _outer ->
       Timing_sim.Workspace.with_arena 64 (fun _inner -> ());
@@ -261,7 +293,7 @@ let raises_invalid msg f =
    so its entry points check what a caller hands them *)
 let test_rejects_bad_arguments () =
   let g = fig1 () in
-  (* a larger unfolding first, so the domain's arena is longer than
+  (* a larger unfolding first, so the reused arena is longer than
      [u] and an id past [u]'s end would not trip an array bound *)
   ignore (Timing_sim.simulate (Unfolding.make g ~periods:6));
   let u = Unfolding.make g ~periods:2 in
@@ -298,8 +330,10 @@ let suite =
       test_critical_path_backtracking;
     Alcotest.test_case "initiated from a later instance (Prop. 1 cyclic case)" `Quick
       test_initiated_from_later_instance;
-    Alcotest.test_case "nested with_arena falls back and counts it" `Quick
-      test_arena_fallback_metric;
+    Alcotest.test_case "nested with_arena brackets get distinct arenas" `Quick
+      test_arena_nested_distinct;
+    Alcotest.test_case "systhreads and pool domains share the arena free list" `Quick
+      test_arena_threads_and_domains;
     Alcotest.test_case "spare arenas are a free list, not fresh allocations" `Quick
       test_arena_spare_reused;
     Alcotest.test_case "released arenas are trimmed to retained_capacity" `Quick
