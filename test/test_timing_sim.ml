@@ -332,8 +332,6 @@ let suite =
       test_initiated_from_later_instance;
     Alcotest.test_case "nested with_arena brackets get distinct arenas" `Quick
       test_arena_nested_distinct;
-    Alcotest.test_case "systhreads and pool domains share the arena free list" `Quick
-      test_arena_threads_and_domains;
     Alcotest.test_case "spare arenas are a free list, not fresh allocations" `Quick
       test_arena_spare_reused;
     Alcotest.test_case "released arenas are trimmed to retained_capacity" `Quick
@@ -343,4 +341,6 @@ let suite =
     prop_initiated_below_full;
     Alcotest.test_case "entry points reject bad roots, instances and delays" `Quick
       test_rejects_bad_arguments;
+    Alcotest.test_case "systhreads and pool domains share the arena free list" `Quick
+      test_arena_threads_and_domains;
   ]
