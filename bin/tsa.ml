@@ -309,7 +309,7 @@ let batch_cmd =
     let cache = Tsg_engine.Cache.create ~capacity:(List.length files) () in
     let entries =
       Tsg_engine.Batch.run ~jobs ?deadline_ms:timeout_ms ~label:Fun.id
-        ~f:(Service.analyze_model ~cache ?periods) files
+        ~f:(Fun.const (Service.analyze_model ~cache ?periods)) files
     in
     if json then print_endline (Tsg_io.Json_report.batch entries)
     else begin

@@ -28,10 +28,6 @@ let eval gate ~current ~inputs =
     let ones = List.fold_left (fun acc b -> if b then acc + 1 else acc) 0 inputs in
     2 * ones > List.length inputs
 
-let is_sequential = function
-  | C | Input -> true
-  | Buf | Not | And | Or | Nand | Nor | Xor | Xnor | Majority -> false
-
 let to_string = function
   | Input -> "input"
   | Buf -> "buf"

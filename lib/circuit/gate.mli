@@ -26,9 +26,6 @@ val eval : t -> current:bool -> inputs:bool list -> bool
     (the environment drives it).
     @raise Invalid_argument on an arity violation. *)
 
-val is_sequential : t -> bool
-(** [true] for gates whose next value depends on the current one. *)
-
 val to_string : t -> string
 val of_string : string -> t option
 val pp : t Fmt.t

@@ -63,11 +63,3 @@ let compare ?periods g1 g2 =
   end
 
 let timing_equal ?periods g1 g2 = compare ?periods g1 g2 = Equal
-
-let pp_verdict g ppf = function
-  | Equal -> Fmt.string ppf "timing-equal"
-  | Different_events -> Fmt.string ppf "different event sets"
-  | Different_time { event; period; left; right } ->
-    Fmt.pf ppf "t(%a_%d) differs: %g vs %g" Event.pp (Signal_graph.event g event) period
-      left right
-  | No_steady_state -> Fmt.string ppf "no steady state within the horizon"

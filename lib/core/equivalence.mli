@@ -28,5 +28,3 @@ val compare : ?periods:int -> Signal_graph.t -> Signal_graph.t -> verdict
 
 val timing_equal : ?periods:int -> Signal_graph.t -> Signal_graph.t -> bool
 (** [compare] reduced to a boolean ([Equal] only). *)
-
-val pp_verdict : Signal_graph.t -> verdict Fmt.t

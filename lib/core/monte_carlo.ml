@@ -47,7 +47,7 @@ let estimate ?(seed = 42) ?(runs = 30) ?(periods = 60) ?(jobs = 1) g ~sampler =
   Tsg_engine.Metrics.incr ~by:runs "monte_carlo/runs";
   let estimates =
     Tsg_engine.Metrics.time "monte_carlo/simulate" @@ fun () ->
-    Parallel.map ~jobs one_run (Array.init runs Fun.id)
+    Tsg_engine.Pool.map ~jobs one_run (Array.init runs Fun.id)
   in
   let mean = Array.fold_left ( +. ) 0. estimates /. float_of_int runs in
   let var =

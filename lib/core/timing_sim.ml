@@ -303,10 +303,10 @@ let simulate_many ?(jobs = 1) u ~roots ~f =
     in
     (* the deadline read above is shared by every participant: when
        it trips, each raises at its next per-claim check (the kernel
-       checks at the top of every window) and Parallel.map_claims
+       checks at the top of every window) and Pool.map_claims
        propagates the smallest failing index after all claims settle
        — the pool itself stays healthy and reusable *)
-    Parallel.map_claims ~jobs ?order
+    Tsg_engine.Pool.map_claims ~jobs ?order
       ~with_ctx:(fun k -> Workspace.with_arena n k)
       ~f:(fun ws at ->
         initiated_into ~deadline ws u ~at;

@@ -114,7 +114,7 @@ val simulate_many :
 (** [simulate_many u ~roots ~f] runs one [root]-initiated simulation
     per element of [roots] and returns [f root view] for each, in
     [roots] order.  With [jobs > 1] the roots are {e self-scheduled}
-    over {!Parallel.map_claims}: each participant acquires
+    over {!Tsg_engine.Pool.map_claims}: each participant acquires
     an arena once, then claims roots one at a time from a shared
     index, heaviest simulation window first (by
     {!Unfolding.topo_position} of the root — the cheap static cost

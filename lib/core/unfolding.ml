@@ -352,7 +352,3 @@ let patch t g' ~arc_map =
   in
   Tsg_engine.Metrics.incr "unfolding/patched";
   patched
-
-let pp_instance t ppf i =
-  let e, p = event_of_instance t i in
-  Fmt.pf ppf "%a@@%d" Event.pp (Signal_graph.event t.l.sg e) p

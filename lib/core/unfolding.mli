@@ -182,6 +182,3 @@ val patch : t -> Signal_graph.t -> arc_map:int array -> t * patch_delta
     @raise Invalid_argument if [g'] changes the event set or classes,
     or [arc_map] is inconsistent with the two arc tables.
     @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
-
-val pp_instance : t -> int Fmt.t
-(** Prints an instance as [a+@2] (event [a+], period 2). *)

@@ -533,35 +533,15 @@ let reanalyze_changes ?scratch:sc t changes =
 (* Sweeps                                                              *)
 
 let sweep_changes ?budget_ms ?(jobs = 1) t scenarios =
-  let outer = Tsg_engine.Deadline.current () in
-  Parallel.map_claims ~jobs
+  Tsg_engine.Batch.run ~jobs ?deadline_ms:budget_ms
     ~with_ctx:(fun k -> k (scratch t))
-    ~f:(fun sc changes ->
-      (* each scenario gets its own budget (Batch semantics), installed
-         as the ambient deadline of the thread that runs it: one
-         pathological edit times out alone instead of starving the
-         sweep.  The caller's deadline still bounds the whole run. *)
-      let d =
-        match budget_ms with
-        | None -> Tsg_engine.Deadline.none
-        | Some ms -> Tsg_engine.Deadline.make ~budget_ms:ms ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let outcome =
-        match
-          Tsg_engine.Deadline.check outer;
-          Tsg_engine.Deadline.with_deadline
-            (if d == Tsg_engine.Deadline.none then outer else d)
-            (fun () -> reanalyze_changes ~scratch:sc t changes)
-        with
-        | result -> Ok result
-        | exception Tsg_engine.Deadline.Deadline_exceeded ->
-          Error
-            (Tsg_engine.Deadline.error_message
-               (if Tsg_engine.Deadline.expired outer then outer else d))
-        | exception Invalid_argument msg -> Error msg
-        | exception Cycle_time.Not_analyzable msg ->
-          Error (Printf.sprintf "not analyzable: %s" msg)
-      in
-      (outcome, (Unix.gettimeofday () -. t0) *. 1000.))
-    scenarios
+    ~label:(fun _ -> "")
+    ~f:(fun scratch changes ->
+      match reanalyze_changes ?scratch t changes with
+      | result -> Ok result
+      | exception Invalid_argument msg -> Error msg
+      | exception Cycle_time.Not_analyzable msg ->
+        Error (Printf.sprintf "not analyzable: %s" msg))
+    (Array.to_list scenarios)
+  |> List.map (fun (e : _ Tsg_engine.Batch.entry) -> (e.outcome, e.elapsed_ms))
+  |> Array.of_list

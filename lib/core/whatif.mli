@@ -154,16 +154,14 @@ val sweep_changes :
   change list array ->
   ((Cycle_time.report * stats, string) result * float) array
 (** [sweep_changes t scenarios] re-analyses every scenario with
-    {!reanalyze_changes}, sharing the one prepared base across [jobs]
-    participants via {!Parallel.map_claims} (one {!scratch} per
+    {!reanalyze_changes} through {!Tsg_engine.Batch.run}, sharing the
+    one prepared base across [jobs] participants (one {!scratch} per
     participant, scenarios claimed one at a time).  Results land at
     their scenario's index, each paired with the scenario's wall time
     in milliseconds.
 
     Failures are per-scenario: an invalid edit, a
     {!Cycle_time.Not_analyzable} graph or a tripped deadline turns
-    into [Error message] for that scenario only.  [budget_ms] arms a
-    fresh per-scenario deadline (Batch semantics — one pathological
-    scenario times out alone), installed as the ambient deadline of
-    the participant that runs it; the caller's ambient deadline is
-    checked between scenarios, bounding the whole sweep. *)
+    into [Error message] for that scenario only.  Deadlines follow
+    {!Tsg_engine.Batch.run}: [budget_ms] gives each scenario its own
+    budget, and the caller's ambient deadline bounds the whole sweep. *)

@@ -61,7 +61,7 @@ let check t =
    server threads alike; [current] sits outside the hot loops, so the
    lock is not a contention point.  A stage that fans out to other
    domains carries the value it read (Timing_sim.simulate_many) or
-   installs it there (Whatif.sweep_changes). *)
+   installs it there (Batch.run, which also runs what-if sweeps). *)
 let slots : (int, t) Hashtbl.t = Hashtbl.create 32
 let slots_mutex = Mutex.create ()
 

@@ -67,27 +67,48 @@ let shutdown t =
     t.domains <- []
   end
 
-(* Claim-based self-scheduling: every participant (the caller plus up
-   to [slots] pool workers) wraps its whole claim loop in [with_ctx] —
+let default_pool = ref None
+let default_mutex = Mutex.create ()
+
+let default () =
+  Mutex.lock default_mutex;
+  let t =
+    match !default_pool with
+    | Some t -> t
+    | None ->
+      let t = create () in
+      default_pool := Some t;
+      at_exit (fun () -> shutdown t);
+      t
+  in
+  Mutex.unlock default_mutex;
+  t
+
+(* Claim-based self-scheduling: every participant (the caller plus
+   [jobs - 1] pool workers) wraps its whole claim loop in [with_ctx] —
    acquiring per-worker state such as a scratch arena exactly once —
    and then claims items one at a time from a shared atomic index
    until none are left.  An optional [order] permutation turns the
    claim sequence into a schedule (e.g. heaviest item first) without
    disturbing where results land: item [i] always produces
-   [results.(i)]. *)
-let map_claims ?slots ?order t ~with_ctx ~f inputs =
+   [results.(i)].  One participant runs inline, in input order, and
+   never reaches the pool, so a jobs-1 caller neither creates the
+   process-wide pool nor counts a claim. *)
+let map_claims ?pool ~jobs ?order ~with_ctx ~f inputs =
   let n = Array.length inputs in
+  (match order with
+  | Some o when Array.length o <> n ->
+    invalid_arg "Pool.map_claims: order must index every input exactly once"
+  | _ -> ());
   if n = 0 then [||]
+  else if min jobs n <= 1 then begin
+    let out = ref [||] in
+    with_ctx (fun ctx -> out := Array.map (f ctx) inputs);
+    !out
+  end
   else begin
-    (match order with
-    | Some o when Array.length o <> n ->
-      invalid_arg "Pool.map_claims: order must index every input exactly once"
-    | _ -> ());
-    let slots =
-      match slots with
-      | None -> min t.size n
-      | Some s -> max 0 (min s (min t.size n))
-    in
+    let t = match pool with Some t -> t | None -> default () in
+    let slots = min (min jobs n - 1) t.size in
     let results = Array.make n None in
     let next = Atomic.make 0 in
     (* smallest failing index wins, independently of scheduling *)
@@ -181,22 +202,5 @@ let map_claims ?slots ?order t ~with_ctx ~f inputs =
     Array.map (function Some y -> y | None -> assert false) results
   end
 
-let map ?slots t f inputs =
-  map_claims ?slots t ~with_ctx:(fun k -> k ()) ~f:(fun () x -> f x) inputs
-
-let default_pool = ref None
-let default_mutex = Mutex.create ()
-
-let default () =
-  Mutex.lock default_mutex;
-  let t =
-    match !default_pool with
-    | Some t -> t
-    | None ->
-      let t = create () in
-      default_pool := Some t;
-      at_exit (fun () -> shutdown t);
-      t
-  in
-  Mutex.unlock default_mutex;
-  t
+let map ?pool ~jobs f inputs =
+  map_claims ?pool ~jobs ~with_ctx:(fun k -> k ()) ~f:(fun () x -> f x) inputs

@@ -1,5 +1,3 @@
-let neg_infinity_dist = neg_infinity
-
 let dag_longest g ~weight ~sources =
   let n = Digraph.vertex_count g in
   let dist = Array.make n neg_infinity in

@@ -4,9 +4,6 @@
     unfolding, Proposition 1 of the paper) and by the Lawler baseline
     (positive-cycle detection under reweighted arcs). *)
 
-val neg_infinity_dist : float
-(** Distance of an unreachable vertex ([neg_infinity]). *)
-
 val dag_longest :
   'a Digraph.t -> weight:('a -> float) -> sources:int list ->
   float array * int array

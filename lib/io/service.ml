@@ -209,7 +209,7 @@ let replica_handler ~cache ~disk_cache ~whatif_cache ~max_sweep ~jobs ~shard ~en
   | Ok (Batch { paths; periods; jobs = req_jobs; timeout_ms }) ->
     let entries =
       Tsg_engine.Batch.run ~jobs:(jobs_of req_jobs) ?deadline_ms:timeout_ms ~label:Fun.id
-        ~f:(analyze_model ~cache ?periods) paths
+        ~f:(Fun.const (analyze_model ~cache ?periods)) paths
     in
     Server.Reply (Rpc.batch_response entries)
   | Ok (Sweep { path; scenarios; periods; jobs = req_jobs; timeout_ms }) ->

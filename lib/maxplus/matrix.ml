@@ -37,8 +37,6 @@ let of_arrays arrays =
   Array.iteri (fun i row -> Array.iteri (fun j v -> set m i j v) row) arrays;
   m
 
-let to_arrays m = Array.init m.r (fun i -> Array.init m.c (fun j -> get m i j))
-
 let add a b =
   if a.r <> b.r || a.c <> b.c then invalid_arg "Matrix.add: dimension mismatch";
   { a with data = Array.mapi (fun k v -> Semiring.add v b.data.(k)) a.data }

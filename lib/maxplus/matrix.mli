@@ -12,7 +12,6 @@ val of_arrays : float array array -> t
 (** Copies a rectangular array of rows.
     @raise Invalid_argument on ragged input. *)
 
-val to_arrays : t -> float array array
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float

@@ -222,7 +222,7 @@ let test_batch_cache_dedups_sweep () =
   in
   let cache = Cache.create ~metrics_prefix:"test-batch" ~capacity:8 () in
   let entries =
-    Batch.run ~jobs:3 ~cache ~label:string_of_int ~f [ 1; 2; 1; 3; 2; 1 ]
+    Batch.run ~jobs:3 ~cache ~label:string_of_int ~f:(Fun.const f) [ 1; 2; 1; 3; 2; 1 ]
   in
   Alcotest.(check int) "six entries" 6 (List.length entries);
   Alcotest.(check int) "three analyses" 3 (Atomic.get runs);
@@ -234,7 +234,7 @@ let test_batch_cache_dedups_sweep () =
       | Error msg -> Alcotest.failf "unexpected error: %s" msg)
     [ 1; 2; 1; 3; 2; 1 ] entries;
   (* a second sweep over the same labels is served from the cache *)
-  let entries2 = Batch.run ~jobs:3 ~cache ~label:string_of_int ~f [ 3; 1 ] in
+  let entries2 = Batch.run ~jobs:3 ~cache ~label:string_of_int ~f:(Fun.const f) [ 3; 1 ] in
   Alcotest.(check int) "still three analyses" 3 (Atomic.get runs);
   Alcotest.(check int) "second sweep complete" 2 (List.length entries2)
 
@@ -251,8 +251,8 @@ let test_batch_cache_remembers_errors () =
         Alcotest.(check bool) "failed" true (Result.is_error e.Batch.outcome))
       entries
   in
-  check_failed (Batch.run ~jobs:2 ~cache ~label:string_of_int ~f [ 1; 1 ]);
-  check_failed (Batch.run ~jobs:2 ~cache ~label:string_of_int ~f [ 1 ]);
+  check_failed (Batch.run ~jobs:2 ~cache ~label:string_of_int ~f:(Fun.const f) [ 1; 1 ]);
+  check_failed (Batch.run ~jobs:2 ~cache ~label:string_of_int ~f:(Fun.const f) [ 1 ]);
   Alcotest.(check int) "failure computed once" 1 (Atomic.get runs)
 
 (* ------------------------------------------------------------------ *)

@@ -30,8 +30,8 @@ let test_pool_map_basic () =
       Alcotest.(check (array int))
         "order preserved"
         (Array.map (fun x -> x * x) xs)
-        (Pool.map pool (fun x -> x * x) xs);
-      Alcotest.(check (array int)) "empty input" [||] (Pool.map pool succ [||]))
+        (Pool.map ~pool ~jobs:(Pool.size pool + 1) (fun x -> x * x) xs);
+      Alcotest.(check (array int)) "empty input" [||] (Pool.map ~pool ~jobs:(Pool.size pool + 1) succ [||]))
 
 let test_pool_reuses_domains () =
   (* every participant (all workers + the caller) claims exactly one
@@ -46,7 +46,7 @@ let test_pool_reuses_domains () =
       let ids_of_call () =
         let started = Atomic.make 0 in
         let ids =
-          Pool.map pool
+          Pool.map ~pool ~jobs:(Pool.size pool + 1)
             (fun _ ->
               Atomic.incr started;
               while Atomic.get started < participants do
@@ -72,7 +72,7 @@ let test_pool_map_after_shutdown () =
   (* degenerates to the calling domain, but still completes *)
   Alcotest.(check (array int))
     "inline after shutdown" [| 1; 2; 3 |]
-    (Pool.map pool succ [| 0; 1; 2 |])
+    (Pool.map ~pool ~jobs:(Pool.size pool + 1) succ [| 0; 1; 2 |])
 
 exception Boom of int
 
@@ -85,7 +85,7 @@ let test_pool_exception_deterministic () =
         let got =
           try
             ignore
-              (Pool.map pool
+              (Pool.map ~pool ~jobs:(Pool.size pool + 1)
                  (fun i -> if i = 3 || i = 7 || i = 11 then raise (Boom i) else i)
                  (Array.init 32 Fun.id));
             None
@@ -110,7 +110,7 @@ let test_batch_matches_sequential () =
   let files = benchmark_files () in
   Alcotest.(check bool) "found benchmark files" true (List.length files >= 5);
   let sequential = List.map (fun f -> (f, analyze_file f)) files in
-  let entries = Batch.run ~jobs:4 ~label:Fun.id ~f:analyze_file files in
+  let entries = Batch.run ~jobs:4 ~label:Fun.id ~f:(Fun.const analyze_file) files in
   Alcotest.(check int) "one entry per file" (List.length files) (List.length entries);
   List.iter2
     (fun (file, seq) (e : _ Batch.entry) ->
@@ -138,7 +138,7 @@ let test_batch_isolates_faults () =
         ]
       in
       let errors_before = Metrics.count "batch/errors" in
-      let entries = Batch.run ~jobs:4 ~label:Fun.id ~f:analyze_file files in
+      let entries = Batch.run ~jobs:4 ~label:Fun.id ~f:(Fun.const analyze_file) files in
       match entries with
       | [ fig1; bad; missing; ring5 ] ->
         (match fig1.Batch.outcome with
@@ -158,7 +158,7 @@ let test_batch_isolates_faults () =
 let test_batch_catches_exceptions () =
   let entries =
     Batch.run ~jobs:2 ~label:string_of_int
-      ~f:(fun i -> if i mod 2 = 0 then failwith "even" else Ok (i * 10))
+      ~f:(fun _ i -> if i mod 2 = 0 then failwith "even" else Ok (i * 10))
       [ 1; 2; 3 ]
   in
   Alcotest.(check int) "three entries" 3 (List.length entries);
@@ -271,7 +271,7 @@ let prop_batch_equals_sequential =
           | exception Cycle_time.Not_analyzable msg -> Error msg)
       in
       let seq = f text in
-      match (Batch.run ~jobs:3 ~label:(fun _ -> "g") ~f [ text; text; text ], seq) with
+      match (Batch.run ~jobs:3 ~label:(fun _ -> "g") ~f:(Fun.const f) [ text; text; text ], seq) with
       | [ a; b; c ], Ok l ->
         List.for_all
           (fun (e : _ Batch.entry) ->

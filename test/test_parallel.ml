@@ -49,16 +49,16 @@ let test_parallel_map_basic () =
   let xs = Array.init 100 Fun.id in
   Alcotest.(check (array int)) "order preserved"
     (Array.map (fun x -> x * x) xs)
-    (Parallel.map ~jobs:4 (fun x -> x * x) xs);
+    (Tsg_engine.Pool.map ~jobs:4 (fun x -> x * x) xs);
   Alcotest.(check (array int)) "jobs=1 inline" (Array.map succ xs)
-    (Parallel.map ~jobs:1 succ xs);
-  Alcotest.(check (array int)) "empty input" [||] (Parallel.map ~jobs:4 succ [||])
+    (Tsg_engine.Pool.map ~jobs:1 succ xs);
+  Alcotest.(check (array int)) "empty input" [||] (Tsg_engine.Pool.map ~jobs:4 succ [||])
 
 let test_parallel_map_exceptions () =
   let raised =
     try
       ignore
-        (Parallel.map ~jobs:4
+        (Tsg_engine.Pool.map ~jobs:4
            (fun x -> if x = 17 then invalid_arg "boom" else x)
            (Array.init 64 Fun.id));
       false
@@ -124,18 +124,17 @@ let test_deadline_cancel_mid_batch () =
   same_report "analysis after cancelled batch" g 4
 
 let test_map_claims_order () =
-  let pool = Tsg_engine.Pool.default () in
   let xs = Array.init 10 Fun.id in
   (* a reversed claim schedule must not change where results land *)
   let order = Array.init 10 (fun k -> 9 - k) in
   Alcotest.(check (array int)) "results land at input index"
     (Array.map (fun x -> x * 10) xs)
-    (Tsg_engine.Pool.map_claims ~order pool
+    (Tsg_engine.Pool.map_claims ~jobs:4 ~order
        ~with_ctx:(fun k -> k 10)
        ~f:(fun c x -> c * x)
        xs);
   match
-    Tsg_engine.Pool.map_claims ~order:[| 0; 1 |] pool
+    Tsg_engine.Pool.map_claims ~jobs:4 ~order:[| 0; 1 |]
       ~with_ctx:(fun k -> k ())
       ~f:(fun () x -> x)
       xs
@@ -146,9 +145,31 @@ let test_map_claims_order () =
 let test_map_claims_metrics () =
   let claims = Tsg_engine.Metrics.count "pool/claims" in
   let xs = Array.init 50 Fun.id in
-  ignore (Parallel.map ~jobs:4 (fun x -> x + 1) xs);
+  ignore (Tsg_engine.Pool.map ~jobs:4 (fun x -> x + 1) xs);
   Alcotest.(check int) "every item claimed exactly once" (claims + 50)
     (Tsg_engine.Metrics.count "pool/claims")
+
+(* one participant runs inline on the caller: an analysis, a batch
+   and a sweep at jobs 1 claim nothing from the pool *)
+let test_jobs1_never_touches_the_pool () =
+  let g = Tsg_circuit.Circuit_library.fig1_tsg () in
+  let base = Whatif.prepare g in
+  let claims = Tsg_engine.Metrics.count "pool/claims" in
+  ignore (Cycle_time.analyze ~jobs:1 g);
+  let entries =
+    Tsg_engine.Batch.run ~jobs:1 ~label:Fun.id
+      ~f:(fun _ _ -> Ok (Cycle_time.cycle_time g))
+      [ "a"; "b" ]
+  in
+  let sweep =
+    Whatif.sweep_changes ~jobs:1 base
+      [| [ Whatif.Delay { arc = 0; delta = 1.5 } ]; [ Whatif.Delay { arc = 1; delta = 0.5 } ] |]
+  in
+  Alcotest.(check bool) "batch answered" true
+    (List.for_all (fun (e : _ Tsg_engine.Batch.entry) -> Result.is_ok e.outcome) entries);
+  Alcotest.(check bool) "sweep answered" true
+    (Array.for_all (fun (outcome, _) -> Result.is_ok outcome) sweep);
+  Alcotest.(check int) "pool/claims unchanged" claims (Tsg_engine.Metrics.count "pool/claims")
 
 let suite =
   [
@@ -168,4 +189,5 @@ let suite =
     Alcotest.test_case "Pool.map_claims claim accounting" `Quick test_map_claims_metrics;
     prop_parallel_equals_sequential;
     prop_reports_byte_identical;
+    Alcotest.test_case "jobs 1 never touches the pool" `Quick test_jobs1_never_touches_the_pool;
   ]

@@ -149,6 +149,33 @@ let test_cancelled_ambient_deadline_stops_every_entry_point () =
   expect "Whatif.reanalyze_changes" (fun () ->
       Whatif.reanalyze_changes base [ Whatif.Delay { arc = 0; delta = 1.5 } ]);
   expect "Traspec.extract fig1" (fun () -> Tsg_extract.Traspec.extract net);
+  (* the item runner answers each item with a structured error instead
+     of raising, on the caller and on pool workers alike *)
+  let expect_entries name outcomes =
+    match Deadline.with_deadline cancelled outcomes with
+    | exception exn -> Alcotest.failf "%s raised %s" name (Printexc.to_string exn)
+    | outcomes ->
+      Alcotest.(check int) (name ^ ": every item answered") 2 (List.length outcomes);
+      List.iter
+        (function
+          | Error msg when String.starts_with ~prefix:"deadline_exceeded" msg -> ()
+          | Error msg -> Alcotest.failf "%s: unstructured error %s" name msg
+          | Ok _ -> Alcotest.failf "%s ignored a cancelled ambient deadline" name)
+        outcomes
+  in
+  List.iter
+    (fun jobs ->
+      expect_entries (Printf.sprintf "Batch.run ~jobs:%d" jobs) (fun () ->
+          Batch.run ~jobs ~label:Fun.id
+            ~f:(fun _ _ -> Ok (Cycle_time.analyze g).Cycle_time.cycle_time)
+            [ "a"; "b" ]
+          |> List.map (fun (e : _ Batch.entry) -> Result.map ignore e.Batch.outcome));
+      expect_entries (Printf.sprintf "Whatif.sweep_changes ~jobs:%d" jobs) (fun () ->
+          Whatif.sweep_changes ~jobs base
+            [| [ Whatif.Delay { arc = 0; delta = 1.5 } ]; [ twin ] |]
+          |> Array.to_list
+          |> List.map (fun (outcome, _) -> Result.map ignore outcome)))
+    [ 1; 2 ];
   (* nothing was poisoned: the same calls succeed without a budget *)
   Alcotest.(check bool) "analysis after the cancelled calls" true
     ((Cycle_time.analyze g).Cycle_time.cycle_time = report.Cycle_time.cycle_time)
@@ -231,7 +258,7 @@ let test_batch_deadline_is_per_item_and_structured () =
   (* a budget too small for a 120-event model: every item times out,
      each with a structured message, and none crashes the sweep *)
   let entries =
-    Batch.run ~jobs:2 ~deadline_ms:0.001 ~label:Fun.id ~f:analyze_graph
+    Batch.run ~jobs:2 ~deadline_ms:0.001 ~label:Fun.id ~f:(Fun.const analyze_graph)
       [ "a"; "b"; "c" ]
   in
   Alcotest.(check int) "all items reported" 3 (List.length entries);
@@ -247,7 +274,7 @@ let test_batch_deadline_is_per_item_and_structured () =
     entries;
   (* the pool workers survived the unwinds: the same sweep without a
      budget completes *)
-  let entries = Batch.run ~jobs:2 ~label:Fun.id ~f:analyze_graph [ "a"; "b" ] in
+  let entries = Batch.run ~jobs:2 ~label:Fun.id ~f:(Fun.const analyze_graph) [ "a"; "b" ] in
   List.iter
     (fun (e : _ Batch.entry) ->
       match e.Batch.outcome with
@@ -469,14 +496,14 @@ let test_pool_survives_worker_death () =
   let xs = Array.init 16 Fun.id in
   Tsg_obs.Failpoint.activate ~times:1 "pool/job";
   let hits_before = Metrics.count "failpoint/hits" in
-  (match Pool.map pool (fun x -> x * x) xs with
+  (match Pool.map ~pool ~jobs:(Pool.size pool + 1) (fun x -> x * x) xs with
   | _ -> Alcotest.fail "the injected job failure was swallowed"
   | exception Tsg_obs.Failpoint.Injected "pool/job" -> ());
   Alcotest.(check bool) "failpoint/hits counted" true
     (Metrics.count "failpoint/hits" > hits_before);
   (* one injected death poisoned nothing: the very next map on the
      same pool computes every item *)
-  let squares = Pool.map pool (fun x -> x * x) xs in
+  let squares = Pool.map ~pool ~jobs:(Pool.size pool + 1) (fun x -> x * x) xs in
   Alcotest.(check (array int)) "subsequent map intact"
     (Array.map (fun x -> x * x) xs)
     squares
@@ -492,7 +519,7 @@ let test_batch_isolates_injected_loader_failure () =
   (* jobs:1 makes the injection land deterministically on the first
      item; the loader converts it to Error, so the sweep continues *)
   let entries =
-    Batch.run ~jobs:1 ~label:Fun.id ~f:load [ bench "fig1.g"; bench "ring5.g" ]
+    Batch.run ~jobs:1 ~label:Fun.id ~f:(Fun.const load) [ bench "fig1.g"; bench "ring5.g" ]
   in
   match entries with
   | [ injected; healthy ] ->
