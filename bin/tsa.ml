@@ -833,34 +833,26 @@ let proxy_cmd =
     let stale =
       Option.map (fun dir -> Tsg_engine.Disk_cache.create ~dir ()) cache_dir
     in
-    let router, proxy =
+    let proxy =
       try
-        (* retries:0 — the proxy owns the retry policy (budgeted,
-           breaker-gated); Server.call-level retries underneath it
-           would multiply load invisibly, the exact storm the budget
-           exists to kill *)
-        let router =
-          Tsg_engine.Router.create ~retries:0 ~breaker_window ~breaker_failures
-            ~breaker_cooldown_ms eps
-        in
-        ( router,
-          Tsg_engine.Proxy.create ~retry_ratio:retry_budget ~queue_depth
-            ~max_concurrent ~upstream_timeout_s:upstream_timeout ?stale router
-        )
+        Tsg_engine.Proxy.create ~retry_ratio:retry_budget ~queue_depth ~max_concurrent
+          ?stale
+          (Tsg_engine.Router.create ~timeout_s:upstream_timeout ~breaker_window
+             ~breaker_failures ~breaker_cooldown_ms eps)
       with Invalid_argument msg ->
         Fmt.epr "tsa: %s@." msg;
         exit 2
     in
     let bound_endpoint = ref listen_ep in
     let handler =
-      Service.proxy_handler ~router ~proxy ~stale ~endpoint:(fun () -> !bound_endpoint)
+      Service.proxy_handler ~proxy ~stale ~endpoint:(fun () -> !bound_endpoint)
     in
     let stop = stop_signals () in
     let on_ready ep =
       bound_endpoint := ep;
       Fmt.epr "tsa: proxy on %s fronting %d shards%s@."
         (Tsg_engine.Server.endpoint_to_string ep)
-        (Tsg_engine.Router.shard_count router)
+        (Tsg_engine.Router.shard_count (Tsg_engine.Proxy.router proxy))
         (match cache_dir with
         | Some dir -> Printf.sprintf ", degraded mode from %s" dir
         | None -> "")

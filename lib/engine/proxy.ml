@@ -1,12 +1,9 @@
 (* The fleet-fronting policy layer.  See proxy.mli for the contract.
 
-   Everything here is written against Router.call_one — one shard,
-   one attempt, no internal retries — because every *decision* to try
-   again must pass through the retry budget.  The router's own
-   failover (route) is deliberately not used: it retries on its own
-   clock and would launder failures past the budget.  Shard health
-   (the breakers) lives in the router: call_one records every
-   outcome, next_allowed picks the candidates. *)
+   The failover itself is Router.route's: the proxy adds admission in
+   front of it, the retry budget as route's [retry] predicate (so every
+   decision to try again passes the budget), and the degraded fallback
+   behind it.  Shard health (the breakers) lives in the router. *)
 
 (* ------------------------------------------------------------------ *)
 (* Retry budget *)
@@ -91,7 +88,6 @@ type t = {
   router : Router.t;
   stale : Disk_cache.t option;
   budget : Retry_budget.t;
-  upstream_timeout_s : float;
   admission : admission;
   prefix : string;
   mx : Mutex.t;
@@ -105,17 +101,13 @@ type t = {
 }
 
 let create ?(metrics_prefix = "proxy") ?retry_ratio ?retry_burst
-    ?(queue_depth = 64) ?(max_concurrent = 32) ?(upstream_timeout_s = 10.)
-    ?stale router =
+    ?(queue_depth = 64) ?(max_concurrent = 32) ?stale router =
   if queue_depth <= 0 then invalid_arg "Proxy.create: queue_depth <= 0";
   if max_concurrent <= 0 then invalid_arg "Proxy.create: max_concurrent <= 0";
-  if upstream_timeout_s <= 0. || not (Float.is_finite upstream_timeout_s) then
-    invalid_arg "Proxy.create: upstream_timeout_s must be finite and positive";
   {
     router;
     stale;
     budget = Retry_budget.create ?ratio:retry_ratio ?burst:retry_burst ();
-    upstream_timeout_s;
     admission =
       {
         aq = Queue.create ();
@@ -134,6 +126,8 @@ let create ?(metrics_prefix = "proxy") ?retry_ratio ?retry_burst
     st_queue_dropped = 0;
     st_queue_expired = 0;
   }
+
+let router t = t.router
 
 let bump t f =
   Mutex.lock t.mx;
@@ -199,21 +193,6 @@ let release t =
   Mutex.unlock ad.amx
 
 (* ------------------------------------------------------------------ *)
-(* Upstream attempts *)
-
-(* one call to one shard; the router records the outcome into the
-   shard's breaker *)
-let shard_call t i request =
-  let t0 = Unix.gettimeofday () in
-  match Router.call_one ~timeout_s:t.upstream_timeout_s t.router i request with
-  | Router.Answered resp ->
-    Metrics.observe_ms (t.prefix ^ "/upstream_ms")
-      ((Unix.gettimeofday () -. t0) *. 1000.);
-    Ok resp
-  | Router.Saturated -> Error "shard saturated"
-  | Router.Call_failed e -> Error e
-
-(* ------------------------------------------------------------------ *)
 (* Degraded serving *)
 
 let marker = {|"degraded":true|}
@@ -248,8 +227,7 @@ type outcome =
 
 (* every live candidate is open or has failed: the last resort is a
    stale answer from the shared disk cache *)
-let finish_unavailable t ~cache_key last_err =
-  let msg = Option.value last_err ~default:Router.all_open_error in
+let finish_unavailable t ~cache_key msg =
   match (t.stale, cache_key) with
   | Some dc, Some ck -> (
     match Disk_cache.read_stale dc ck with
@@ -287,40 +265,29 @@ let forward t ?key ?cache_key request =
     Fun.protect ~finally:(fun () -> release t) @@ fun () ->
     (* every admitted request funds the retry budget *)
     Retry_budget.deposit t.budget;
-    let rkey = match key with Some k -> k | None -> request in
-    let order = Router.rank t.router rkey in
-    let tried = Array.make (Router.shard_count t.router) false in
-    let rec attempts ~first last_err =
-      if Deadline.expired deadline then begin
-        bump t (fun t -> t.st_shed <- t.st_shed + 1);
-        Metrics.incr (t.prefix ^ "/deadline_shed");
-        Shed
-          ("deadline_exceeded", "deadline_exceeded: proxy ran out of budget")
+    let refused = ref false in
+    let retry () =
+      let ok = Retry_budget.try_withdraw t.budget in
+      if ok then begin
+        bump t (fun t -> t.st_retries <- t.st_retries + 1);
+        Metrics.incr (t.prefix ^ "/retries")
       end
-      else
-        match Router.next_allowed t.router order ~tried with
-        | None -> finish_unavailable t ~cache_key last_err
-        | Some i ->
-          if (not first) && not (Retry_budget.try_withdraw t.budget) then begin
-            (* budget exhausted: shed instead of retrying — this is
-               the retry-storm killswitch *)
-            Router.abort t.router i;
-            bump t (fun t -> t.st_shed <- t.st_shed + 1);
-            Metrics.incr (t.prefix ^ "/retry_budget_shed");
-            Shed ("overloaded", "retry budget exhausted")
-          end
-          else begin
-            if not first then begin
-              bump t (fun t -> t.st_retries <- t.st_retries + 1);
-              Metrics.incr (t.prefix ^ "/retries")
-            end;
-            tried.(i) <- true;
-            match shard_call t i request with
-            | Ok resp -> Fresh resp
-            | Error e -> attempts ~first:false (Some e)
-          end
+      else refused := true;
+      ok
     in
-    attempts ~first:true None
+    match Router.route ~retry t.router ~key:(Option.value key ~default:request) request with
+    | Ok resp -> Fresh resp
+    | Error _ when Deadline.expired deadline ->
+      bump t (fun t -> t.st_shed <- t.st_shed + 1);
+      Metrics.incr (t.prefix ^ "/deadline_shed");
+      Shed ("deadline_exceeded", "deadline_exceeded: proxy ran out of budget")
+    | Error _ when !refused ->
+      (* budget exhausted: shed instead of retrying — this is the
+         retry-storm killswitch *)
+      bump t (fun t -> t.st_shed <- t.st_shed + 1);
+      Metrics.incr (t.prefix ^ "/retry_budget_shed");
+      Shed ("overloaded", "retry budget exhausted")
+    | Error e -> finish_unavailable t ~cache_key e
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)

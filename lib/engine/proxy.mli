@@ -1,7 +1,7 @@
 (** The standalone proxy tier: one address in front of the fleet.
 
-    {!Router} is client-side — every caller needs the endpoint list
-    and its own failover policy.  The proxy runs that policy {e once},
+    {!Router} is client-side — every caller needs the endpoint list.
+    The proxy runs the router's failover ({!Router.route}) {e once},
     server-side, behind a single TCP address, and adds the overload
     protection a shared ingress needs and a per-client router cannot
     provide:
@@ -9,14 +9,15 @@
     {ul
     {- {b Circuit breakers}, one per shard: the router's own
        {!Breaker}s (configured by {!Router.create}), which every
-       {!Router.call_one} feeds.  A breaker-open shard is skipped
-       without a connection attempt; the proxy and any other caller
-       of the same router see the same state.}
+       {!Router.route} call reads and feeds.  A breaker-open shard is
+       skipped without a connection attempt; the proxy and any other
+       caller of the same router see the same state.}
     {- {b A retry budget} ({!Retry_budget}): a token bucket deposited
        by primary traffic ([retry_ratio] tokens per request, ~10%)
-       and withdrawn by every retry.  When the fleet is broadly
-       unhealthy the budget drains and the proxy {e sheds} instead of
-       retrying — a retry storm cannot multiply load fleet-wide.}
+       and withdrawn by every retry (it is {!Router.route}'s [retry]
+       predicate).  When the fleet is broadly unhealthy the budget
+       drains and the proxy {e sheds} instead of retrying — a retry
+       storm cannot multiply load fleet-wide.}
     {- {b A deadline-aware bounded admission queue}: at most
        [max_concurrent] requests talk upstream at once; up to
        [queue_depth] more wait FIFO.  A waiter whose deadline passes
@@ -41,8 +42,10 @@
 
     Counters under [<prefix>] (default ["proxy"]): [requests],
     [retries], [retry_budget_shed], [deadline_shed], [degraded],
-    [degraded_miss], [queue_dropped], [queue_expired], [overloaded],
-    plus the [upstream_ms] latency histogram. *)
+    [degraded_miss], [queue_dropped], [queue_expired], [overloaded].
+    The upstream side is the router's: its [requests], [rerouted],
+    [failovers], [failed] and [breaker_open] counters and its
+    [request_ms] latency histogram count the proxy's traffic. *)
 
 (** The global retry token bucket.  Primary requests {!deposit}
     [ratio] tokens (capped at [burst]); every retry must
@@ -73,22 +76,21 @@ val create :
   ?retry_burst:float ->
   ?queue_depth:int ->
   ?max_concurrent:int ->
-  ?upstream_timeout_s:float ->
   ?stale:Disk_cache.t ->
   Router.t ->
   t
 (** [create router] builds the policy layer over an existing router,
-    whose breakers it shares (set them with {!Router.create}, and
-    create the router with [~retries:0] so every retry passes the
-    budget).  Defaults: [queue_depth] 64,
-    [max_concurrent] 32, [upstream_timeout_s] 10 (passed to
-    {!Router.call_one} so a wedged shard trips its breaker instead of
-    absorbing a connection thread), budget defaults as in
+    whose breakers, per-call [retries] and [timeout_s] it uses (set
+    them with {!Router.create}).  Defaults: [queue_depth] 64,
+    [max_concurrent] 32, budget defaults as in
     {!Retry_budget.create}.  [stale] is the shared disk cache read
     (never written) by the degraded path; omit it and degraded
     serving is off.
-    @raise Invalid_argument on non-positive [queue_depth],
-    [max_concurrent] or [upstream_timeout_s]. *)
+    @raise Invalid_argument on non-positive [queue_depth] or
+    [max_concurrent]. *)
+
+val router : t -> Router.t
+(** The router given to {!create}. *)
 
 (** What {!forward} decided about one request. *)
 type outcome =
@@ -114,10 +116,12 @@ val forward : t -> ?key:string -> ?cache_key:string -> string -> outcome
     (omit for requests that are never disk cached).  The calling
     thread's ambient deadline ({!Deadline.current}, read once) bounds
     queueing and retrying; it is tested with {!Deadline.expired}, so
-    a shed never moves the [deadline/cancelled] counter.  Each attempt is one {!Router.call_one} on the
-    calling thread, and the next shard is tried only after the
-    previous one failed.  Blocks the calling thread — call it from a
-    {!Server.serve} handler. *)
+    a shed never moves the [deadline/cancelled] counter.  Past
+    admission the request is one {!Router.route} call, whose attempts
+    run one at a time on the calling thread.  When it fails, an
+    expired deadline sheds [deadline_exceeded], a refused retry sheds
+    [overloaded], and anything else takes the degraded path.  Blocks
+    the calling thread — call it from a {!Server.serve} handler. *)
 
 val mark_degraded : string -> string
 (** Splice ["degraded":true] as the first field of a JSON object

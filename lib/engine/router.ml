@@ -17,6 +17,7 @@ type t = {
   prefix : string;
   retries : int;
   backoff_ms : float;
+  timeout_s : float option;
   max_inflight : int;
   mutex : Mutex.t;
   mutable rt_requests : int;
@@ -41,10 +42,14 @@ let fnv1a64 (s : string) : int64 =
 let score key shard_name =
   fnv1a64 (key ^ "\x00" ^ shard_name)
 
-let create ?(metrics_prefix = "router") ?(retries = 2) ?(backoff_ms = 50.)
+let create ?(metrics_prefix = "router") ?(retries = 0) ?(backoff_ms = 50.) ?timeout_s
     ?(max_inflight = 64) ?breaker_window ?breaker_failures ?breaker_cooldown_ms
     endpoints =
   if endpoints = [] then invalid_arg "Router.create: no endpoints";
+  (match timeout_s with
+  | Some s when s <= 0. || not (Float.is_finite s) ->
+    invalid_arg "Router.create: timeout_s must be finite and positive"
+  | _ -> ());
   {
     shards =
       Array.of_list
@@ -64,6 +69,7 @@ let create ?(metrics_prefix = "router") ?(retries = 2) ?(backoff_ms = 50.)
     prefix = metrics_prefix;
     retries;
     backoff_ms;
+    timeout_s;
     max_inflight;
     mutex = Mutex.create ();
     rt_requests = 0;
@@ -117,35 +123,25 @@ let release t i =
   let s = t.shards.(i) in
   locked t (fun () -> s.sh_inflight <- s.sh_inflight - 1)
 
-(* allow is only invoked up to the candidate actually returned, so a
-   consumed half-open trial slot is always used or given back *)
-let next_allowed t order ~tried =
-  let now = Unix.gettimeofday () in
-  List.find_opt
-    (fun i -> (not tried.(i)) && Breaker.allow t.shards.(i).sh_breaker ~now)
-    order
-
-let abort t i = Breaker.abort t.shards.(i).sh_breaker
-
 type call_outcome =
   | Answered of string
   | Saturated
   | Call_failed of string
 
-let call_one ?timeout_s t i request =
-  if i < 0 || i >= Array.length t.shards then
-    invalid_arg "Router.call_one: shard index out of range";
+(* one request to shard [i], no failover; the outcome feeds the
+   shard's breaker *)
+let call_one t i request =
   if not (try_acquire t i) then begin
     (* nothing reached the wire: give back a half-open trial slot
        rather than charging the shard for our own inflight cap *)
-    abort t i;
+    Breaker.abort t.shards.(i).sh_breaker;
     Saturated
   end
   else
     let result =
       match
         Fun.protect ~finally:(fun () -> release t i) @@ fun () ->
-        Server.call ~retries:t.retries ~backoff_ms:t.backoff_ms ?timeout_s
+        Server.call ~retries:t.retries ~backoff_ms:t.backoff_ms ?timeout_s:t.timeout_s
           ~endpoint:t.shards.(i).sh_endpoint [ request ]
       with
       | [ response ] -> Ok response
@@ -160,7 +156,7 @@ let shard_count t = Array.length t.shards
 
 let all_open_error = "no shard available (all circuit breakers open)"
 
-let route t ~key request =
+let route ?(retry = fun () -> true) t ~key request =
   let t0 = Unix.gettimeofday () in
   Metrics.incr (t.prefix ^ "/requests");
   locked t (fun () -> t.rt_requests <- t.rt_requests + 1);
@@ -171,13 +167,24 @@ let route t ~key request =
     Error e
   in
   let deadline = Deadline.current () in
+  (* the next untried shard whose breaker allows a call; allow is only
+     invoked up to the candidate returned, so a half-open trial slot
+     it takes is always used or given back *)
+  let next () =
+    let now = Unix.gettimeofday () in
+    List.find_opt (fun i -> (not tried.(i)) && Breaker.allow t.shards.(i).sh_breaker ~now) order
+  in
+  (* [last_error] is [None] only before the first attempt *)
   let rec attempt last_error =
-    if Deadline.expired deadline then
-      fail (Deadline.error_message deadline)
+    if Deadline.expired deadline then fail (Deadline.error_message deadline)
     else
-      match next_allowed t order ~tried with
-      | None -> fail (Option.value last_error ~default:all_open_error)
-      | Some i -> (
+      match (next (), last_error) with
+      | None, _ -> fail (Option.value last_error ~default:all_open_error)
+      | Some i, Some e when not (retry ()) ->
+        (* the caller refused the retry: no call follows the pick *)
+        Breaker.abort t.shards.(i).sh_breaker;
+        fail e
+      | Some i, _ -> (
         tried.(i) <- true;
         match call_one t i request with
         | Answered response ->

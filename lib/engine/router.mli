@@ -22,15 +22,20 @@
     (half-open); its outcome closes or re-opens the breaker.  When
     every candidate's breaker is open, {!route} fails at once with
     {!all_open_error} rather than dialing a shard known to be down.
-    {!route}, {!broadcast} and {!call_one} all read and feed the same
-    breakers, so every caller sees one state per shard.
+    {!route} and {!broadcast} read and feed the same breakers, so
+    every caller sees one state per shard.
 
     {b Admission.}  [max_inflight] bounds this client's concurrent
     requests {e per shard}; a saturated home shard reroutes instead of
-    queueing, and a fully saturated fleet returns [Error] — shedding,
-    per shard, as PR 5's daemon does per connection.  An ambient
+    queueing, and a fully saturated fleet returns [Error] — shedding
+    per shard, as the daemon does per connection.  An ambient
     {!Deadline} is honoured between attempts: a request that has run
     out of budget stops failing over and reports [deadline_exceeded].
+
+    {!route} is the fleet's one failover loop: [tsa client
+    --endpoints] calls it directly, and {!Proxy.forward} calls it
+    with its retry budget as the [retry] predicate, so the counters
+    below read the same on a client and on the proxy.
 
     Counters under [<prefix>] (default ["router"]): [requests],
     [rerouted] (answered by a shard other than the key's home),
@@ -45,6 +50,7 @@ val create :
   ?metrics_prefix:string ->
   ?retries:int ->
   ?backoff_ms:float ->
+  ?timeout_s:float ->
   ?max_inflight:int ->
   ?breaker_window:int ->
   ?breaker_failures:int ->
@@ -52,13 +58,16 @@ val create :
   Server.endpoint list ->
   t
 (** [create endpoints] builds a router over the replica list.
-    [retries] (default 2) and [backoff_ms] (default 50) are passed to
-    {!Server.call} per attempt; [max_inflight] (default 64) is the
+    [retries] (default 0), [backoff_ms] (default 50) and [timeout_s]
+    (default none) are passed to {!Server.call} per attempt — a
+    timeout makes a wedged shard fail, and so trip its breaker,
+    instead of holding the caller; [max_inflight] (default 64) is the
     per-shard concurrent-request bound; the [breaker_*] settings are
     each shard's {!Breaker.create} [window], [failures] and
     [cooldown_ms].
-    @raise Invalid_argument on an empty endpoint list or breaker
-    settings {!Breaker.create} rejects. *)
+    @raise Invalid_argument on an empty endpoint list, a [timeout_s]
+    that is not finite and positive, or breaker settings
+    {!Breaker.create} rejects. *)
 
 val close : t -> unit
 (** Does nothing.  The router holds no resources — connections are
@@ -78,54 +87,30 @@ val rank : t -> string -> int list
 (** The full preference order for [key] (home first).  [route] tries
     shards in exactly this order. *)
 
-val route : t -> key:string -> string -> (string, string) result
+val route :
+  ?retry:(unit -> bool) -> t -> key:string -> string -> (string, string) result
 (** [route t ~key request] sends the request line to the key's home
     shard, failing over down {!rank} on connection failure or
     saturation and skipping shards whose breaker is open, and returns
-    the response line.  [Error] carries a human-readable reason
-    ([deadline_exceeded], {!all_open_error}, saturation, or the last
-    connection error). *)
+    the response line.  Each shard is tried at most once, one at a
+    time on the calling thread.  [retry] (default: always [true]) is
+    asked before every attempt after the first; when it answers
+    [false] the request stops without calling the shard it picked,
+    whose half-open trial slot, if it took one, goes back.  [Error]
+    carries a human-readable reason ([deadline_exceeded],
+    {!all_open_error}, saturation, or the last connection error). *)
 
 val all_open_error : string
 (** ["no shard available (all circuit breakers open)"]: the error
     {!route} returns, without dialing, when no candidate's breaker
     allows a call. *)
 
-val next_allowed : t -> int list -> tried:bool array -> int option
-(** [next_allowed t order ~tried] is the first shard of [order] not
-    marked in [tried] whose breaker allows a call now — the candidate
-    picker {!route} and the proxy share.  Picking a half-open shard
-    takes its one trial slot: follow with {!call_one}, or give the
-    slot back with {!abort}. *)
-
-val abort : t -> int -> unit
-(** Give back the half-open trial slot {!next_allowed} took for shard
-    [i] when no call follows ({!Breaker.abort}). *)
-
-type call_outcome =
-  | Answered of string  (** the shard replied with this line *)
-  | Saturated  (** at [max_inflight]; no connection was attempted *)
-  | Call_failed of string  (** connection or conversation failure *)
-
-val call_one : ?timeout_s:float -> t -> int -> string -> call_outcome
-(** [call_one t i request] sends one request to shard [i] and nothing
-    else: no failover; [Server.call] runs with the router's [retries].
-    Admission ([max_inflight]) applies, and the outcome is recorded
-    into the shard's breaker; [Saturated] gives back a half-open trial
-    slot and is never charged as a failure.  It does not consult the
-    breaker — pick the shard with {!next_allowed}.  This is the
-    building block for callers that own their own retry policy — the
-    proxy tier's retry budget is written against it, on a router
-    created with [~retries:0].  [timeout_s] bounds the socket
-    conversation (see {!Server.call}).
-    @raise Invalid_argument if [i] is out of range. *)
-
 val shard_count : t -> int
 (** Number of shards (the length of {!endpoints}). *)
 
 val broadcast : t -> string -> (Server.endpoint * (string, string) result) list
-(** [broadcast t request] sends the request to {e every} shard through
-    {!call_one} (breakers not consulted, outcomes recorded) and pairs
+(** [broadcast t request] sends the request to {e every} shard, one
+    call each (breakers not consulted, outcomes recorded), and pairs
     each endpoint with its outcome — for [stats] aggregation and
     fleet-wide [shutdown]. *)
 

@@ -239,7 +239,7 @@ let replica_handler ~cache ~disk_cache ~whatif_cache ~max_sweep ~jobs ~shard ~en
          ())
   | Ok Shutdown -> Server.Final (Rpc.shutdown_response ())
 
-let proxy_handler ~router ~proxy ~stale ~endpoint line =
+let proxy_handler ~proxy ~stale ~endpoint line =
   match Protocol.parse_request line with
   | Error msg -> Server.Reply (Protocol.error_line ~code:"bad_request" msg)
   | Ok Stats ->
@@ -248,13 +248,13 @@ let proxy_handler ~router ~proxy ~stale ~endpoint line =
       (Rpc.stats_response
          ?disk_cache:(Option.map Disk_cache.stats stale)
          ~transport:(transport ep) ~shard:(Server.endpoint_to_string ep)
-         ~proxy:(Proxy.stats proxy, Router.stats router)
+         ~proxy:(Proxy.stats proxy, Router.stats (Proxy.router proxy))
          ())
   | Ok Shutdown ->
     (* the proxy is the fleet's one address: shutting it down drains
        the shards behind it too (failures ignored — a dead shard is
        already down) *)
-    ignore (Router.broadcast router line);
+    ignore (Router.broadcast (Proxy.router proxy) line);
     Server.Final (Rpc.shutdown_response ())
   | Ok ((Analyze { timeout_ms; _ } | Sweep { timeout_ms; _ } | Batch { timeout_ms; _ }) as req)
     ->

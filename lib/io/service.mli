@@ -99,18 +99,18 @@ val replica_handler :
     [jobs] is the default for requests that carry none. *)
 
 val proxy_handler :
-  router:Tsg_engine.Router.t ->
   proxy:Tsg_engine.Proxy.t ->
   stale:Tsg_engine.Disk_cache.t option ->
   endpoint:(unit -> Tsg_engine.Server.endpoint) ->
   string ->
   Tsg_engine.Server.reply
-(** The request handler of [tsa proxy]: [proxy] is built over
-    [router] with [stale] as its degraded cache.
+(** The request handler of [tsa proxy]: [stale] is [proxy]'s degraded
+    cache.
     - analyze, sweep and batch go through {!Tsg_engine.Proxy.forward}
       on their {!routing_key}; analyze also names its {!cache_key}, so
       the degraded path can serve the replica's stored bytes, marked
       [degraded:true].
-    - [stats] answers locally with the proxy and router counters and
-      the [stale] cache.
-    - [shutdown] is broadcast to every shard, then stops the proxy. *)
+    - [stats] answers locally with the proxy and router counters
+      ({!Tsg_engine.Proxy.router}) and the [stale] cache.
+    - [shutdown] is broadcast to every shard through the proxy's
+      router, then stops the proxy. *)

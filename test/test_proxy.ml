@@ -3,7 +3,8 @@
    [Proxy.forward] over live in-process TCP shards — byte-identity,
    one upstream call per request, budget-exhaustion and deadline
    shedding, degraded stale-serving, breaker trip/recovery, one
-   breaker state shared with Router.route, and a failpoint-stretched
+   breaker state shared with Router.route, failover counted by the
+   router whose loop it is, and a failpoint-stretched
    chaos drill that kills the busiest shard mid-load and demands zero
    client-visible failures. *)
 
@@ -136,7 +137,7 @@ let with_shards ?delay_s n f =
   let shards = List.init n (fun _ -> Helpers.start_shard ?delay_s ()) in
   Fun.protect ~finally:(fun () -> List.iter Helpers.stop_shard shards) (fun () -> f shards)
 
-let with_router eps f = f (Router.create ~retries:0 eps)
+let with_router eps f = f (Router.create eps)
 
 let fresh_or_fail = function
   | Proxy.Fresh r -> r
@@ -273,7 +274,7 @@ let test_breaker_trips_and_recovers_through_forward () =
   in
   List.iter Helpers.stop_shard shards;
   let router =
-    Router.create ~retries:0 ~breaker_window:4 ~breaker_failures:2
+    Router.create ~breaker_window:4 ~breaker_failures:2
       ~breaker_cooldown_ms:100. eps
   in
   let p = Proxy.create router in
@@ -308,7 +309,7 @@ let test_one_breaker_state_for_forward_and_route () =
   let eps = List.map snd shards in
   List.iter Helpers.stop_shard shards;
   let router =
-    Router.create ~retries:0 ~breaker_window:4 ~breaker_failures:2
+    Router.create ~breaker_window:4 ~breaker_failures:2
       ~breaker_cooldown_ms:60_000. eps
   in
   let p = Proxy.create router in
@@ -334,6 +335,24 @@ let test_one_breaker_state_for_forward_and_route () =
     (List.hd after.Router.shards).Router.failed;
   Alcotest.(check bool) "the shard reads unhealthy" false
     (List.hd after.Router.shards).Router.healthy
+
+let test_proxy_failover_is_the_routers () =
+  (* the proxy fails over through Router.route, so the router's
+     counters see the proxy's traffic: one request, answered off-home
+     after the dead home failed, paid for with one budgeted retry *)
+  with_shards 3 @@ fun shards ->
+  let eps = List.map snd shards in
+  with_router eps @@ fun router ->
+  let key = "failover-digest" in
+  Helpers.stop_shard (List.nth shards (Router.home router key));
+  let p = Proxy.create router in
+  ignore (fresh_or_fail (Proxy.forward p ~key (analyze_req (bench "fig1.g"))));
+  let rs = Router.stats router in
+  Alcotest.(check int) "the router counted the request" 1 rs.Router.requests;
+  Alcotest.(check int) "answered off-home" 1 rs.Router.rerouted;
+  Alcotest.(check bool) "the dead home counted a failover" true
+    (rs.Router.failovers >= 1);
+  Alcotest.(check int) "one budgeted retry" 1 (Proxy.stats p).Proxy.retries
 
 let test_chaos_kill_busiest_shard_under_load () =
   (* the in-test chaos drill: mixed load through the proxy, the
@@ -431,4 +450,6 @@ let suite =
       test_one_breaker_state_for_forward_and_route;
     Alcotest.test_case "chaos: busiest shard dies under load" `Quick
       test_chaos_kill_busiest_shard_under_load;
+    Alcotest.test_case "the proxy's failover is the router's" `Quick
+      test_proxy_failover_is_the_routers;
   ]

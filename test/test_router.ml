@@ -202,7 +202,7 @@ let test_restarted_replica_rejoins_after_half_open_trial () =
   let eps = List.map snd servers in
   (* one failure trips a breaker; 100 ms later it admits a trial *)
   let r =
-    Router.create ~retries:0 ~backoff_ms:5. ~breaker_window:4
+    Router.create ~backoff_ms:5. ~breaker_window:4
       ~breaker_failures:1 ~breaker_cooldown_ms:100. eps
   in
   let req = analyze_req (bench "fig1.g") in

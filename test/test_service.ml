@@ -81,11 +81,10 @@ let test_degraded_read_matches_replica_write () =
     (Test_server.status (Test_server.parse_response fresh));
   Disk_cache.flush dc;
   (* the proxy's only shard is down, so it must serve the stale entry *)
-  let router = Router.create ~retries:0 [ dead ] in
-  let proxy = Proxy.create ~stale router in
+  let proxy = Proxy.create ~stale (Router.create [ dead ]) in
   let degraded =
     reply
-      (Service.proxy_handler ~router ~proxy ~stale:(Some stale)
+      (Service.proxy_handler ~proxy ~stale:(Some stale)
          ~endpoint:(fun () -> dead) req)
   in
   Alcotest.(check bool) "marked degraded" true
