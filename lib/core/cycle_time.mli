@@ -7,7 +7,9 @@
     is the maximum of the [b^2] collected values (Propositions 7 and
     8), and a critical cycle is recovered by backtracking the longest
     path that realised the maximum (Proposition 1).  Total cost
-    O(b^2 m). *)
+    O(b^2 m); when [b^2 < m], {!analyze} takes the border route, which
+    gets the same samples from one two-period pass and max-plus
+    products. *)
 
 type sample = {
   period : int;  (** the instance index [i >= 1] *)
@@ -66,6 +68,25 @@ val analyze : ?periods:int -> ?jobs:int -> Signal_graph.t -> report
     trace shows [b + 1] [longest_paths] spans.  The report — down to
     the byte, when serialised — is independent of [jobs].
 
+    {b Border route.}  When [b² < m] ([m] = {!Signal_graph.arc_count})
+    and the model passes an O(m) exact-sum test, the simulate phase
+    takes a cheaper route to the same samples.  Let
+    [A'[k][h] = t_{k_0}(h_1)], the longest path from border event [k]
+    in period 0 to border event [h] in period 1.  Every path from
+    [g_0] to [h_i] enters period [i - 1] at a border instance, so the
+    samples [t_{g_0}(g_i)] are the diagonal of the max-plus powers of
+    [A'].  The route runs the [b] simulations over periods 0 and 1
+    only ({!Timing_sim.simulate_many}[ ~until:1]), then multiplies:
+    about [b⁴] operations against the kernel's [b² m].  The exact-sum
+    test asks that every delay be an integer multiple of [2^-q] with
+    [(periods + 1) · Σ|δ| · 2^q < 2^53]; then every partial sum is
+    exact, re-associating them gives the same floats, and the report
+    is byte-identical to the kernel's.  A model that fails it (a
+    delay of 0.1, say) takes the kernel.  The [simulate] span's
+    [route] argument reads [border] or [kernel], and the counter
+    [analyze/border_route] counts the analyses that took the border
+    route.  The backtrack is the same on both routes.
+
     @raise Not_analyzable on a graph without repetitive events. *)
 
 val cycle_time : ?periods:int -> ?jobs:int -> Signal_graph.t -> float
@@ -76,8 +97,9 @@ val cycle_time : ?periods:int -> ?jobs:int -> Signal_graph.t -> float
 (** The pieces of [analyze] that {!Whatif} must share to keep warm
     re-analysis byte-identical to a cold run: the sample table
     construction, the tie-breaking fold that selects the critical
-    (event, period) pair, and the backtrack + report assembly.  Not
-    part of the public API. *)
+    (event, period) pair, and the backtrack + report assembly; and the
+    two routes of the simulate phase, for the laws that compare them.
+    Not part of the public API. *)
 module Internal : sig
   val trace_of_times : (int -> float) -> Unfolding.t -> int -> int -> border_trace
   (** [trace_of_times time_of u periods g0] builds [g0]'s Delta table
@@ -101,6 +123,19 @@ module Internal : sig
       backtrack runs under the ambient deadline.
       @raise Not_analyzable if [traces] holds no samples.
       @raise Tsg_engine.Deadline.Deadline_exceeded past the budget. *)
+
+  type route =
+    | Border  (** one two-period pass and max-plus products *)
+    | Kernel  (** [b] simulations over every period *)
+
+  val route : ?periods:int -> Signal_graph.t -> route
+  (** The route [analyze ?periods g] takes: [Border] iff [b² < m] and
+      the exact-sum test passes. *)
+
+  val analyze_by : route -> ?periods:int -> ?jobs:int -> Signal_graph.t -> report
+  (** [analyze] on the given route, whatever the switch says.  On a
+      model that fails the exact-sum test the border route may round
+      differently from the kernel. *)
 end
 
 (**/**)

@@ -102,13 +102,20 @@ end
    The suffix is walked period by period ({!Unfolding.period_order}),
    reading each instance's row of its period's in-slice template plus
    the period's id shift: the template is O(events + arcs), so it
-   stays cache-resident however many periods the unfolding has. *)
+   stays cache-resident however many periods the unfolding has.
+   [?until] names the last period scanned (default: the unfolding's
+   last); instances of later periods stay unreached. *)
 (* cancellation granularity: the scan pauses for a deadline check
    every [check_block] topo positions, so the inner relaxation loop
    stays branch-free and the check cost is amortised to nothing *)
 let check_block = 4096
 
-let kernel ~deadline (ws : Workspace.t) u ~roots ~from_pos =
+let last_period u until =
+  let k = Unfolding.periods u - 1 in
+  match until with Some p -> min p k | None -> k
+
+let kernel ?until ~deadline (ws : Workspace.t) u ~roots ~from_pos =
+  let last = last_period u until in
   let delays = Unfolding.delays u in
   ws.Workspace.epoch <- ws.Workspace.epoch + 1;
   let epoch = ws.Workspace.epoch in
@@ -125,7 +132,7 @@ let kernel ~deadline (ws : Workspace.t) u ~roots ~from_pos =
     roots;
   let p0, k0 = if from_pos = 0 then (0, 0) else Unfolding.split u from_pos in
   let until_check = ref 0 in
-  for p = p0 to Unfolding.periods u - 1 do
+  for p = p0 to last do
     let order = Unfolding.period_order u p and base = Unfolding.period_base u p in
     let s = Unfolding.in_slices u p in
     let shift = Unfolding.shift u s p in
@@ -209,21 +216,25 @@ let view_reached v i =
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 
-let observe_window u ~from_pos =
+(* the instances a scan from [from_pos] through period [until] visits *)
+let scanned u ~from_pos ~until =
+  max 0 (Unfolding.period_base u (last_period u until + 1) - from_pos)
+
+let observe_window ?until u ~from_pos =
   let n = Unfolding.instance_count u in
-  Tsg_engine.Metrics.incr ~by:(n - from_pos) "kernel/instances_scanned";
+  Tsg_engine.Metrics.incr ~by:(scanned u ~from_pos ~until) "kernel/instances_scanned";
   Tsg_engine.Metrics.incr ~by:n "kernel/instances_total"
 
 (* span arguments are only worth naming events for when someone is
    actually recording *)
-let span_args u ~at ~from_pos =
+let span_args ?until u ~at ~from_pos =
   if Tsg_obs.Trace.enabled () then begin
     let event, period = Unfolding.event_of_instance u at in
     let n = Unfolding.instance_count u in
     [
       ("event", Event.to_string (Signal_graph.event (Unfolding.signal_graph u) event));
       ("period", string_of_int period);
-      ("scanned", string_of_int (n - from_pos));
+      ("scanned", string_of_int (scanned u ~from_pos ~until));
       ("total", string_of_int n);
     ]
   end
@@ -245,13 +256,13 @@ let check_instance u what i =
   if i < 0 || i >= Unfolding.instance_count u then
     invalid_arg (Printf.sprintf "Timing_sim: %s %d is not an instance" what i)
 
-let initiated_into ~deadline ws u ~at =
+let initiated_into ?until ~deadline ws u ~at =
   check_instance u "at" at;
   let from_pos = Unfolding.topo_position u at in
   Tsg_engine.Metrics.incr "simulations/initiated";
-  observe_window u ~from_pos;
-  Tsg_obs.Trace.with_span "longest_paths" ~args:(span_args u ~at ~from_pos)
-  @@ fun () -> kernel ~deadline ws u ~roots:[ at ] ~from_pos
+  observe_window ?until u ~from_pos;
+  Tsg_obs.Trace.with_span "longest_paths" ~args:(span_args ?until u ~at ~from_pos)
+  @@ fun () -> kernel ?until ~deadline ws u ~roots:[ at ] ~from_pos
 
 let simulate_initiated u ~at =
   let deadline = Tsg_engine.Deadline.current () in
@@ -274,7 +285,7 @@ let backtrack u ~at ~instance =
   in
   back instance []
 
-let simulate_many ?(jobs = 1) u ~roots ~f =
+let simulate_many ?(jobs = 1) ?until u ~roots ~f =
   let nroots = Array.length roots in
   if nroots = 0 then [||]
   else begin
@@ -309,7 +320,7 @@ let simulate_many ?(jobs = 1) u ~roots ~f =
     Tsg_engine.Pool.map_claims ~jobs ?order
       ~with_ctx:(fun k -> Workspace.with_arena n k)
       ~f:(fun ws at ->
-        initiated_into ~deadline ws u ~at;
+        initiated_into ?until ~deadline ws u ~at;
         f at { vw = ws; vn = n })
       roots
   end

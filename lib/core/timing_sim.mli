@@ -107,6 +107,7 @@ val backtrack : Unfolding.t -> at:int -> instance:int -> (int * int option) list
 
 val simulate_many :
   ?jobs:int ->
+  ?until:int ->
   Unfolding.t ->
   roots:int array ->
   f:(int -> view -> 'a) ->
@@ -125,7 +126,15 @@ val simulate_many :
     window), which amortises cancellation to nothing while keeping
     latency one simulation at most.  [f] must not retain its [view]
     (the arena is recycled for the next root) and must be safe to run
-    concurrently when [jobs > 1]. *)
+    concurrently when [jobs > 1].
+
+    [until] is the last period scanned (default: the unfolding's
+    last).  Every instance of a later period reads as unreached, and
+    [kernel/instances_scanned] and the span's [scanned] argument count
+    only the shortened window.  An instance of period [until] or
+    earlier gets the time it gets in the full scan: arcs never lead to
+    an earlier period.  The arenas, claims and spans are those of the
+    full scan. *)
 
 val occurrence_times : Unfolding.t -> result -> event:int -> float array
 (** [occurrence_times u r ~event] is the array of [t(e_i)] for

@@ -109,6 +109,35 @@ let qcheck_structured_case ?(count = 60) ~name law =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count ~print:tsg_print structured_tsg_gen law)
 
+(* [g] plus an initial event [i] and a non-repetitive event [n] wired
+   into it: i -> n and the disengageable n -> x and i -> y (the
+   builder rejects a marked disengageable arc: it constrains nothing).
+   [front] puts the two before [g]'s events, shifting every
+   repetitive id *)
+let with_prologue ~front ~x ~y g =
+  let b = Signal_graph.builder () in
+  let ev_i = Event.rise "pro_i" and ev_n = Event.rise "pro_n" in
+  let prologue () =
+    Signal_graph.add_event b ev_i Signal_graph.Initial;
+    Signal_graph.add_event b ev_n Signal_graph.Non_repetitive
+  in
+  if front then prologue ();
+  for e = 0 to Signal_graph.event_count g - 1 do
+    Signal_graph.add_event b (Signal_graph.event g e) (Signal_graph.class_of g e)
+  done;
+  if not front then prologue ();
+  Array.iter
+    (fun (a : Signal_graph.arc) ->
+      Signal_graph.add_arc b ~marked:a.marked ~disengageable:a.disengageable ~delay:a.delay
+        (Signal_graph.event g a.arc_src) (Signal_graph.event g a.arc_dst))
+    (Signal_graph.arcs g);
+  let rep k = Signal_graph.event g (List.nth (Signal_graph.repetitive_events g) k) in
+  let r = Signal_graph.repetitive_count g in
+  Signal_graph.add_arc b ~delay:2. ev_i ev_n;
+  Signal_graph.add_arc b ~delay:3. ev_n (rep (x mod r));
+  Signal_graph.add_arc b ~delay:1. ev_i (rep (y mod r));
+  Signal_graph.build_exn b
+
 (* ------------------------------------------------------------------ *)
 (* In-process replicas running the real `tsa serve` handler            *)
 

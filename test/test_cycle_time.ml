@@ -215,6 +215,149 @@ let prop_more_periods_stable =
       let r' = Cycle_time.analyze ~periods:(r.Cycle_time.periods_simulated + 3) g in
       Helpers.float_close r.Cycle_time.cycle_time r'.Cycle_time.cycle_time)
 
+(* ------------------------------------------------------------------ *)
+(* The border route                                                    *)
+
+let bits = Int64.bits_of_float
+
+(* two reports agree bit for bit: every sample's time and average, λ
+   and the critical sample and walk *)
+let same_report (r : Cycle_time.report) (r' : Cycle_time.report) =
+  let table (r : Cycle_time.report) =
+    List.map
+      (fun (t : Cycle_time.border_trace) ->
+        ( t.border_event,
+          List.map
+            (fun (s : Cycle_time.sample) -> (s.period, bits s.time, bits s.average))
+            t.samples ))
+      r.traces
+  in
+  table r = table r'
+  && bits r.cycle_time = bits r'.cycle_time
+  && r.critical_event = r'.critical_event
+  && r.critical_period = r'.critical_period
+  && r.critical_walk = r'.critical_walk
+
+let routes_agree ?periods ?jobs g =
+  same_report
+    (Cycle_time.Internal.analyze_by Border ?periods ?jobs g)
+    (Cycle_time.Internal.analyze_by Kernel ?periods ?jobs g)
+
+let segmented ~seed ~events ~tokens ~extra_arcs =
+  Tsg_circuit.Generators.segmented_live_tsg ~seed ~events ~tokens ~extra_arcs ()
+
+let route =
+  Alcotest.testable
+    (fun ppf (r : Cycle_time.Internal.route) ->
+      Fmt.string ppf (match r with Border -> "border" | Kernel -> "kernel"))
+    ( = )
+
+(* named models on both sides of the switch, with initial events and
+   once arcs among them (fig1 and a segmented model with a prologue) *)
+let test_routes_agree_named () =
+  List.iter
+    (fun (name, (expected : Cycle_time.Internal.route), g) ->
+      Alcotest.check route (name ^ ": switch") expected (Cycle_time.Internal.route g);
+      Alcotest.(check bool) (name ^ ": routes agree") true (routes_agree g);
+      Alcotest.(check bool) (name ^ ": at jobs 2") true (routes_agree ~jobs:2 g);
+      Alcotest.(check bool)
+        (name ^ ": analyze takes the switch's route") true
+        (same_report (Cycle_time.analyze g) (Cycle_time.Internal.analyze_by Kernel g)))
+    [
+      ("fig1", Border, fig1 ());
+      ("ring5", Border, Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:5 ());
+      ("segmented", Border, segmented ~seed:3 ~events:400 ~tokens:8 ~extra_arcs:600);
+      ( "segmented with a prologue",
+        Border,
+        Helpers.with_prologue ~front:true ~x:5 ~y:17
+          (segmented ~seed:4 ~events:150 ~tokens:5 ~extra_arcs:200) );
+      ("stack", Kernel, Tsg_circuit.Circuit_library.async_stack_tsg ());
+      ("muller ring", Kernel, Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:12 ());
+      ( "random dense",
+        Kernel,
+        Tsg_circuit.Generators.random_live_tsg ~seed:7 ~events:30 ~extra_arcs:60 () );
+    ]
+
+(* random and segmented models, with and without a prologue, at the
+   default horizon and at overrides *)
+let route_law_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 10_000 in
+    let* family = int_range 0 1 in
+    let* prologue = oneofl [ None; Some true; Some false ] in
+    let* x = int_range 0 50 and* y = int_range 0 50 in
+    let* periods = opt (int_range 1 12) in
+    let g =
+      if family = 0 then
+        Tsg_circuit.Generators.random_live_tsg ~seed ~events:(3 + (seed mod 10))
+          ~extra_arcs:(seed mod 25) ()
+      else
+        segmented ~seed ~events:(10 + (seed mod 90)) ~tokens:(1 + (seed mod 6))
+          ~extra_arcs:(seed mod 150)
+    in
+    let g =
+      match prologue with None -> g | Some front -> Helpers.with_prologue ~front ~x ~y g
+    in
+    return (g, periods))
+
+let prop_routes_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"border route equals the kernel bit for bit" ~count:150
+       ~print:(fun (g, periods) ->
+         Printf.sprintf "periods %s\n%s"
+           (match periods with None -> "b" | Some p -> string_of_int p)
+           (Helpers.tsg_print g))
+       route_law_gen
+       (fun (g, periods) -> routes_agree ?periods g))
+
+(* a delay that is no multiple of a small power of two, or sums that
+   pass 2^53, fail the exact-sum test and keep the kernel *)
+let test_inexact_takes_kernel () =
+  let g = segmented ~seed:5 ~events:200 ~tokens:6 ~extra_arcs:300 in
+  let with_first d =
+    let delays = Array.map (fun (a : Signal_graph.arc) -> a.delay) (Signal_graph.arcs g) in
+    delays.(0) <- d;
+    Signal_graph.with_delays g delays
+  in
+  Alcotest.check route "integer delays" Border (Cycle_time.Internal.route g);
+  Alcotest.check route "a 0.25 delay" Border (Cycle_time.Internal.route (with_first 0.25));
+  Alcotest.check route "a 0.1 delay" Kernel (Cycle_time.Internal.route (with_first 0.1));
+  Alcotest.check route "sums past 2^53" Kernel
+    (Cycle_time.Internal.route (with_first (Float.ldexp 1. 51)));
+  let taken g =
+    let before = Tsg_engine.Metrics.count "analyze/border_route" in
+    ignore (Cycle_time.analyze g);
+    Tsg_engine.Metrics.count "analyze/border_route" - before
+  in
+  Alcotest.(check int) "counted" 1 (taken g);
+  Alcotest.(check int) "not counted" 0 (taken (with_first 0.1))
+
+(* Propositions 7-8, checked: simulating 2b periods finds the same λ,
+   bit for bit, as b (every delay an integer, so every sum is exact) *)
+let test_two_b_periods () =
+  List.iter
+    (fun (name, g) ->
+      let r = Cycle_time.analyze g in
+      let r2 = Cycle_time.analyze ~periods:(2 * List.length r.Cycle_time.border) g in
+      Alcotest.(check int64)
+        name (bits r.Cycle_time.cycle_time) (bits r2.Cycle_time.cycle_time))
+    [
+      ("fig1", fig1 ());
+      ("segmented 400/8", segmented ~seed:3 ~events:400 ~tokens:8 ~extra_arcs:600);
+      ("segmented 2000/28", segmented ~seed:1 ~events:2000 ~tokens:28 ~extra_arcs:4000);
+      ( "segmented with a prologue",
+        Helpers.with_prologue ~front:false ~x:3 ~y:40
+          (segmented ~seed:9 ~events:300 ~tokens:7 ~extra_arcs:500) );
+      ("gen-10k", Option.get (Tsg_io.Service.builtin "gen-10k"));
+      ( "random 30",
+        Tsg_circuit.Generators.random_live_tsg ~seed:7 ~events:30 ~extra_arcs:60 () );
+      ( "random 12 with a prologue",
+        Helpers.with_prologue ~front:true ~x:2 ~y:9
+          (Tsg_circuit.Generators.random_live_tsg ~seed:21 ~events:12 ~extra_arcs:20 ()) );
+      ("muller ring 12", Tsg_circuit.Circuit_library.muller_ring_tsg ~stages:12 ());
+      ("stack", Tsg_circuit.Circuit_library.async_stack_tsg ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "fig1 analysis (Section VIII.C)" `Quick test_fig1_cycle_time;
@@ -236,4 +379,10 @@ let suite =
     prop_walk_always_consistent;
     prop_deltas_bounded_by_lambda;
     prop_more_periods_stable;
+    Alcotest.test_case "border route: named models on both sides" `Quick
+      test_routes_agree_named;
+    prop_routes_agree;
+    Alcotest.test_case "inexact delays take the kernel" `Quick test_inexact_takes_kernel;
+    Alcotest.test_case "Propositions 7-8: 2b periods find the same lambda" `Quick
+      test_two_b_periods;
   ]
